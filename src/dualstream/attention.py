@@ -12,14 +12,13 @@ only through the learnable speaker embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Parameter, Tensor, add, gelu, init_uniform, layer_norm,
-                     linear, matmul, mul, reshape, softmax, transpose)
+from .tensor import (Parameter, add, attention_core, gelu, init_uniform,
+                     layer_norm, linear)
 
 DEFAULT_LN_EPS = 1e-5
 
@@ -96,26 +95,12 @@ def _check_tokens(x, model_dim, who):
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
 
 
-def _heads(t, num_heads, head_dim):
-    b, length, _ = t.shape
-    return transpose(reshape(t, (b, length, num_heads, head_dim)), (0, 2, 1, 3))
-
-
-def _merge(t):
-    b, nh, length, hd = t.shape
-    return reshape(transpose(t, (0, 2, 1, 3)), (b, length, nh * hd))
-
-
 def _attend(q, k, v, layer, return_weights):
-    cfg = layer.cfg
-    qh = _heads(q, cfg.num_heads, cfg.head_dim)
-    kh = _heads(k, cfg.num_heads, cfg.head_dim)
-    vh = _heads(v, cfg.num_heads, cfg.head_dim)
-    logits = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))),
-                 1.0 / math.sqrt(cfg.head_dim))
-    weights = softmax(logits, axis=-1)
-    out = linear(_merge(matmul(weights, vh)), layer.wo, layer.bo)
-    return (out, weights) if return_weights else out
+    core = attention_core(q, k, v, layer.cfg.num_heads, return_weights)
+    if return_weights:
+        core, weights = core
+        return linear(core, layer.wo, layer.bo), weights
+    return linear(core, layer.wo, layer.bo)
 
 
 def mhsa(x, layer: SALayer, return_weights=False):

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Tensor, add, getitem, matmul, mul, power, reshape,
-                     softplus, sub, take_rows, texp, tlog, tmean, transpose,
-                     tsum)
+from .tensor import (Tensor, add, matmul, mul, power, softplus, sub, take_rows,
+                     texp, tlog, tmean, transpose, tsum)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
 def _log_sum_exp_rows(sim: Tensor) -> Tensor:
     # stable row-wise logsumexp; the max shift is a constant w.r.t. gradients
     shift = sim.data.max(axis=1, keepdims=True)
-    return add(tlog(tsum(texp(sub(sim, shift)), axis=1)),
-               Tensor(shift.reshape(-1)))
+    return add(tlog(tsum(texp(sub(sim, shift)), axis=1)), shift.reshape(-1))
 
 
 def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
@@ -129,7 +127,7 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
     labels = np.asarray(labels, dtype=np.float64)
     counts = np.maximum(labels.sum(axis=0), 1.0)
     weights = labels / counts  # [S, T]
-    return tsum(mul(visual_emb, Tensor(weights[:, :, None])), axis=0)
+    return tsum(mul(visual_emb, weights[:, :, None]), axis=0)
 
 
 def total_loss(batch: SupervisionBatch, w: LossWeights):

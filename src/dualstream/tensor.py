@@ -15,6 +15,13 @@ Design points:
   * the backward walk is deterministic: parents are visited in recording
     order, so two backward passes over an identical graph produce
     bit-identical gradients.
+  * the tape stays small, because its cost is Python dispatch per node, not
+    arithmetic.  Hot composites (``linear``, ``layer_norm``,
+    ``attention_core``) are single nodes with closed-form VJPs; each one's
+    forward replays the arithmetic of the composed primitives in the same
+    order, so its outputs are bit-identical to the composition's.  Constants
+    (Python scalars, numpy arrays) never become tape nodes: ``add``, ``sub``
+    and ``mul`` record only their Tensor operands as parents.
 """
 
 from __future__ import annotations
@@ -24,36 +31,24 @@ from scipy.special import erf as _erf, expit as _expit
 
 from .errors import ContractError, DimensionError
 
-_AXIS_ROLES = {"batch", "speaker", "time", "channel", "head"}
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """Dense float64 array with optional axis-role labels and a grad tape.
+    """Dense float64 array plus a grad tape.
 
     ``parents`` and ``vjp`` describe how this tensor was produced: ``vjp``
     maps the incoming gradient to one contribution per parent.  Leaf
     tensors (constants, parameters) have neither.
     """
 
-    __slots__ = ("data", "parents", "vjp", "axis_roles")
+    __slots__ = ("data", "parents", "vjp")
 
-    def __init__(self, data, parents=(), vjp=None, axis_roles=None):
+    def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.parents = tuple(parents)
         self.vjp = vjp
-        if axis_roles is not None:
-            axis_roles = tuple(axis_roles)
-            if len(axis_roles) != self.data.ndim:
-                raise ContractError(
-                    f"axis_roles length {len(axis_roles)} != ndim {self.data.ndim}"
-                )
-            bad = set(axis_roles) - _AXIS_ROLES
-            if bad:
-                raise ContractError(f"unknown axis roles: {sorted(bad)}")
-        self.axis_roles = axis_roles
 
     @property
     def shape(self):
@@ -84,7 +79,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return add(neg(self), other)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -162,35 +157,56 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 
+def _operands(a, b):
+    """Split a binary op's operands into (tensor, constant) roles.
+
+    Returns ``(a, b, a_is_tensor, b_is_tensor)`` with Tensor operands kept
+    and constants as float64 arrays; if neither is a Tensor, ``a`` is lifted
+    so the op still yields a Tensor.
+    """
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
+        return Tensor(a), np.asarray(b, dtype=np.float64), True, False
+    if not ta:
+        a = np.asarray(a, dtype=np.float64)
+    if not tb:
+        b = np.asarray(b, dtype=np.float64)
+    return a, b, ta, tb
+
+
 def add(a, b):
-    a, b = _lift(a), _lift(b)
-    out = a.data + b.data
+    a, b, ta, tb = _operands(a, b)
+    if ta and tb:
+        def vjp(g):
+            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(out, (a, b), vjp)
+        return Tensor(a.data + b.data, (a, b), vjp)
+    t, c = (a, b) if ta else (b, a)  # IEEE addition commutes bit for bit
+    return Tensor(t.data + c, (t,), lambda g: (_unbroadcast(g, t.shape),))
 
 
 def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    out = a.data - b.data
+    a, b, ta, tb = _operands(a, b)
+    if ta and tb:
+        def vjp(g):
+            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor(out, (a, b), vjp)
+        return Tensor(a.data - b.data, (a, b), vjp)
+    if ta:
+        return Tensor(a.data - b, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    return Tensor(a - b.data, (b,), lambda g: (_unbroadcast(-g, b.shape),))
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
-    out = a.data * b.data
+    a, b, ta, tb = _operands(a, b)
+    if ta and tb:
+        def vjp(g):
+            return (_unbroadcast(g * b.data, a.shape),
+                    _unbroadcast(g * a.data, b.shape))
 
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out, (a, b), vjp)
+        return Tensor(a.data * b.data, (a, b), vjp)
+    t, c = (a, b) if ta else (b, a)
+    return Tensor(t.data * c, (t,), lambda g: (_unbroadcast(g * c, t.shape),))
 
 
 def neg(a):
@@ -291,7 +307,11 @@ def matmul(a, b):
 
 
 def linear(x, w, b):
-    """Affine map over the last axis: x @ w + b."""
+    """Affine map over the last axis: x @ w + b, one tape node.
+
+    The forward is matmul-then-add exactly as the composition computes it;
+    the weight gradient is one GEMM over the flattened leading axes.
+    """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(
@@ -299,10 +319,18 @@ def linear(x, w, b):
     if b.shape != (w.shape[1],):
         raise DimensionError(
             f"linear: bias {b.shape} incompatible with weight {w.shape}")
+    n, m = w.shape
     if x.ndim == 1:
-        y = matmul(reshape(x, (1, x.shape[0])), w)
-        return reshape(add(y, b), (w.shape[1],))
-    return add(matmul(x, w), b)
+        out = (x.data.reshape(1, n) @ w.data + b.data).reshape(m)
+    else:
+        out = x.data @ w.data + b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, m)
+        x2 = x.data.reshape(-1, n)
+        return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
+
+    return Tensor(out, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +377,12 @@ def softmax(a, axis):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    One tape node with the standard closed-form backward (Ba et al., 2016):
+    with xhat = (x - mean) / sqrt(var + eps) and gx_hat = g * gamma,
+    dx = (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)) / sqrt(var + eps).
+    """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if eps <= 0:
         raise ContractError(f"layer_norm eps must be > 0, got {eps}")
@@ -358,11 +391,72 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise DimensionError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
             f"must match channel axis of {x.shape}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    inv_c = 1.0 / float(c)
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_c
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
+           + eps) ** -0.5
+    xhat = centered * inv
+    out = xhat * gamma.data + beta.data
+
+    def vjp(g):
+        gxhat = g * gamma.data
+        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        g2 = g.reshape(-1, c)
+        return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
+
+    return Tensor(out, (x, gamma, beta), vjp)
+
+
+def attention_core(q, k, v, num_heads, return_weights=False):
+    """Multi-head scaled dot-product attention core as one tape node.
+
+    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
+    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
+    over the keys, and the heads are merged back to [B, Lq, D].  The
+    backward recomputes from the saved q/k/v and softmax weights (as in
+    Dao et al., 2022).  With ``return_weights`` the [B, heads, Lq, Lk]
+    weights come back as well, as a constant Tensor.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise DimensionError(
+            f"attention_core expects q [B, Lq, D] and k, v [B, Lk, D], got "
+            f"{q.shape}, {k.shape}, {v.shape}")
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if k.shape[0] != b or k.shape[2] != d:
+        raise DimensionError(
+            f"attention_core: keys {k.shape} incompatible with queries {q.shape}")
+    if num_heads < 1 or d % num_heads != 0:
+        raise DimensionError(
+            f"attention_core: {d} channels do not split into {num_heads} heads")
+    hd = d // num_heads
+    scale = 1.0 / np.sqrt(float(hd))
+
+    def heads(t, length):  # [B, L, D] -> [B, heads, L, hd]
+        return t.reshape(b, length, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(t, length):  # [B, heads, L, hd] -> [B, L, D]
+        return t.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qh, kh, vh = heads(q.data, lq), heads(k.data, lk), heads(v.data, lk)
+    logits = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = merge(weights @ vh, lq)
+
+    def vjp(g):
+        gh = heads(g, lq)
+        gw = gh @ vh.transpose(0, 1, 3, 2)
+        gv = weights.transpose(0, 1, 3, 2) @ gh
+        gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+        gq = gl @ kh
+        gk = gl.transpose(0, 1, 3, 2) @ qh
+        return merge(gq, lq), merge(gk, lk), merge(gv, lk)
+
+    core = Tensor(out, (q, k, v), vjp)
+    return (core, Tensor(weights)) if return_weights else core
 
 
 # ---------------------------------------------------------------------------

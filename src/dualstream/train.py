@@ -29,20 +29,35 @@ CKPT_MAGIC = b"D2CKPT1"
 
 
 class MomentumSGD:
-    """v <- momentum*v - lr*grad; p <- p + v."""
+    """v <- momentum*v - lr*grad; p <- p + v.
+
+    The optimizer re-homes its parameters: it copies every ``data`` and
+    ``grad`` into one flat float64 buffer each and rebinds each Parameter's
+    ``data``/``grad`` to a reshaped view into them, so a step is three
+    whole-buffer operations.  The update is elementwise, so it is bit for
+    bit the per-parameter update.  Code that rebinds ``p.data`` or ``p.grad``
+    afterwards detaches that parameter from the optimizer; update in place.
+    """
 
     def __init__(self, params, lr, momentum):
         self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.velocity = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
+        self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        self.velocity = np.zeros_like(self.data)
+        offset = 0
+        for p in self.params:
+            end = offset + p.data.size
+            p.data = self.data[offset:end].reshape(p.data.shape)
+            p.grad = self.grad[offset:end].reshape(p.data.shape)
+            offset = end
 
     def step(self):
-        for p in self.params:
-            v = self.velocity[p.name]
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
+        v = self.velocity
+        v *= self.momentum
+        v -= self.lr * self.grad
+        self.data += v
 
 
 def _first_non_finite(params):

@@ -9,7 +9,8 @@ from dualstream.attention import (AttentionConfig, CALayer, SALayer,
                                   cal_forward, mhca, mhsa, sal_forward)
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.tensor import Tensor, backward, tsum, zero_grads
+from dualstream.tensor import (Tensor, add, matmul, mul, reshape, softmax,
+                               transpose, tsum)
 
 
 def make_sal(dim, heads, rng, hidden=None):
@@ -52,6 +53,32 @@ def attention_oracle(q_in, kv_in, layer):
     return merged @ layer.wo.data + layer.bo.data
 
 
+def attend_composed(q_in, kv_in, layer):
+    """The primitive composition the fused attention core replays: project,
+    split heads, scaled QK^T, softmax, weight V, merge heads, project."""
+    cfg = layer.cfg
+
+    def proj(t, w, b):
+        return add(matmul(t, w), b)
+
+    def heads(t):
+        b, length, _ = t.shape
+        return transpose(reshape(t, (b, length, cfg.num_heads, cfg.head_dim)),
+                         (0, 2, 1, 3))
+
+    def merge(t):
+        b, nh, length, hd = t.shape
+        return reshape(transpose(t, (0, 2, 1, 3)), (b, length, nh * hd))
+
+    qh = heads(proj(q_in, layer.wq, layer.bq))
+    kh = heads(proj(kv_in, layer.wk, layer.bk))
+    vh = heads(proj(kv_in, layer.wv, layer.bv))
+    logits = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))),
+                 1.0 / np.sqrt(cfg.head_dim))
+    weights = softmax(logits, axis=-1)
+    return proj(merge(matmul(weights, vh)), layer.wo, layer.bo), weights
+
+
 def block_oracle(q_in, kv_in, layer):
     """Straight-line transcription of the residual block equations."""
     attn = attention_oracle(q_in, kv_in, layer)
@@ -92,6 +119,17 @@ class TestMhsa:
         layer = make_sal(8, 2, np.random.default_rng(4))
         with pytest.raises(DimensionError):
             mhsa(Tensor(np.zeros((1, 3, 6))), layer)
+
+    def test_matches_primitive_composition_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for heads in (1, 2, 4):
+            layer = make_sal(8, heads, rng)
+            x = Tensor(rng.normal(size=(3, 5, 8)))
+            out, weights = mhsa(x, layer, return_weights=True)
+            expected, expected_weights = attend_composed(x, x, layer)
+            npt.assert_array_equal(out.data, expected.data)
+            npt.assert_array_equal(weights.data, expected_weights.data)
+            assert weights.parents == ()  # returned as a constant
 
 
 class TestSalForward:
@@ -160,6 +198,17 @@ class TestCalForward:
         y = rng.normal(size=(2, 6, 8))
         npt.assert_allclose(cal_forward(Tensor(x), Tensor(y), layer).data,
                             block_oracle(x, y, layer), atol=1e-10, rtol=0)
+
+    def test_matches_primitive_composition_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for heads in (1, 2, 4):
+            layer = make_cal(8, heads, rng)
+            x = Tensor(rng.normal(size=(2, 4, 8)))
+            y = Tensor(rng.normal(size=(2, 7, 8)))
+            out, weights = mhca(x, y, layer, return_weights=True)
+            expected, expected_weights = attend_composed(x, y, layer)
+            npt.assert_array_equal(out.data, expected.data)
+            npt.assert_array_equal(weights.data, expected_weights.data)
 
     def test_batch_mismatch(self):
         rng = np.random.default_rng(13)

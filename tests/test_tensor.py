@@ -6,11 +6,12 @@ import pytest
 
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.tensor import (Parameter, Tensor, add, backward, broadcast_to,
-                               concat, gelu, getitem, layer_norm, linear,
-                               matmul, mul, pad_axis, power, reshape, sigmoid,
-                               softmax, softplus, sub, take_rows, tanh, texp,
-                               tlog, tmean, transpose, tsum, zero_grads)
+from dualstream.tensor import (Parameter, Tensor, add, attention_core,
+                               backward, broadcast_to, concat, gelu, getitem,
+                               layer_norm, linear, matmul, mul, pad_axis,
+                               power, reshape, sigmoid, softmax, softplus, sub,
+                               take_rows, tanh, texp, tlog, tmean, transpose,
+                               tsum, zero_grads)
 
 
 def rand(rng, *shape):
@@ -124,6 +125,39 @@ class TestLayerNorm:
             layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(3)),
                        Tensor(np.zeros(3)), eps=1e-5)
 
+    def test_matches_primitive_composition_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for shape in [(7,), (3, 8), (2, 5, 16)]:
+            c = shape[-1]
+            x = Parameter(rng.normal(0.0, 3.0, size=shape), "x")
+            gamma, beta = Parameter(rand(rng, c), "g"), Parameter(rand(rng, c), "b")
+            fused = layer_norm(x, gamma, beta, 1e-5)
+            composed = layer_norm_composed(x, gamma, beta, 1e-5)
+            npt.assert_array_equal(fused.data, composed.data)
+            # the closed-form backward agrees with the composition's to rounding
+            proj = rand(rng, *shape)
+            grads = []
+            for out in (fused, composed):
+                zero_grads([x, gamma, beta])
+                backward(tsum(mul(out, proj)))
+                grads.append([p.grad.copy() for p in (x, gamma, beta)])
+            for g_fused, g_composed in zip(*grads):
+                npt.assert_allclose(g_fused, g_composed, rtol=1e-12, atol=1e-12)
+
+    def test_one_tape_node(self):
+        x = Parameter(np.arange(4.0), "x")
+        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        assert out.parents[0] is x and len(out.parents) == 3
+
+
+def layer_norm_composed(x, gamma, beta, eps):
+    """The primitive composition the fused layer_norm replays."""
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
+    inv = power(add(var, eps), -0.5)
+    return add(mul(mul(centered, inv), gamma), beta)
+
 
 class TestLinear:
     def test_identity(self):
@@ -135,16 +169,56 @@ class TestLinear:
         npt.assert_array_equal(out.data, [6.0])
 
     def test_matches_matmul_add_composition(self):
+        # the fused node must give the composition's bits, at every input rank
         rng = np.random.default_rng(5)
-        x, w, b = rand(rng, 4, 6, 3), rand(rng, 3, 5), rand(rng, 5)
-        expected = add(matmul(Tensor(x), Tensor(w)), Tensor(b)).data
-        npt.assert_allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data,
-                            expected, atol=1e-12, rtol=0)
+        w, b = rand(rng, 3, 5), rand(rng, 5)
+        for shape in [(3,), (6, 3), (4, 6, 3)]:
+            x = rand(rng, *shape)
+            if len(shape) == 1:
+                expected = reshape(add(matmul(reshape(Tensor(x), (1, 3)),
+                                              Tensor(w)), Tensor(b)), (5,))
+            else:
+                expected = add(matmul(Tensor(x), Tensor(w)), Tensor(b))
+            npt.assert_array_equal(
+                linear(Tensor(x), Tensor(w), Tensor(b)).data, expected.data)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             linear(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))),
                    Tensor(np.zeros(2)))
+
+
+class TestAttentionCore:
+    def test_single_head_matches_numpy_oracle(self):
+        rng = np.random.default_rng(10)
+        q, k, v = rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)
+        logits = q @ k.transpose(0, 2, 1) / 2.0
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        out = attention_core(Tensor(q), Tensor(k), Tensor(v), 1)
+        npt.assert_allclose(out.data, w @ v, atol=1e-12, rtol=0)
+
+    def test_heads_attend_over_their_own_channels(self):
+        rng = np.random.default_rng(11)
+        q, k, v = rand(rng, 1, 3, 6), rand(rng, 1, 4, 6), rand(rng, 1, 4, 6)
+        both = attention_core(Tensor(q), Tensor(k), Tensor(v), 2).data
+        for h in range(2):
+            sl = slice(3 * h, 3 * h + 3)
+            one = attention_core(Tensor(q[..., sl]), Tensor(k[..., sl]),
+                                 Tensor(v[..., sl]), 1).data
+            npt.assert_allclose(both[..., sl], one, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("q_shape,k_shape,v_shape,heads", [
+        ((2, 3, 4), (2, 5, 6), (2, 5, 6), 2),   # channel mismatch
+        ((2, 3, 4), (3, 5, 4), (3, 5, 4), 2),   # batch mismatch
+        ((2, 3, 4), (2, 5, 4), (2, 4, 4), 2),   # keys vs values
+        ((2, 3, 6), (2, 5, 6), (2, 5, 6), 4),   # heads do not divide
+        ((3, 4), (3, 4), (3, 4), 1),            # rank
+    ])
+    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, heads):
+        with pytest.raises(DimensionError):
+            attention_core(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                           Tensor(np.zeros(v_shape)), heads)
 
 
 class TestBackward:
@@ -244,13 +318,86 @@ def test_primitive_gradients_match_finite_differences(name):
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 
 
-def test_axis_roles_validated():
-    t = Tensor(np.zeros((2, 3)), axis_roles=("speaker", "time"))
-    assert t.axis_roles == ("speaker", "time")
-    with pytest.raises(ContractError):
-        Tensor(np.zeros((2, 3)), axis_roles=("speaker",))
-    with pytest.raises(ContractError):
-        Tensor(np.zeros((2,)), axis_roles=("banana",))
+def check_every_parent(op, shapes, trials=5):
+    """Finite-difference check of ``op`` with every input a Parameter."""
+    for trial in range(trials):
+        rng = np.random.default_rng([11, trial])
+        params = [Parameter(rand(rng, *shape), f"in{i}")
+                  for i, shape in enumerate(shapes)]
+        proj = rng.uniform(-1, 1, size=op(*params).shape)
+
+        def build():
+            return tsum(mul(op(*params), proj))
+
+        worst = check_parameter_gradients(build, params, step=1e-4,
+                                          max_coords=8, seed=trial, floor=1e-3)
+        assert max(worst.values()) <= 1e-5, f"trial {trial}: {worst}"
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (4, 3), (2, 4, 3)])
+def test_linear_gradients_every_parent(x_shape):
+    check_every_parent(linear, [x_shape, (3, 5), (5,)])
+
+
+@pytest.mark.parametrize("x_shape", [(6,), (4, 6), (2, 3, 6)])
+def test_layer_norm_gradients_every_parent(x_shape):
+    check_every_parent(lambda x, g, b: layer_norm(x, g, b, 1e-5),
+                       [x_shape, (6,), (6,)])
+
+
+def test_attention_core_gradients_every_parent():
+    # 2 heads, 3 queries against 5 keys
+    check_every_parent(lambda q, k, v: attention_core(q, k, v, 2),
+                       [(2, 3, 4), (2, 5, 4), (2, 5, 4)])
+
+
+# constant operands are numpy arrays or Python scalars, never tape nodes
+CONSTANT_PATHS = {
+    "add_scalar": lambda p, c: add(p, 0.75),
+    "radd_scalar": lambda p, c: 0.75 + p,
+    "add_array_broadcast": lambda p, c: add(c, p[0]),
+    "sub_scalar": lambda p, c: sub(p, 1.5),
+    "sub_from_array": lambda p, c: sub(c, p),
+    "rsub_scalar": lambda p, c: 2.0 - p,
+    "sub_from_array_broadcast": lambda p, c: sub(c, p[1]),
+    "mul_scalar": lambda p, c: mul(p, -1.25),
+    "rmul_scalar": lambda p, c: -1.25 * p,
+    "mul_array_broadcast": lambda p, c: mul(c, p[2]),
+    "div_scalar": lambda p, c: p / 4.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_PATHS))
+def test_constant_operand_paths(name):
+    op = CONSTANT_PATHS[name]
+    for trial in range(5):
+        rng = np.random.default_rng([13, trial])
+        p = Parameter(rand(rng, 3, 4, 5), name)
+        c = rand(rng, 3, 4, 5)
+        out = op(p, c)
+        stack = [out]
+        while stack:  # the only leaf on the tape is p
+            node = stack.pop()
+            assert node.parents or node is p, "a constant became a tape node"
+            stack.extend(node.parents)
+        proj = rng.uniform(-1, 1, size=out.shape)
+
+        def build():
+            return tsum(mul(op(p, c), proj))
+
+        worst = check_parameter_gradients(build, [p], step=1e-4, max_coords=8,
+                                          seed=trial, floor=1e-3)
+        assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
+
+
+def test_constant_paths_match_lifted_constants_bit_for_bit():
+    rng = np.random.default_rng(14)
+    x, c = Tensor(rand(rng, 3, 4)), rand(rng, 3, 4)
+    for op in (add, sub, mul):
+        npt.assert_array_equal(op(x, c).data, op(x, Tensor(c)).data)
+        npt.assert_array_equal(op(c, x).data, op(Tensor(c), x).data)
+        npt.assert_array_equal(op(x, 0.3).data, op(x, Tensor(0.3)).data)
+    npt.assert_array_equal((0.3 - x).data, sub(Tensor(0.3), x).data)
 
 
 def test_values_finite_after_forward_chain():

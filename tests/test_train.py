@@ -1,0 +1,61 @@
+"""Optimizer arithmetic and the size of one training step's tape."""
+
+import numpy as np
+import numpy.testing as npt
+
+from dualstream.config import load_config
+from dualstream.data import generate_scene
+from dualstream.encoders import AudioClip, VisualClip
+from dualstream.losses import total_loss
+from dualstream.model import ActiveSpeakerModel
+from dualstream.tensor import Parameter
+from dualstream.train import MomentumSGD, scene_batch
+
+# distinct nodes on one default-config training step's tape; the unfused
+# graph had 875, and un-fusing any hot composite pushes it past this bound
+MAX_NODES_PER_STEP = 400
+
+
+def test_flat_step_matches_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(0)
+    shapes = [(3, 4), (4,), (2, 3, 5), (1,)]
+    params = [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    ref_v = [np.zeros_like(r) for r in ref]
+    lr, momentum = 0.03, 0.9
+    opt = MomentumSGD(params, lr, momentum)
+    for _ in range(3):
+        for p, r, v in zip(params, ref, ref_v):
+            p.grad[...] = rng.normal(size=p.shape)
+            v *= momentum
+            v -= lr * p.grad
+            r += v
+        opt.step()
+        for p, r in zip(params, ref):
+            npt.assert_array_equal(p.data, r)
+
+
+def test_parameters_are_views_into_the_flat_buffers():
+    params = [Parameter(np.arange(6.0).reshape(2, 3), "a"),
+              Parameter(np.array([7.0]), "b")]
+    opt = MomentumSGD(params, 0.1, 0.5)
+    npt.assert_array_equal(opt.data, [0, 1, 2, 3, 4, 5, 7])
+    assert params[0].shape == (2, 3)
+    for p in params:
+        assert np.shares_memory(p.data, opt.data)
+        assert np.shares_memory(p.grad, opt.grad)
+
+
+def test_training_step_tape_size_guard():
+    cfg = load_config(None, {})
+    model = ActiveSpeakerModel(cfg.model_config())
+    scene = generate_scene(cfg.gen_config(), 0)
+    out = model.forward(VisualClip(scene.visual), AudioClip(scene.audio))
+    loss, _ = total_loss(scene_batch(out, scene), cfg.loss_weights())
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    assert len(seen) <= MAX_NODES_PER_STEP, len(seen)
