@@ -127,18 +127,14 @@ def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
         raw = out.scores.data
         p_voice = voice_confidence(scene.audio, gate_net).data
         final = gate_batch(raw, p_voice, gate_params) if apply_gate else raw
-        s, t = scene.labels.shape
-        for spk in range(s):
-            for frame in range(t):
-                if not scene.mask[spk, frame]:
-                    continue
-                common = dict(scene_id=scene.scene_id, speaker_idx=spk,
-                              frame_idx=frame, p_voice=float(p_voice[frame]),
-                              label=int(scene.labels[spk, frame]))
-                records.append(PredictionRecord(
-                    score=float(final[spk, frame]), **common))
-                raw_records.append(PredictionRecord(
-                    score=float(raw[spk, frame]), **common))
+        spk, frame = np.nonzero(scene.mask)  # row-major: the CSV's order
+        ids = [scene.scene_id] * len(spk)
+        spks, frames = spk.tolist(), frame.tolist()
+        p_cells = p_voice[frame].tolist()
+        labels = scene.labels[spk, frame].tolist()
+        for scores, dest in ((final, records), (raw, raw_records)):
+            dest.extend(map(PredictionRecord, ids, spks, frames,
+                            scores[spk, frame].tolist(), p_cells, labels))
     return records, raw_records
 
 

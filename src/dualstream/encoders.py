@@ -19,7 +19,7 @@ import numpy as np
 from .attention import CALayer, cal_forward
 from .errors import ContractError, DimensionError
 from .tensor import (Parameter, Tensor, broadcast_to, concat, gelu,
-                     init_uniform, linear, reshape, tmean)
+                     init_uniform, linear, reshape)
 
 
 @dataclass
@@ -92,7 +92,7 @@ class VisualEncoder:
             raise DimensionError(
                 f"visual encoder built for {self.height}x{self.width} crops, "
                 f"got {h}x{w}")
-        x = Tensor(clip.values.reshape(s, t, h * w))
+        x = clip.values.reshape(s, t, h * w)
         return linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
@@ -116,7 +116,7 @@ class AudioEncoder:
         if m != self.mel_bins:
             raise DimensionError(
                 f"audio encoder built for {self.mel_bins} bins, got {m}")
-        frames = tmean(reshape(Tensor(clip.values), (steps // 4, 4, m)), axis=1)
+        frames = clip.values.reshape(steps // 4, 4, m).mean(axis=1)
         return linear(gelu(linear(frames, self.w1, self.b1)), self.w2, self.b2)
 
     def forward(self, clip: AudioClip, speakers: int) -> Tensor:

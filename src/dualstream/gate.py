@@ -3,7 +3,10 @@
 The gate is a pure post-processor.  A small temporal network (two 1-d
 convolutions, one bidirectional tanh recurrence, a linear head and a
 sigmoid squash) maps a scene's audio to a per-frame speech confidence
-p_hat in (0, 1); ``gate_audio_features`` defines what it reads.  At
+p_hat in (0, 1); ``gate_audio_features`` defines what it reads.  Each
+convolution is one ``conv1d_same`` tape node and each recurrence direction
+one ``tanh_rnn`` node, so a gate loss has the same small tape at any scene
+length.  At
 evaluation time each positive main score s is rescaled by
 
     alpha = min(p_hat / (t_veto + eps), 1)   if p_hat < t_veto, else 1
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Parameter, Tensor, add, concat, gelu, getitem,
-                     init_uniform, linear, matmul, pad_axis, reshape,
-                     sigmoid, tanh)
+from .tensor import (Parameter, Tensor, add, concat, conv1d_same, gelu,
+                     init_uniform, linear, reshape, sigmoid, tanh_rnn)
 
 # keeps voice_confidence strictly inside (0, 1) even when the trained head
 # saturates the float64 sigmoid
@@ -95,7 +97,6 @@ class ConfidenceNet:
 
     def __init__(self, mel_bins, conv_hidden, rnn_hidden, rng, name="gate"):
         self.mel_bins = mel_bins
-        self.rnn_hidden = rnn_hidden
 
         def conv(tag, cin, cout, k=3):
             w = Parameter(init_uniform(rng, k * cin, (k, cin, cout)),
@@ -121,30 +122,6 @@ class ConfidenceNet:
         return [self.c1_w, self.c1_b, self.c2_w, self.c2_b,
                 *self.fwd, *self.bwd, self.out_w, self.out_b]
 
-    def _conv(self, x, w, b):
-        # same-padded 1-d convolution as a sum of shifted matmuls
-        k = w.shape[0]
-        t = x.shape[0]
-        xp = pad_axis(x, 0, k // 2, k - 1 - k // 2)
-        out = None
-        for j in range(k):
-            term = matmul(getitem(xp, (slice(j, j + t),)), getitem(w, (j,)))
-            out = term if out is None else add(out, term)
-        return add(out, b)
-
-    def _recur(self, x, weights, reverse):
-        wx, wh, b = weights
-        t = x.shape[0]
-        h = Tensor(np.zeros((1, self.rnn_hidden)))
-        states = [None] * t
-        order = range(t - 1, -1, -1) if reverse else range(t)
-        for i in order:
-            step = add(add(matmul(getitem(x, (slice(i, i + 1),)), wx),
-                           matmul(h, wh)), b)
-            h = tanh(step)
-            states[i] = h
-        return concat(states, axis=0)
-
     def logits(self, audio) -> Tensor:
         """Per-frame speech logits, shape [T], from [4T, M] audio."""
         audio = np.asarray(audio, dtype=np.float64)
@@ -156,11 +133,10 @@ class ConfidenceNet:
             raise DimensionError(
                 f"confidence net needs a positive multiple of 4 audio steps, "
                 f"got {audio.shape[0]}")
-        x = Tensor(gate_audio_features(audio))
-        x = gelu(self._conv(x, self.c1_w, self.c1_b))
-        x = gelu(self._conv(x, self.c2_w, self.c2_b))
-        both = concat([self._recur(x, self.fwd, reverse=False),
-                       self._recur(x, self.bwd, reverse=True)], axis=1)
+        x = gelu(conv1d_same(gate_audio_features(audio), self.c1_w, self.c1_b))
+        x = gelu(conv1d_same(x, self.c2_w, self.c2_b))
+        both = concat([tanh_rnn(x, *self.fwd),
+                       tanh_rnn(x, *self.bwd, reverse=True)], axis=1)
         return reshape(linear(both, self.out_w, self.out_b), (x.shape[0],))
 
 

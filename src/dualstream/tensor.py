@@ -17,11 +17,16 @@ Design points:
     bit-identical gradients.
   * the tape stays small, because its cost is Python dispatch per node, not
     arithmetic.  Hot composites (``linear``, ``layer_norm``,
-    ``attention_core``) are single nodes with closed-form VJPs; each one's
-    forward replays the arithmetic of the composed primitives in the same
-    order, so its outputs are bit-identical to the composition's.  Constants
-    (Python scalars, numpy arrays) never become tape nodes: ``add``, ``sub``
-    and ``mul`` record only their Tensor operands as parents.
+    ``attention_core``, ``conv1d_same``, ``tanh_rnn``) are single nodes with
+    closed-form VJPs; each one's forward replays the arithmetic of the
+    composed primitives in the same order, so its outputs are bit-identical
+    to the composition's.  The backwards of ``conv1d_same`` and ``tanh_rnn``
+    also replay the order in which the composed tape accumulated its
+    gradient terms, so their gradients are bit-identical too.  Constants
+    (Python scalars, numpy arrays) never become tape nodes: ``add``,
+    ``sub``, ``mul``, ``linear``, ``conv1d_same`` and ``tanh_rnn`` record
+    only their Tensor operands as parents, and the last three compute no
+    gradient for a constant input ``x``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "parents", "vjp")
+    # numpy defers every operator with a Tensor operand to the Tensor's
+    # reflected method, so ``c - t`` records a tape node instead of building
+    # an object array elementwise
+    __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -136,8 +145,36 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+# the ``need`` flags of a fused op whose operands are all Tensors
+_ALL = (True,) * 4
+
+
 def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+
+
+def _data(x):
+    """An operand's array: a Tensor's data, or a constant as float64."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _record(out, operands, vjp):
+    """Tensor for ``out`` whose parents are the Tensor members of ``operands``.
+
+    ``vjp(g, need=_ALL)`` returns one gradient per operand; those whose
+    ``need`` flag is unset are dropped, may be None and need not be
+    computed, so a constant operand costs no tape node and, where the op
+    skips it, no gradient.
+    """
+    for o in operands:
+        if not isinstance(o, Tensor):
+            break
+    else:
+        return Tensor(out, operands, vjp)
+    need = [isinstance(o, Tensor) for o in operands]
+    parents = [o for o, n in zip(operands, need) if n]
+    return Tensor(out, parents,
+                  lambda g: [c for c, n in zip(vjp(g, need), need) if n])
 
 
 def _unbroadcast(g, shape):
@@ -312,25 +349,119 @@ def linear(x, w, b):
     The forward is matmul-then-add exactly as the composition computes it;
     the weight gradient is one GEMM over the flattened leading axes.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+    xd, wd, bd = _data(x), _data(w), _data(b)
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
         raise DimensionError(
-            f"linear: input {x.shape} incompatible with weight {w.shape}")
-    if b.shape != (w.shape[1],):
+            f"linear: input {xd.shape} incompatible with weight {wd.shape}")
+    if bd.shape != (wd.shape[1],):
         raise DimensionError(
-            f"linear: bias {b.shape} incompatible with weight {w.shape}")
-    n, m = w.shape
-    if x.ndim == 1:
-        out = (x.data.reshape(1, n) @ w.data + b.data).reshape(m)
+            f"linear: bias {bd.shape} incompatible with weight {wd.shape}")
+    n, m = wd.shape
+    if xd.ndim == 1:
+        out = (xd.reshape(1, n) @ wd + bd).reshape(m)
     else:
-        out = x.data @ w.data + b.data
+        out = xd @ wd + bd
 
-    def vjp(g):
+    def vjp(g, need=_ALL):
         g2 = g.reshape(-1, m)
-        x2 = x.data.reshape(-1, n)
-        return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
+        return ((g2 @ wd.T).reshape(xd.shape) if need[0] else None,
+                xd.reshape(-1, n).T @ g2 if need[1] else None,
+                g2.sum(axis=0) if need[2] else None)
 
-    return Tensor(out, (x, w, b), vjp)
+    return _record(out, (x, w, b), vjp)
+
+
+def conv1d_same(x, w, b):
+    """Same-padded 1-d convolution over the first axis, one tape node.
+
+    x [T, Cin], w [k, Cin, Cout], b [Cout]: with x zero-padded by k // 2
+    rows before and k - 1 - k // 2 after, out[i] = sum_j xpad[i + j] @ w[j]
+    + b.  The forward adds the shifted products in shift order, then b; the
+    input gradient adds the shifted terms last shift first.  Both are the
+    order of the pad / slice / matmul / add tape this op replaces, so values
+    and gradients are bit-identical to it.
+    """
+    xd, wd, bd = _data(x), _data(w), _data(b)
+    if xd.ndim != 2 or wd.ndim != 3 or wd.shape[0] < 1 \
+            or wd.shape[1] != xd.shape[1]:
+        raise DimensionError(
+            f"conv1d_same: input {xd.shape} incompatible with weight {wd.shape}")
+    if bd.shape != (wd.shape[2],):
+        raise DimensionError(
+            f"conv1d_same: bias {bd.shape} incompatible with weight {wd.shape}")
+    k, t = wd.shape[0], xd.shape[0]
+    lo = k // 2
+    xp = np.pad(xd, ((lo, k - 1 - lo), (0, 0)))
+    out = xp[0:t] @ wd[0]
+    for j in range(1, k):
+        out = out + xp[j:j + t] @ wd[j]
+    out = out + bd
+
+    def vjp(g, need=_ALL):
+        gx = gw = None
+        if need[0]:
+            gxp = np.zeros(xp.shape)
+            for j in range(k - 1, -1, -1):
+                gxp[j:j + t] += g @ wd[j].T
+            gx = gxp[lo:lo + t]
+        if need[1]:
+            gw = np.stack([xp[j:j + t].T @ g for j in range(k)])
+        return gx, gw, g.sum(axis=0) if need[2] else None
+
+    return _record(out, (x, w, b), vjp)
+
+
+def tanh_rnn(x, wx, wh, b, reverse=False):
+    """Tanh recurrence h_i = tanh((x_i @ wx + h @ wh) + b), one tape node.
+
+    x [T, C], wx [C, H], wh [H, H], b [H]; the state starts at zero and the
+    [T, H] states come back in frame order, computed last frame first when
+    ``reverse``.  The forward takes one [1, C] @ [C, H] product per frame,
+    as the per-frame tape this op replaces did, so the states are
+    bit-identical to it.  The backward is BPTT and sums the per-frame weight
+    terms in that tape's order: wh and b in backward-sweep order, wx latest
+    frame first in either direction.
+    """
+    xd, wxd, whd, bd = _data(x), _data(wx), _data(wh), _data(b)
+    if xd.ndim != 2 or whd.ndim != 2 or whd.shape[0] != whd.shape[1] \
+            or wxd.shape != (xd.shape[1], whd.shape[0]):
+        raise DimensionError(
+            f"tanh_rnn: input {xd.shape}, wx {wxd.shape} and wh {whd.shape} "
+            f"disagree")
+    t, h_dim = xd.shape[0], whd.shape[0]
+    if bd.shape != (h_dim,):
+        raise DimensionError(
+            f"tanh_rnn: bias {bd.shape} incompatible with wh {whd.shape}")
+    order = range(t - 1, -1, -1) if reverse else range(t)
+    states = np.empty((t, h_dim))
+    h = np.zeros((1, h_dim))
+    for i in order:
+        h = np.tanh(xd[i:i + 1] @ wxd + h @ whd + bd)
+        states[i] = h
+
+    def vjp(g, need=_ALL):
+        ds = np.empty((t, h_dim))  # gradient at each frame's pre-activation
+        gx = np.empty(xd.shape) if need[0] else None
+        gwh, gb = np.zeros((h_dim, h_dim)), np.zeros(h_dim)
+        dh = None  # gradient reaching the state from the next step
+        back = 1 if reverse else -1  # frame of the previous step's state
+        for i in reversed(order):
+            hi = states[i:i + 1]
+            d = (g[i:i + 1] if dh is None else g[i:i + 1] + dh) * (1.0 - hi * hi)
+            ds[i] = d
+            gb += d[0]
+            if need[0]:
+                gx[i] = d @ wxd.T
+            j = i + back
+            if 0 <= j < t:  # the first step's previous state is the zero start
+                gwh += states[j:j + 1].T @ d
+                dh = d @ whd.T
+        gwx = np.zeros(wxd.shape)
+        for i in range(t - 1, -1, -1):
+            gwx += xd[i:i + 1].T @ ds[i:i + 1]
+        return gx, gwx, gwh, gb
+
+    return _record(states, (x, wx, wh, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +635,6 @@ def getitem(a, key):
         z = np.zeros(a.shape)
         z[key] = g
         return (z,)
-
-    return Tensor(out, (a,), vjp)
-
-
-def pad_axis(a, axis, before, after):
-    """Zero-pad one axis."""
-    a = _lift(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    out = np.pad(a.data, widths)
-
-    def vjp(g):
-        sl = [slice(None)] * a.ndim
-        sl[axis] = slice(before, before + a.shape[axis])
-        return (g[tuple(sl)],)
 
     return Tensor(out, (a,), vjp)
 

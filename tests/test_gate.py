@@ -7,8 +7,16 @@ import pytest
 
 from dualstream.data import GenConfig, generate
 from dualstream.errors import ContractError, DimensionError
-from dualstream.gate import ConfidenceNet, GateParams, gate_apply, gate_batch, gate_scale, voice_confidence
+from dualstream.gate import (ConfidenceNet, GateParams, gate_apply, gate_audio_features,
+                             gate_batch, gate_scale, voice_confidence)
+from dualstream.losses import masked_bce
+from dualstream.tensor import (Tensor, add, backward, concat, gelu, getitem, linear,
+                               matmul, reshape, tanh, zero_grads)
 from dualstream.train import train_gate
+
+# distinct nodes on one gate loss's tape, at any T; the per-frame tape
+# this replaced had 198 at T=12 and 630 at T=48
+MAX_GATE_NODES = 30
 
 GP = GateParams(t_main=0.0, t_veto=0.06, gamma=0.8, eps=1e-6)
 
@@ -186,3 +194,103 @@ class TestConfidenceNet:
             hits += ((p >= 0.5) == truth).sum()
             total += truth.size
         assert hits / total >= 0.9, f"held-out accuracy {hits / total:.3f}"
+
+
+# ---------------------------------------------------------------------------
+# the per-op tape the fused conv1d_same and tanh_rnn replace, kept as the
+# oracle their values and gradients must match bit for bit
+
+
+def pad_axis(a, axis, before, after):
+    """Zero-pad one axis."""
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (before, after)
+
+    def vjp(g):
+        sl = [slice(None)] * a.ndim
+        sl[axis] = slice(before, before + a.shape[axis])
+        return (g[tuple(sl)],)
+
+    return Tensor(np.pad(a.data, widths), (a,), vjp)
+
+
+def conv_composed(x, w, b):
+    # same-padded 1-d convolution as a sum of shifted matmuls
+    k = w.shape[0]
+    t = x.shape[0]
+    xp = pad_axis(x, 0, k // 2, k - 1 - k // 2)
+    out = None
+    for j in range(k):
+        term = matmul(getitem(xp, (slice(j, j + t),)), getitem(w, (j,)))
+        out = term if out is None else add(out, term)
+    return add(out, b)
+
+
+def recur_composed(x, weights, reverse):
+    wx, wh, b = weights
+    t = x.shape[0]
+    h = Tensor(np.zeros((1, wh.shape[0])))
+    states = [None] * t
+    order = range(t - 1, -1, -1) if reverse else range(t)
+    for i in order:
+        step = add(add(matmul(getitem(x, (slice(i, i + 1),)), wx),
+                       matmul(h, wh)), b)
+        h = tanh(step)
+        states[i] = h
+    return concat(states, axis=0)
+
+
+def logits_composed(net, audio):
+    x = Tensor(gate_audio_features(audio))
+    x = gelu(conv_composed(x, net.c1_w, net.c1_b))
+    x = gelu(conv_composed(x, net.c2_w, net.c2_b))
+    both = concat([recur_composed(x, net.fwd, reverse=False),
+                   recur_composed(x, net.bwd, reverse=True)], axis=1)
+    return reshape(linear(both, net.out_w, net.out_b), (x.shape[0],))
+
+
+def gate_loss(logits, frames, seed):
+    target = (np.random.default_rng(seed).uniform(size=frames) > 0.5).astype(float)
+    return masked_bce(logits, target, np.ones(frames))
+
+
+def tape_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("frames", [1, 3, 12, 48])
+def test_fused_gate_matches_per_op_tape_bit_for_bit(frames):
+    # non-zero biases, so every term of every accumulation is exercised
+    net = ConfidenceNet(13, 8, 8, np.random.default_rng(frames))
+    rng = np.random.default_rng([frames, 1])
+    for p in net.parameters():
+        p.data[...] = p.data + rng.normal(scale=0.3, size=p.shape)
+    params = net.parameters()
+    for trial in range(3):
+        audio = np.random.default_rng([frames, 2, trial]).normal(
+            size=(4 * frames, 13)) * 2.0
+        grads = []
+        for logits_fn in (net.logits, lambda a: logits_composed(net, a)):
+            zero_grads(params)
+            logits = logits_fn(audio)
+            backward(gate_loss(logits, frames, trial))
+            grads.append((logits.data, [p.grad.copy() for p in params]))
+        (fused, fused_grads), (ref, ref_grads) = grads
+        npt.assert_array_equal(fused, ref)
+        for p, got, want in zip(params, fused_grads, ref_grads):
+            npt.assert_array_equal(got, want, err_msg=p.name)
+
+
+def test_gate_tape_size_guard():
+    net = ConfidenceNet(13, 8, 8, np.random.default_rng(0))
+    counts = {frames: tape_nodes(gate_loss(net.logits(np.ones((4 * frames, 13))),
+                                           frames, 0))
+              for frames in (3, 12, 48)}
+    assert len(set(counts.values())) == 1, counts
+    assert counts[12] <= MAX_GATE_NODES, counts

@@ -7,11 +7,11 @@ import pytest
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, attention_core,
-                               backward, broadcast_to, concat, gelu, getitem,
-                               layer_norm, linear, matmul, mul, pad_axis,
+                               backward, broadcast_to, concat, conv1d_same,
+                               gelu, getitem, layer_norm, linear, matmul, mul,
                                power, reshape, sigmoid, softmax, softplus, sub,
-                               take_rows, tanh, texp, tlog, tmean, transpose,
-                               tsum, zero_grads)
+                               take_rows, tanh, tanh_rnn, texp, tlog, tmean,
+                               transpose, tsum, zero_grads)
 
 
 def rand(rng, *shape):
@@ -182,10 +182,66 @@ class TestLinear:
             npt.assert_array_equal(
                 linear(Tensor(x), Tensor(w), Tensor(b)).data, expected.data)
 
+    def test_constant_input_is_not_a_parent(self):
+        w, b = Parameter(np.ones((3, 2)), "w"), Parameter(np.zeros(2), "b")
+        out = linear(np.ones((4, 3)), w, b)
+        assert out.parents == (w, b)
+        backward(tsum(out))
+        npt.assert_array_equal(w.grad, np.full((3, 2), 4.0))
+        npt.assert_array_equal(b.grad, np.full(2, 4.0))
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             linear(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))),
                    Tensor(np.zeros(2)))
+
+
+class TestConv1dSame:
+    def test_matches_numpy_oracle(self):
+        rng = np.random.default_rng(15)
+        x, w, b = rand(rng, 5, 3), rand(rng, 3, 3, 2), rand(rng, 2)
+        xp = np.concatenate([np.zeros((1, 3)), x, np.zeros((1, 3))])
+        expected = [sum(xp[i + j] @ w[j] for j in range(3)) + b for i in range(5)]
+        npt.assert_allclose(conv1d_same(x, w, b).data, expected, atol=1e-12, rtol=0)
+
+    def test_constant_input_is_not_a_parent(self):
+        w, b = Parameter(np.ones((3, 2, 4)), "w"), Parameter(np.zeros(4), "b")
+        assert conv1d_same(np.ones((5, 2)), w, b).parents == (w, b)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((5, 3), (3, 4, 2), (2,)),   # channel mismatch
+        ((5, 3), (3, 3, 2), (3,)),   # bias width
+        ((5,), (3, 3, 2), (2,)),     # input rank
+        ((5, 3), (3, 2), (2,)),      # weight rank
+        ((5, 3), (0, 3, 2), (2,)),   # empty kernel
+    ])
+    def test_bad_shapes_rejected(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError):
+            conv1d_same(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+
+class TestTanhRnn:
+    def test_matches_numpy_oracle_both_directions(self):
+        rng = np.random.default_rng(16)
+        x, wx, wh, b = rand(rng, 5, 3), rand(rng, 3, 4), rand(rng, 4, 4), rand(rng, 4)
+        for reverse, order in ((False, range(5)), (True, range(4, -1, -1))):
+            h, expected = np.zeros(4), np.zeros((5, 4))
+            for i in order:
+                h = expected[i] = np.tanh(x[i] @ wx + h @ wh + b)
+            npt.assert_allclose(tanh_rnn(x, wx, wh, b, reverse=reverse).data,
+                                expected, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("x_shape,wx_shape,wh_shape,b_shape", [
+        ((5, 3), (2, 4), (4, 4), (4,)),   # input width vs wx
+        ((5, 3), (3, 4), (4, 3), (4,)),   # wh not square
+        ((5, 3), (3, 4), (3, 3), (3,)),   # wx vs wh
+        ((5, 3), (3, 4), (4, 4), (3,)),   # bias width
+        ((5,), (3, 4), (4, 4), (4,)),     # input rank
+    ])
+    def test_bad_shapes_rejected(self, x_shape, wx_shape, wh_shape, b_shape):
+        with pytest.raises(DimensionError):
+            tanh_rnn(np.zeros(x_shape), np.zeros(wx_shape), np.zeros(wh_shape),
+                     np.zeros(b_shape))
 
 
 class TestAttentionCore:
@@ -289,7 +345,6 @@ PRIMITIVES = {
     "transpose": lambda p, c: transpose(p, (2, 0, 1)),
     "concat": lambda p, c: concat([p, Tensor(c), p], axis=1),
     "getitem": lambda p, c: getitem(p, (slice(1, 3), slice(None), 1)),
-    "pad": lambda p, c: pad_axis(p, 1, 2, 1),
     "broadcast": lambda p, c: broadcast_to(reshape(p, (1,) + p.shape),
                                            (4,) + p.shape),
     "take_rows": lambda p, c: take_rows(p, np.array([0, 2, 2, 1])),
@@ -345,6 +400,22 @@ def test_layer_norm_gradients_every_parent(x_shape):
                        [x_shape, (6,), (6,)])
 
 
+@pytest.mark.parametrize("k", [3, 2])  # k=2 pads 1 row before, 0 after
+@pytest.mark.parametrize("frames", [1, 5])
+def test_conv1d_same_gradients_every_parent(k, frames):
+    check_every_parent(conv1d_same, [(frames, 3), (k, 3, 4), (4,)])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("frames", [1, 5])
+def test_tanh_rnn_gradients_every_parent(reverse, frames):
+    # weights scaled down so the states stay off tanh's flat tails
+    check_every_parent(
+        lambda x, wx, wh, b: tanh_rnn(x, mul(wx, 0.5), mul(wh, 0.5), b,
+                                      reverse=reverse),
+        [(frames, 3), (3, 4), (4, 4), (4,)])
+
+
 def test_attention_core_gradients_every_parent():
     # 2 heads, 3 queries against 5 keys
     check_every_parent(lambda q, k, v: attention_core(q, k, v, 2),
@@ -388,6 +459,21 @@ def test_constant_operand_paths(name):
         worst = check_parameter_gradients(build, [p], step=1e-4, max_coords=8,
                                           seed=trial, floor=1e-3)
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
+
+
+@pytest.mark.parametrize("op", [lambda c, p: c - p, lambda c, p: c + p,
+                                lambda c, p: c * p], ids=["sub", "add", "mul"])
+def test_ndarray_on_the_left_defers_to_the_tensor(op):
+    rng = np.random.default_rng(17)
+    p, c = Parameter(rand(rng, 3, 4), "p"), rand(rng, 3, 4)
+    out = op(c, p)
+    assert isinstance(out, Tensor) and out.parents == (p,)
+    npt.assert_array_equal(out.data, op(c, p.data))
+
+
+def test_ndarray_matmul_tensor_is_refused():
+    with pytest.raises(TypeError):
+        np.ones((2, 3)) @ Parameter(np.ones((3, 2)), "p")
 
 
 def test_constant_paths_match_lifted_constants_bit_for_bit():

@@ -6,14 +6,16 @@ import numpy.testing as npt
 from dualstream.config import load_config
 from dualstream.data import generate_scene
 from dualstream.encoders import AudioClip, VisualClip
-from dualstream.losses import total_loss
+from dualstream.gate import ConfidenceNet
+from dualstream.losses import masked_bce, total_loss
 from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter
 from dualstream.train import MomentumSGD, scene_batch
 
 # distinct nodes on one default-config training step's tape; the unfused
-# graph had 875, and un-fusing any hot composite pushes it past this bound
-MAX_NODES_PER_STEP = 400
+# graph had 875, and un-fusing any hot composite or putting a constant
+# input back on the tape pushes it past this bound
+MAX_NODES_PER_STEP = 387
 
 
 def test_flat_step_matches_per_parameter_loop_bit_for_bit():
@@ -46,16 +48,38 @@ def test_parameters_are_views_into_the_flat_buffers():
         assert np.shares_memory(p.grad, opt.grad)
 
 
-def test_training_step_tape_size_guard():
+def tape(root):
+    """Every distinct node reachable from ``root`` through ``.parents``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def default_losses():
+    """One default-config training loss and one gate loss on the same scene."""
     cfg = load_config(None, {})
     model = ActiveSpeakerModel(cfg.model_config())
     scene = generate_scene(cfg.gen_config(), 0)
     out = model.forward(VisualClip(scene.visual), AudioClip(scene.audio))
     loss, _ = total_loss(scene_batch(out, scene), cfg.loss_weights())
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.parents)
-    assert len(seen) <= MAX_NODES_PER_STEP, len(seen)
+    net = ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
+                        cfg["gate.rnn_hidden"], np.random.default_rng(0))
+    target = (scene.labels.sum(axis=0) > 0).astype(np.float64)
+    return loss, masked_bce(net.logits(scene.audio), target, np.ones_like(target))
+
+
+def test_training_step_tape_size_guard():
+    loss, _ = default_losses()
+    assert len(tape(loss)) <= MAX_NODES_PER_STEP, len(tape(loss))
+
+
+def test_every_leaf_is_a_parameter():
+    # inputs, targets and masks are constants and must stay off both tapes
+    for loss in default_losses():
+        leaves = [n for n in tape(loss) if not n.parents]
+        assert all(isinstance(n, Parameter) for n in leaves), [
+            n for n in leaves if not isinstance(n, Parameter)]
