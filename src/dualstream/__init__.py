@@ -9,10 +9,9 @@ a from-scratch reverse-mode tensor engine, training loop, and ranking
 evaluators.
 """
 
-from .attention import AttentionConfig, CALayer, SALayer, cal_forward, mhca, mhsa, sal_forward
+from .attention import AttentionBlock, AttentionConfig, cal_forward, mhca, mhsa, sal_forward
 from .data import GenConfig, Scenario, generate, read_corpus, write_corpus
-from .encoders import (AudioClip, AudioEncoder, FusedFeatures, VisualClip,
-                       VisualEncoder, encode_audio, encode_visual, fuse)
+from .encoders import AudioClip, AudioEncoder, VisualClip, VisualEncoder, fuse
 from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
                          false_positive_count, read_predictions,
                          write_predictions)

@@ -1,9 +1,11 @@
-"""Residual attention blocks: the self- and cross-attention interaction layers.
+"""The residual attention block behind every interaction layer.
 
-Both layers share the same skeleton: multi-head attention, a residual add,
-layer normalization, a two-layer MLP, another residual add and a second
-layer normalization.  Normalization is applied *after* each residual add
-(post-norm), and attention logits are scaled by 1/sqrt(head_dim).
+Self-attention (SAL) and cross-attention (CAL) are one block type:
+multi-head attention, a residual add, layer normalization, a two-layer
+MLP, another residual add and a second layer normalization; self-attention
+is cross-attention of a sequence with itself.  Normalization is applied
+*after* each residual add (post-norm), and attention logits are scaled by
+1/sqrt(head_dim).
 
 No dropout and no positional encoding anywhere: determinism matters more
 than regularization at this scale, and order information enters the model
@@ -19,8 +21,6 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import (Parameter, add, attention_core, gelu, init_uniform,
                      layer_norm, linear)
-
-DEFAULT_LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,13 @@ class AttentionConfig:
         return self.model_dim // self.num_heads
 
 
-class _AttentionBlock:
-    """Projection + MLP + norm parameters shared by SAL and CAL."""
+class AttentionBlock:
+    """Projection, MLP and norm parameters of one block; it serves as SAL
+    or as CAL, depending only on its key/value input."""
 
-    def __init__(self, cfg: AttentionConfig, rng, name, ln_eps=DEFAULT_LN_EPS):
+    def __init__(self, cfg: AttentionConfig, rng, name, ln_eps):
         d, h = cfg.model_dim, cfg.mlp_hidden
         self.cfg = cfg
-        self.name = name
         self.ln_eps = float(ln_eps)
 
         def lin(tag, din, dout):
@@ -78,15 +78,6 @@ class _AttentionBlock:
         return linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
-class SALayer(_AttentionBlock):
-    """Self-attention interaction layer (square projections model_dim->model_dim)."""
-
-
-class CALayer(_AttentionBlock):
-    """Cross-attention interaction layer: queries from one modality,
-    keys/values from the other; both must carry model_dim channels."""
-
-
 def _check_tokens(x, model_dim, who):
     if x.ndim != 3:
         raise DimensionError(f"{who}: expected [batch, length, dim], got {x.shape}")
@@ -95,7 +86,17 @@ def _check_tokens(x, model_dim, who):
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
 
 
-def _attend(q, k, v, layer, return_weights):
+def mhca(x, y, layer: AttentionBlock, return_weights=False):
+    """Multi-head cross-attention: queries from x [B, Lx, D], keys/values
+    from y [B, Ly, D]; output follows the query length."""
+    _check_tokens(x, layer.cfg.model_dim, "attention query")
+    _check_tokens(y, layer.cfg.model_dim, "attention key/value")
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(
+            f"attention batch dims disagree: {x.shape} vs {y.shape}")
+    q = linear(x, layer.wq, layer.bq)
+    k = linear(y, layer.wk, layer.bk)
+    v = linear(y, layer.wv, layer.bv)
     core = attention_core(q, k, v, layer.cfg.num_heads, return_weights)
     if return_weights:
         core, weights = core
@@ -103,38 +104,23 @@ def _attend(q, k, v, layer, return_weights):
     return linear(core, layer.wo, layer.bo)
 
 
-def mhsa(x, layer: SALayer, return_weights=False):
+def mhsa(x, layer: AttentionBlock, return_weights=False):
     """Scaled dot-product multi-head self-attention over [B, L, D] tokens."""
-    _check_tokens(x, layer.cfg.model_dim, "mhsa")
-    q = linear(x, layer.wq, layer.bq)
-    k = linear(x, layer.wk, layer.bk)
-    v = linear(x, layer.wv, layer.bv)
-    return _attend(q, k, v, layer, return_weights)
+    return mhca(x, x, layer, return_weights)
 
 
-def mhca(x, y, layer: CALayer, return_weights=False):
-    """Multi-head cross-attention: queries from x [B, Lx, D], keys/values
-    from y [B, Ly, D]; output follows the query length."""
-    _check_tokens(x, layer.cfg.model_dim, "mhca query")
-    _check_tokens(y, layer.cfg.model_dim, "mhca key/value")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(
-            f"mhca batch dims disagree: {x.shape} vs {y.shape}")
-    q = linear(x, layer.wq, layer.bq)
-    k = linear(y, layer.wk, layer.bk)
-    v = linear(y, layer.wv, layer.bv)
-    return _attend(q, k, v, layer, return_weights)
-
-
-def sal_forward(x, layer: SALayer):
-    """Post-norm residual self-attention block:
-    z = LN(x + MHSA(x)); out = LN(z + MLP(z))."""
-    z = layer_norm(add(x, mhsa(x, layer)), layer.ln1_g, layer.ln1_b, layer.ln_eps)
-    return layer_norm(add(z, layer.mlp(z)), layer.ln2_g, layer.ln2_b, layer.ln_eps)
-
-
-def cal_forward(x, y, layer: CALayer):
-    """Post-norm residual cross-attention block:
-    z = LN(x + MHCA(x, y, y)); out = LN(z + MLP(z))."""
+def _block(x, y, layer):
     z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b, layer.ln_eps)
     return layer_norm(add(z, layer.mlp(z)), layer.ln2_g, layer.ln2_b, layer.ln_eps)
+
+
+def sal_forward(x, layer: AttentionBlock):
+    """Post-norm residual self-attention block:
+    z = LN(x + MHSA(x)); out = LN(z + MLP(z))."""
+    return _block(x, x, layer)
+
+
+def cal_forward(x, y, layer: AttentionBlock):
+    """Post-norm residual cross-attention block:
+    z = LN(x + MHCA(x, y, y)); out = LN(z + MLP(z))."""
+    return _block(x, y, layer)

@@ -13,17 +13,17 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .data import generate, read_corpus, write_corpus
+from .data import generate, generate_scene, read_corpus, write_corpus
 from .encoders import AudioClip, VisualClip
-from .errors import (ConfigError, ContractError, DimensionError, DualStreamError,
-                     FormatError, MetricError, NumericalError)
+from .errors import (ConfigError, ContractError, DimensionError, FormatError,
+                     MetricError, NumericalError)
 from .evaluation import (PredictionRecord, average_precision,
                          f1_per_speaker, false_positive_count,
                          metrics_report, write_predictions)
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
-from .losses import total_loss
-from .model import ActiveSpeakerModel, ModelConfig
+from .losses import masked_bce, total_loss
+from .model import ActiveSpeakerModel
 from .train import (apply_checkpoint, load_checkpoint, save_checkpoint,
                     scene_batch, train_gate, train_model)
 
@@ -62,6 +62,23 @@ def _build_gate_net(cfg: RunConfig) -> ConfidenceNet:
                          cfg["gate.rnn_hidden"], rng, "gate")
 
 
+def _read_corpus(path, cfg: RunConfig):
+    """Read a corpus; every scene must have at most model.s_max speakers,
+    data.height x data.width crops and data.mel_bins audio bins."""
+    fits = (cfg["model.s_max"], cfg["data.height"], cfg["data.width"],
+            cfg["data.mel_bins"])
+    scenes = read_corpus(path)
+    for scene in scenes:
+        s, _t, h, w, _ = scene.visual.shape
+        has = (s, h, w, scene.audio.shape[1])
+        if has[0] > fits[0] or has[1:] != fits[1:]:
+            raise DimensionError(
+                "scene {}: {} speakers, {}x{} crops, {} mel bins; the configured "
+                "model takes at most {} speakers, {}x{} crops, {} mel bins"
+                .format(scene.scene_id, *has, *fits))
+    return scenes
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     if args.seed is not None:
@@ -91,7 +108,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         cfg.set("train.epochs", args.epochs)
     _echo_config(cfg)
-    scenes = read_corpus(args.corpus)
+    scenes = _read_corpus(args.corpus, cfg)
     model = ActiveSpeakerModel(cfg.model_config())
 
     log_path = args.out + ".log"
@@ -149,18 +166,11 @@ def distractor_cells(scenes) -> set:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    scenes = read_corpus(args.corpus)
+    scenes = _read_corpus(args.corpus, cfg)
     model = ActiveSpeakerModel(cfg.model_config())
     gate_net = _build_gate_net(cfg)
     tensors = load_checkpoint(args.model)
     apply_checkpoint(model.parameters() + gate_net.parameters(), tensors)
-
-    first = scenes[0]
-    if first.visual.shape[2:4] != (cfg["data.height"], cfg["data.width"]) \
-            or first.audio.shape[1] != cfg["data.mel_bins"]:
-        raise ConfigError(
-            f"corpus shapes {first.visual.shape} / {first.audio.shape} do not "
-            f"match configured model input sizes")
 
     gate_on = args.gate == "on"
     records, raw_records = collect_predictions(
@@ -192,32 +202,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# tiny reference model used by the gradient check
-TINY = dict(speakers=2, frames=3, channels=8, heads=2, rounds=2)
+# the tiny model the gradient check audits; other keys keep their defaults
+TINY = {
+    "data.seed": 5, "data.speakers": 2, "data.frames": 3, "data.height": 4,
+    "data.width": 4, "data.mel_bins": 8, "data.noise_std": 0.2,
+    "model.channels": 8, "model.heads": 2, "model.rounds": 2,
+    "model.s_max": 2, "model.vis_hidden": 8, "model.audio_hidden": 8,
+    "gate.conv_hidden": 4, "gate.rnn_hidden": 4,
+}
+
+
+def gradcheck_inputs(init_seed):
+    """The scene, model and voice gate that ``gradcheck`` audits."""
+    tiny = RunConfig({**TINY, "model.init_seed": init_seed})
+    scene = generate_scene(tiny.gen_config(), 0)
+    return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
 
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    from .data import GenConfig, generate_scene
-
-    gen = GenConfig(seed=5, speakers=TINY["speakers"], frames=TINY["frames"],
-                    height=4, width=4, mel_bins=8, noise_std=0.2)
-    scene = generate_scene(gen, 0)
-    mc = ModelConfig(channels=TINY["channels"], heads=TINY["heads"],
-                     rounds=TINY["rounds"], s_max=TINY["speakers"],
-                     vis_hidden=8, audio_hidden=8, height=4, width=4,
-                     mel_bins=8, init_seed=cfg["model.init_seed"])
-    model = ActiveSpeakerModel(mc)
-    rng = np.random.default_rng([cfg["model.init_seed"], 0xA0D10])
-    gate_net = ConfidenceNet(gen.mel_bins, 4, 4, rng, "gate")
+    scene, model, gate_net = gradcheck_inputs(cfg["model.init_seed"])
     weights = cfg.loss_weights()
     target = (scene.labels.sum(axis=0) > 0).astype(np.float64)
 
     def build_loss():
         out = _forward_scene(model, scene)
         main, _ = total_loss(scene_batch(out, scene), weights)
-        from .losses import masked_bce
         gate_loss = masked_bce(gate_net.logits(scene.audio), target,
                                np.ones_like(target))
         return main + gate_loss

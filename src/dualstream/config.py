@@ -1,92 +1,63 @@
 """Flat `key = value` run configuration.
 
 One namespace-dotted key per tunable, every key validated at load time,
-unknown keys rejected.  CLI flags override file values; the effective
-merged config is echoed before every command runs so any run can be
-reproduced from its log.
+unknown keys rejected.  A key held by a field of ``GenConfig`` (``data.*``),
+``ModelConfig`` (``model.*``), ``GateParams`` (``gate.*``) or ``LossWeights``
+(``loss.*``) takes its type, default and range from that field.  CLI flags
+override file values; the effective merged config is echoed before every
+command runs so any run can be reproduced from its log.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .data import GenConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .gate import GateParams
 from .losses import LossWeights
 from .model import ModelConfig
+from .ranges import AT_LEAST_1, POSITIVE, Range
 
+# the dataclass behind each view and the namespace of its keys
+_VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
+          LossWeights: "loss"}
 
-def _unit(lo=0.0, hi=1.0, open_lo=False, open_hi=False):
-    def check(v):
-        ok_lo = v > lo if open_lo else v >= lo
-        ok_hi = v < hi if open_hi else v <= hi
-        return ok_lo and ok_hi
-    return check
-
-
-def _pos(v):
-    return v > 0
-
-
-def _nonneg(v):
-    return v >= 0
-
-
-def _ge1(v):
-    return v >= 1
-
-
-# key -> (type, default, validator or None)
-SCHEMA = {
-    "data.seed": (int, 0, None),
-    "data.scenes": (int, 200, _ge1),
-    "data.speakers": (int, 3, _ge1),
-    "data.frames": (int, 12, _ge1),
-    "data.height": (int, 8, _ge1),
-    "data.width": (int, 8, _ge1),
-    "data.mel_bins": (int, 13, _ge1),
-    "data.p_on_on": (float, 0.9, _unit()),
-    "data.p_off_on": (float, 0.08, _unit()),
-    "data.distractor_rate": (float, 0.12, _unit()),
-    "data.noise_std": (float, 0.3, _nonneg),
-    "data.burst_rate": (float, 0.08, _unit()),
-    "data.burst_amp": (float, 1.0, _nonneg),
-    "data.max_concurrent": (int, 2, _ge1),
-    "data.overlap_rate": (float, 0.05, _unit()),
-
-    "model.channels": (int, 16, _ge1),
-    "model.heads": (int, 4, _ge1),
-    "model.mlp_ratio": (int, 4, _ge1),
-    "model.rounds": (int, 2, _ge1),
-    "model.s_max": (int, 4, _ge1),
-    "model.vis_hidden": (int, 32, _ge1),
-    "model.audio_hidden": (int, 32, _ge1),
-    "model.ln_eps": (float, 1e-5, _pos),
-    "model.init_seed": (int, 0, None),
-    "model.ablate_speaker": (bool, False, None),
-    "model.ablate_temporal": (bool, False, None),
-
-    "train.epochs": (int, 16, _ge1),
-    "train.lr": (float, 0.03, _pos),
-    "train.momentum": (float, 0.9, _unit(hi=1.0, open_hi=True)),
+# keys no dataclass holds: key -> (type, default, range or None)
+_OWN_KEYS = {
+    "data.scenes": (int, 200, AT_LEAST_1),
+    "train.epochs": (int, 16, AT_LEAST_1),
+    "train.lr": (float, 0.03, POSITIVE),
+    "train.momentum": (float, 0.9, Range(0, 1, open_hi=True)),
     "train.seed": (int, 0, None),
-
-    "gate.t_main": (float, 0.0, None),
-    "gate.t_veto": (float, 0.06, _unit(open_lo=True, open_hi=True)),
-    "gate.gamma": (float, 0.8, _unit()),
-    "gate.eps": (float, 1e-6, _pos),
-    "gate.conv_hidden": (int, 16, _ge1),
-    "gate.rnn_hidden": (int, 16, _ge1),
-    "gate.epochs": (int, 20, _ge1),
-    "gate.lr": (float, 0.03, _pos),
-
-    "loss.w_av": (float, 1.0, _nonneg),
-    "loss.w_v": (float, 0.5, _nonneg),
-    "loss.w_a": (float, 0.5, _nonneg),
-    "loss.w_con": (float, 0.3, _nonneg),
-    "loss.temperature": (float, 0.07, _pos),
-
+    "gate.conv_hidden": (int, 16, AT_LEAST_1),
+    "gate.rnn_hidden": (int, 16, AT_LEAST_1),
+    "gate.epochs": (int, 20, AT_LEAST_1),
+    "gate.lr": (float, 0.03, POSITIVE),
     "eval.threshold": (float, 0.0, None),
 }
+
+_NAMESPACES = ("data", "model", "train", "gate", "loss", "eval")
+
+
+def _key(cls, f):
+    return f.metadata.get("key") or f"{_VIEWS[cls]}.{f.name}"
+
+
+def _schema():
+    schema = {}
+    for cls in _VIEWS:
+        for f in fields(cls):
+            # ModelConfig's input sizes share the data.* keys of GenConfig
+            schema.setdefault(_key(cls, f), (type(f.default), f.default,
+                                             f.metadata.get("range")))
+    schema.update(_OWN_KEYS)
+    return dict(sorted(schema.items(),
+                       key=lambda kv: _NAMESPACES.index(kv[0].split(".")[0])))
+
+
+# key -> (type, default, range or None), grouped by namespace
+SCHEMA = _schema()
 
 
 def _parse_value(key, text):
@@ -122,7 +93,7 @@ class RunConfig:
     def set(self, key, value):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key: {key}")
-        expected, _default, check = SCHEMA[key]
+        expected, _default, rng = SCHEMA[key]
         if isinstance(value, str):
             value = _parse_value(key, value)
         if expected is float and isinstance(value, int):
@@ -131,15 +102,17 @@ class RunConfig:
             raise ConfigError(
                 f"config key {key}: expected {expected.__name__}, "
                 f"got {type(value).__name__}")
-        if check is not None and not check(value):
-            raise ConfigError(f"config key {key}: value {value} out of range")
+        if rng is not None:
+            rng.check(f"config key {key}", value, ConfigError)
         self.values[key] = value
 
     def validate(self):
-        if self["model.channels"] % self["model.heads"] != 0:
-            raise ConfigError(
-                f"model.channels {self['model.channels']} must be divisible "
-                f"by model.heads {self['model.heads']}")
+        """Cross-field checks: every view builds; speakers fit the slots."""
+        try:
+            for cls in _VIEWS:
+                self._view(cls)
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from None
         if self["data.speakers"] > self["model.s_max"]:
             raise ConfigError(
                 f"data.speakers {self['data.speakers']} exceeds "
@@ -160,58 +133,20 @@ class RunConfig:
     # ------------------------------------------------------------------
     # views consumed by the other modules
 
-    def gen_config(self, seed=None) -> GenConfig:
-        return GenConfig(
-            seed=self["data.seed"] if seed is None else seed,
-            speakers=self["data.speakers"],
-            frames=self["data.frames"],
-            height=self["data.height"],
-            width=self["data.width"],
-            mel_bins=self["data.mel_bins"],
-            p_on_on=self["data.p_on_on"],
-            p_off_on=self["data.p_off_on"],
-            distractor_rate=self["data.distractor_rate"],
-            noise_std=self["data.noise_std"],
-            burst_rate=self["data.burst_rate"],
-            burst_amp=self["data.burst_amp"],
-            max_concurrent=self["data.max_concurrent"],
-            overlap_rate=self["data.overlap_rate"],
-        )
+    def _view(self, cls):
+        return cls(**{f.name: self[_key(cls, f)] for f in fields(cls)})
+
+    def gen_config(self) -> GenConfig:
+        return self._view(GenConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            channels=self["model.channels"],
-            heads=self["model.heads"],
-            mlp_ratio=self["model.mlp_ratio"],
-            rounds=self["model.rounds"],
-            s_max=self["model.s_max"],
-            vis_hidden=self["model.vis_hidden"],
-            audio_hidden=self["model.audio_hidden"],
-            height=self["data.height"],
-            width=self["data.width"],
-            mel_bins=self["data.mel_bins"],
-            ln_eps=self["model.ln_eps"],
-            init_seed=self["model.init_seed"],
-            ablate_speaker=self["model.ablate_speaker"],
-            ablate_temporal=self["model.ablate_temporal"],
-        )
+        return self._view(ModelConfig)
 
     def gate_params(self) -> GateParams:
-        return GateParams(
-            t_main=self["gate.t_main"],
-            t_veto=self["gate.t_veto"],
-            gamma=self["gate.gamma"],
-            eps=self["gate.eps"],
-        )
+        return self._view(GateParams)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            w_av=self["loss.w_av"],
-            w_v=self["loss.w_v"],
-            w_a=self["loss.w_a"],
-            w_con=self["loss.w_con"],
-            temperature=self["loss.temperature"],
-        )
+        return self._view(LossWeights)
 
 
 def parse_config_text(text: str) -> dict:
@@ -236,12 +171,8 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Defaults <- file <- overrides, validated as a whole."""
-    cfg = RunConfig()
+    values = {}
     if path is not None:
         with open(path, "r") as fh:
-            for k, v in parse_config_text(fh.read()).items():
-                cfg.set(k, v)
-    for k, v in (overrides or {}).items():
-        cfg.set(k, v)
-    cfg.validate()
-    return cfg
+            values = parse_config_text(fh.read())
+    return RunConfig({**values, **(overrides or {})})

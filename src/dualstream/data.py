@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
+from .ranges import AT_LEAST_1, NON_NEGATIVE, UNIT, check_ranges, knob
 
 MAGIC = b"D2SYN1"
 
@@ -52,33 +53,22 @@ class GenConfig:
     """
 
     seed: int = 0
-    speakers: int = 3
-    frames: int = 12
-    height: int = 8
-    width: int = 8
-    mel_bins: int = 13
-    p_on_on: float = 0.9
-    p_off_on: float = 0.08
-    distractor_rate: float = 0.12
-    noise_std: float = 0.3
-    burst_rate: float = 0.08
-    burst_amp: float = 1.0
-    max_concurrent: int = 2
-    overlap_rate: float = 0.05
+    speakers: int = knob(3, AT_LEAST_1)
+    frames: int = knob(12, AT_LEAST_1)
+    height: int = knob(8, AT_LEAST_1)
+    width: int = knob(8, AT_LEAST_1)
+    mel_bins: int = knob(13, AT_LEAST_1)
+    p_on_on: float = knob(0.9, UNIT)
+    p_off_on: float = knob(0.08, UNIT)
+    distractor_rate: float = knob(0.12, UNIT)
+    noise_std: float = knob(0.3, NON_NEGATIVE)
+    burst_rate: float = knob(0.08, UNIT)
+    burst_amp: float = knob(1.0, NON_NEGATIVE)
+    max_concurrent: int = knob(2, AT_LEAST_1)
+    overlap_rate: float = knob(0.05, UNIT)
 
     def __post_init__(self):
-        for name in ("p_on_on", "p_off_on", "distractor_rate", "overlap_rate",
-                     "burst_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.noise_std < 0 or self.burst_amp < 0:
-            raise ConfigError(
-                f"noise scales must be >= 0: noise_std={self.noise_std}, "
-                f"burst_amp={self.burst_amp}")
-        if min(self.speakers, self.frames, self.height, self.width,
-               self.mel_bins, self.max_concurrent) < 1:
-            raise ConfigError(f"all dims must be >= 1: {self}")
+        check_ranges(self, ConfigError)
 
 
 @dataclass
@@ -237,17 +227,19 @@ def generate(cfg: GenConfig, n_scenes: int) -> list[Scenario]:
 # corpus container
 
 
-class _Reader:
-    """Byte cursor that reports its offset in truncation errors."""
+class ByteReader:
+    """Little-endian byte cursor; truncation errors name the artifact
+    (corpus, checkpoint) and the offset."""
 
-    def __init__(self, blob):
+    def __init__(self, blob, what):
         self.blob = blob
+        self.what = what
         self.offset = 0
 
     def take(self, n):
         if self.offset + n > len(self.blob):
             raise FormatError(
-                f"corpus truncated at offset {self.offset}: "
+                f"{self.what} truncated at offset {self.offset}: "
                 f"needed {n} bytes, had {len(self.blob) - self.offset}")
         out = self.blob[self.offset: self.offset + n]
         self.offset += n
@@ -288,7 +280,7 @@ def read_corpus(path) -> list[Scenario]:
         blob = fh.read()
     if len(blob) == 0:
         raise FormatError(f"empty corpus file: {path}")
-    r = _Reader(blob)
+    r = ByteReader(blob, "corpus")
     magic = bytes(r.take(len(MAGIC)))
     if magic != MAGIC:
         raise FormatError(

@@ -2,8 +2,9 @@
 
 The visual encoder embeds each face crop independently (no temporal mixing
 inside the encoder); the audio encoder mean-pools the 4x-rate spectrogram
-down to the visual frame rate, embeds each frame, and replicates the result
-across the speaker axis so each candidate sees the same scene audio.
+down to the visual frame rate and embeds each frame.  The model replicates
+that embedding across the speaker axis, so each candidate sees the same
+scene audio.
 
 Fusion runs one cross-attention block in each direction over the time axis
 (speakers folded into the batch) and concatenates audio-then-visual along
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CALayer, cal_forward
+from .attention import AttentionBlock, cal_forward
 from .errors import ContractError, DimensionError
-from .tensor import (Parameter, Tensor, broadcast_to, concat, gelu,
-                     init_uniform, linear, reshape)
+from .tensor import Parameter, Tensor, concat, gelu, init_uniform, linear
 
 
 @dataclass
@@ -57,26 +57,11 @@ class AudioClip:
             raise ContractError("audio clip contains non-finite values")
 
 
-@dataclass
-class FusedFeatures:
-    """Per-modality frame embeddings plus the fused 2C-wide representation.
-
-    ``f_a`` is the pre-fusion audio embedding, identical across the speaker
-    axis (it is a repeat).  Inside ``f_av`` the first C channels carry the
-    cross-attended audio stream and the last C the visual stream.
-    """
-
-    f_v: Tensor   # [S, T, C]
-    f_a: Tensor   # [S, T, C]
-    f_av: Tensor  # [S, T, 2C]
-
-
 class VisualEncoder:
     """Two-layer pointwise network on flattened crops: HW -> hidden -> C."""
 
     def __init__(self, height, width, channels, hidden, rng, name="visual_enc"):
         self.height, self.width = height, width
-        self.channels = channels
         d_in = height * width
         self.w1 = Parameter(init_uniform(rng, d_in, (d_in, hidden)), f"{name}.w1")
         self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
@@ -101,7 +86,6 @@ class AudioEncoder:
 
     def __init__(self, mel_bins, channels, hidden, rng, name="audio_enc"):
         self.mel_bins = mel_bins
-        self.channels = channels
         self.w1 = Parameter(init_uniform(rng, mel_bins, (mel_bins, hidden)), f"{name}.w1")
         self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
         self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), f"{name}.w2")
@@ -119,25 +103,9 @@ class AudioEncoder:
         frames = clip.values.reshape(steps // 4, 4, m).mean(axis=1)
         return linear(gelu(linear(frames, self.w1, self.b1)), self.w2, self.b2)
 
-    def forward(self, clip: AudioClip, speakers: int) -> Tensor:
-        """Frame embedding replicated across S speaker slots; slices are
-        bit-identical copies."""
-        if speakers < 1:
-            raise ContractError(f"speaker count must be >= 1, got {speakers}")
-        emb = self.frame_embedding(clip)
-        t, c = emb.shape
-        return broadcast_to(reshape(emb, (1, t, c)), (speakers, t, c))
 
-
-def encode_visual(clip: VisualClip, enc: VisualEncoder) -> Tensor:
-    return enc.forward(clip)
-
-
-def encode_audio(clip: AudioClip, speakers: int, enc: AudioEncoder) -> Tensor:
-    return enc.forward(clip, speakers)
-
-
-def fuse(f_v: Tensor, f_a: Tensor, cal_av: CALayer, cal_va: CALayer) -> Tensor:
+def fuse(f_v: Tensor, f_a: Tensor, cal_av: AttentionBlock,
+         cal_va: AttentionBlock) -> Tensor:
     """Bidirectional cross-modal attention over time, concatenated audio-first.
 
     f~_a = CAL(f_a, f_v, f_v) and f~_v = CAL(f_v, f_a, f_a), each with the

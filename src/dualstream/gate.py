@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .ranges import POSITIVE, UNIT, Range, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, concat, conv1d_same, gelu,
                      init_uniform, linear, reshape, sigmoid, tanh_rnn)
 
@@ -38,17 +39,12 @@ class GateParams:
     """Thresholds and blend weight for the score-correction rule."""
 
     t_main: float = 0.0
-    t_veto: float = 0.06
-    gamma: float = 0.8
-    eps: float = 1e-6
+    t_veto: float = knob(0.06, Range(0, 1, open_lo=True, open_hi=True))
+    gamma: float = knob(0.8, UNIT)
+    eps: float = knob(1e-6, POSITIVE)
 
     def __post_init__(self):
-        if not (0.0 < self.t_veto < 1.0):
-            raise ContractError(f"t_veto must lie in (0, 1), got {self.t_veto}")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ContractError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.eps <= 0.0:
-            raise ContractError(f"eps must be > 0, got {self.eps}")
+        check_ranges(self, ContractError)
 
 
 def gate_scale(p_hat: float, gp: GateParams) -> float:

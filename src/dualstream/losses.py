@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .ranges import NON_NEGATIVE, POSITIVE, check_ranges, knob
 from .tensor import (Tensor, add, matmul, mul, power, softplus, sub, take_rows,
                      texp, tlog, tmean, transpose, tsum)
 
@@ -25,19 +26,16 @@ from .tensor import (Tensor, add, matmul, mul, power, softplus, sub, take_rows,
 class LossWeights:
     """Non-negative branch weights; at least one must be positive."""
 
-    w_av: float = 1.0
-    w_v: float = 0.5
-    w_a: float = 0.5
-    w_con: float = 0.3
-    temperature: float = 0.07
+    w_av: float = knob(1.0, NON_NEGATIVE)
+    w_v: float = knob(0.5, NON_NEGATIVE)
+    w_a: float = knob(0.5, NON_NEGATIVE)
+    w_con: float = knob(0.3, NON_NEGATIVE)
+    temperature: float = knob(0.07, POSITIVE)
 
     def __post_init__(self):
-        if min(self.w_av, self.w_v, self.w_a, self.w_con) < 0:
-            raise ContractError(f"loss weights must be non-negative: {self}")
+        check_ranges(self, ContractError)
         if max(self.w_av, self.w_v, self.w_a, self.w_con) == 0:
             raise ContractError("at least one loss weight must be positive")
-        if self.temperature <= 0:
-            raise ContractError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass

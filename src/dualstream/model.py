@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, CALayer, SALayer, cal_forward, sal_forward
-from .encoders import AudioClip, AudioEncoder, FusedFeatures, VisualClip, VisualEncoder, fuse
+from .attention import AttentionBlock, AttentionConfig, cal_forward, sal_forward
+from .encoders import AudioClip, AudioEncoder, VisualClip, VisualEncoder, fuse
 from .errors import ContractError, DimensionError
+from .ranges import AT_LEAST_1, POSITIVE, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
@@ -42,7 +43,8 @@ class SpeakerEmbedding:
         return getitem(self.table, (slice(0, speakers),))
 
 
-def speaker_stream(f_av: Tensor, emb: SpeakerEmbedding, sal: SALayer) -> Tensor:
+def speaker_stream(f_av: Tensor, emb: SpeakerEmbedding,
+                   sal: AttentionBlock) -> Tensor:
     """Within-frame speaker interaction: swap to [T, S, 2C], add the slot
     embedding, self-attend over S with T folded into the batch, swap back."""
     s = f_av.shape[0]
@@ -50,12 +52,13 @@ def speaker_stream(f_av: Tensor, emb: SpeakerEmbedding, sal: SALayer) -> Tensor:
     return transpose(sal_forward(x, sal), (1, 0, 2))
 
 
-def temporal_stream(f_av: Tensor, sal: SALayer) -> Tensor:
+def temporal_stream(f_av: Tensor, sal: AttentionBlock) -> Tensor:
     """Cross-frame interaction: self-attend over T with S folded into the batch."""
     return sal_forward(f_av, sal)
 
 
-def cross_interact(f_time: Tensor, f_sub: Tensor, cal_t: CALayer, cal_s: CALayer):
+def cross_interact(f_time: Tensor, f_sub: Tensor, cal_t: AttentionBlock,
+                   cal_s: AttentionBlock):
     """Mutual cross-attention between the two streams; each queries the
     other over the time axis (speakers stay in the batch)."""
     if f_time.shape != f_sub.shape:
@@ -68,10 +71,10 @@ def cross_interact(f_time: Tensor, f_sub: Tensor, cal_t: CALayer, cal_s: CALayer
 
 @dataclass
 class InteractionRound:
-    sal_time: SALayer
-    sal_speaker: SALayer
-    cal_time: CALayer
-    cal_speaker: CALayer
+    sal_time: AttentionBlock
+    sal_speaker: AttentionBlock
+    cal_time: AttentionBlock
+    cal_speaker: AttentionBlock
 
     def parameters(self):
         return (self.sal_time.parameters() + self.sal_speaker.parameters()
@@ -86,20 +89,19 @@ class DualStreamStack:
     is how the stream-contribution comparisons are produced.
     """
 
-    def __init__(self, dim, heads, mlp_hidden, rounds, s_max, rng,
-                 ln_eps=1e-5, ablate_speaker=False, ablate_temporal=False,
-                 name="dual"):
+    def __init__(self, dim, heads, mlp_hidden, rounds, s_max, rng, ln_eps,
+                 ablate_speaker=False, ablate_temporal=False, name="dual"):
         if rounds < 1:
             raise ContractError(f"rounds must be >= 1, got {rounds}")
         cfg = AttentionConfig(dim, heads, mlp_hidden)
         self.rounds = []
         for r in range(rounds):
+            def block(tag):
+                return AttentionBlock(cfg, rng, f"{name}.r{r}.{tag}", ln_eps)
+            # keyword arguments run left to right: the parameter draw order
             self.rounds.append(InteractionRound(
-                sal_time=SALayer(cfg, rng, f"{name}.r{r}.sal_time", ln_eps),
-                sal_speaker=SALayer(cfg, rng, f"{name}.r{r}.sal_speaker", ln_eps),
-                cal_time=CALayer(cfg, rng, f"{name}.r{r}.cal_time", ln_eps),
-                cal_speaker=CALayer(cfg, rng, f"{name}.r{r}.cal_speaker", ln_eps),
-            ))
+                sal_time=block("sal_time"), sal_speaker=block("sal_speaker"),
+                cal_time=block("cal_time"), cal_speaker=block("cal_speaker")))
         self.emb = SpeakerEmbedding(s_max, dim, rng, f"{name}.speaker_emb")
         self.head_w = Parameter(init_uniform(rng, dim, (dim, 1)), f"{name}.head_w")
         self.head_b = Parameter(np.zeros(1), f"{name}.head_b")
@@ -107,12 +109,8 @@ class DualStreamStack:
         self.ablate_temporal = ablate_temporal
 
     def parameters(self):
-        params = []
-        for rnd in self.rounds:
-            params.extend(rnd.parameters())
-        params.extend(self.emb.parameters())
-        params.extend([self.head_w, self.head_b])
-        return params
+        return ([p for rnd in self.rounds for p in rnd.parameters()]
+                + self.emb.parameters() + [self.head_w, self.head_b])
 
 
 def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
@@ -131,29 +129,27 @@ def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
 class ModelConfig:
     """Architecture hyperparameters (widths, depth, capacity, init seed)."""
 
-    channels: int = 16
-    heads: int = 4
-    mlp_ratio: int = 4
-    rounds: int = 2
-    s_max: int = 4
-    vis_hidden: int = 32
-    audio_hidden: int = 32
-    height: int = 8
-    width: int = 8
-    mel_bins: int = 13
-    ln_eps: float = 1e-5
+    channels: int = knob(16, AT_LEAST_1)
+    heads: int = knob(4, AT_LEAST_1)
+    mlp_ratio: int = knob(4, AT_LEAST_1)
+    rounds: int = knob(2, AT_LEAST_1)
+    s_max: int = knob(4, AT_LEAST_1)
+    vis_hidden: int = knob(32, AT_LEAST_1)
+    audio_hidden: int = knob(32, AT_LEAST_1)
+    # input sizes: the corpus's, so they read the data.* keys
+    height: int = knob(8, AT_LEAST_1, key="data.height")
+    width: int = knob(8, AT_LEAST_1, key="data.width")
+    mel_bins: int = knob(13, AT_LEAST_1, key="data.mel_bins")
+    ln_eps: float = knob(1e-5, POSITIVE)
     init_seed: int = 0
     ablate_speaker: bool = False
     ablate_temporal: bool = False
 
     def __post_init__(self):
+        check_ranges(self, ContractError)
         if self.channels % self.heads != 0:
             raise ContractError(
                 f"channels {self.channels} must be divisible by heads {self.heads}")
-        if min(self.channels, self.heads, self.rounds, self.s_max,
-               self.vis_hidden, self.audio_hidden, self.height, self.width,
-               self.mel_bins, self.mlp_ratio) < 1:
-            raise ContractError(f"all model dims must be >= 1: {self}")
 
 
 @dataclass
@@ -165,7 +161,6 @@ class ModelOutput:
     audio_logits: Tensor    # [T] auxiliary any-speech logits
     audio_frames: Tensor    # [T, C] pre-fusion audio embedding
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
-    fused: FusedFeatures
 
 
 class ActiveSpeakerModel:
@@ -180,8 +175,8 @@ class ActiveSpeakerModel:
         self.audio_enc = AudioEncoder(cfg.mel_bins, c, cfg.audio_hidden,
                                       rng, "audio_enc")
         fusion_cfg = AttentionConfig(c, cfg.heads, cfg.mlp_ratio * c)
-        self.cal_av = CALayer(fusion_cfg, rng, "fusion.cal_av", cfg.ln_eps)
-        self.cal_va = CALayer(fusion_cfg, rng, "fusion.cal_va", cfg.ln_eps)
+        self.cal_av = AttentionBlock(fusion_cfg, rng, "fusion.cal_av", cfg.ln_eps)
+        self.cal_va = AttentionBlock(fusion_cfg, rng, "fusion.cal_va", cfg.ln_eps)
         self.stack = DualStreamStack(
             2 * c, cfg.heads, cfg.mlp_ratio * 2 * c, cfg.rounds, cfg.s_max,
             rng, cfg.ln_eps, cfg.ablate_speaker, cfg.ablate_temporal, "dual")
@@ -196,9 +191,6 @@ class ActiveSpeakerModel:
                 + self.stack.parameters()
                 + [self.head_v_w, self.head_v_b, self.head_a_w, self.head_a_b])
 
-    def named_parameters(self):
-        return {p.name: p for p in self.parameters()}
-
     def forward(self, visual: VisualClip, audio: AudioClip) -> ModelOutput:
         s, t = visual.values.shape[:2]
         if audio.values.shape[0] != 4 * t:
@@ -208,9 +200,9 @@ class ActiveSpeakerModel:
 
         f_v = self.visual_enc.forward(visual)
         audio_frames = self.audio_enc.frame_embedding(audio)
+        # the scene audio repeated over the S speaker slots
         f_a = broadcast_to(reshape(audio_frames, (1, t, c)), (s, t, c))
         f_av = fuse(f_v, f_a, self.cal_av, self.cal_va)
-        fused = FusedFeatures(f_v=f_v, f_a=f_a, f_av=f_av)
 
         scores = dual_forward(f_av, self.stack)
 
@@ -228,5 +220,4 @@ class ActiveSpeakerModel:
             audio_logits=audio_logits,
             audio_frames=audio_frames,
             visual_frames=f_v,
-            fused=fused,
         )

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .data import Scenario
+from .data import ByteReader, Scenario
 from .encoders import AudioClip, VisualClip
 from .errors import FormatError, NumericalError
 from .gate import ConfidenceNet
@@ -159,27 +159,16 @@ def load_checkpoint(path) -> dict:
         raise FormatError(
             f"bad checkpoint magic: expected {CKPT_MAGIC!r}, "
             f"got {blob[:len(CKPT_MAGIC)]!r}")
-    offset = len(CKPT_MAGIC)
-
-    def take(n):
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"checkpoint truncated at offset {offset}")
-        out = blob[offset: offset + n]
-        offset += n
-        return out
-
-    count = struct.unpack("<I", take(4))[0]
+    r = ByteReader(blob, "checkpoint")
+    r.take(len(CKPT_MAGIC))
     tensors = {}
-    for _ in range(count):
-        name = take(struct.unpack("<I", take(4))[0]).decode("utf-8")
-        ndim = struct.unpack("<I", take(4))[0]
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
-        tensors[name] = data
-    if offset != len(blob):
-        raise FormatError(f"trailing data in checkpoint at offset {offset}")
+    for _ in range(r.u32()):
+        name = bytes(r.take(r.u32())).decode("utf-8")
+        ndim = r.u32()
+        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        tensors[name] = r.f64s(int(np.prod(shape))).reshape(shape)
+    if r.offset != len(blob):
+        raise FormatError(f"trailing data in checkpoint at offset {r.offset}")
     return tensors
 
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf
 
-from dualstream.attention import (AttentionConfig, CALayer, SALayer,
+from dualstream.attention import (AttentionBlock, AttentionConfig,
                                   cal_forward, mhca, mhsa, sal_forward)
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
@@ -13,12 +13,17 @@ from dualstream.tensor import (Tensor, add, matmul, mul, reshape, softmax,
                                transpose, tsum)
 
 
+LN_EPS = 1e-5
+
+
 def make_sal(dim, heads, rng, hidden=None):
-    return SALayer(AttentionConfig(dim, heads, hidden or 4 * dim), rng, "sal")
+    return AttentionBlock(AttentionConfig(dim, heads, hidden or 4 * dim), rng,
+                          "sal", LN_EPS)
 
 
 def make_cal(dim, heads, rng, hidden=None):
-    return CALayer(AttentionConfig(dim, heads, hidden or 4 * dim), rng, "cal")
+    return AttentionBlock(AttentionConfig(dim, heads, hidden or 4 * dim), rng,
+                          "cal", LN_EPS)
 
 
 def gelu_np(x):

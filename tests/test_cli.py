@@ -1,15 +1,17 @@
 """Command pipeline: determinism, exit codes, checkpoint fidelity."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualstream.cli import main
-from dualstream.config import RunConfig
-from dualstream.data import read_corpus
+from dualstream.cli import _build_gate_net, gradcheck_inputs, main
+from dualstream.config import RunConfig, load_config
+from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
 from dualstream.evaluation import read_predictions
-from dualstream.model import ActiveSpeakerModel
+from dualstream.gate import ConfidenceNet
+from dualstream.model import ActiveSpeakerModel, ModelConfig
 from dualstream.train import apply_checkpoint, load_checkpoint, save_checkpoint
 
 # small-but-real sizes so the whole pipeline runs in well under a minute
@@ -86,6 +88,14 @@ class TestTrain:
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert run(*TINY, "train", "--corpus", str(tmp_path / "nope.bin"),
                    "--out", str(tmp_path / "m.ckpt")) == 2
+
+    def test_all_loss_weights_zero_is_usage_error_before_any_work(self, tmp_path):
+        zeros = [a for k in ("w_av", "w_v", "w_a", "w_con")
+                 for a in ("--set", f"loss.{k}=0")]
+        # the corpus does not exist: reading it would be a data error (2)
+        assert run(*TINY, *zeros, "train", "--corpus", str(tmp_path / "nope.bin"),
+                   "--out", str(tmp_path / "m.ckpt")) == 1
+        assert not (tmp_path / "m.ckpt.log").exists()
 
     def test_fixed_seed_reproduces_loss_curve(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
@@ -185,6 +195,139 @@ class TestGradcheckCommand:
         second = [l for l in capsys.readouterr().out.splitlines()
                   if l.startswith("overall")]
         assert first == second
+
+
+class TestCorpusShapes:
+    """train and eval check every scene against data.height, data.width,
+    data.mel_bins and model.s_max before any work, and exit 2."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpora")
+        tiny = GenConfig(seed=3, speakers=2, frames=6, height=4, width=4,
+                         mel_bins=8)
+        good = generate(tiny, 3)
+        odd = {"mel_bins": replace(tiny, mel_bins=13),
+               "crop": replace(tiny, height=5),
+               "speakers": replace(tiny, speakers=3)}
+        paths = {}
+        for tag, gen in odd.items():
+            # a bad scene after good ones, so checking the first is not enough
+            scene = replace(generate_scene(gen, 0), scene_id=f"odd-{tag}")
+            paths[tag] = root / f"mixed-{tag}.bin"
+            write_corpus(good + [scene], paths[tag])
+        return paths
+
+    @pytest.mark.parametrize("tag", ["mel_bins", "crop", "speakers"])
+    def test_mixed_corpus_train(self, corpora, tag, tmp_path, capsys):
+        assert run(*TINY, "train", "--corpus", str(corpora[tag]),
+                   "--out", str(tmp_path / "m.ckpt")) == 2
+        assert f"scene odd-{tag}:" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt.log").exists()
+
+    @pytest.mark.parametrize("tag", ["mel_bins", "crop", "speakers"])
+    def test_mixed_corpus_eval(self, pipeline, corpora, tag, tmp_path, capsys):
+        ckpt = pipeline[3]
+        assert run(*TINY, "eval", "--corpus", str(corpora[tag]),
+                   "--model", str(ckpt),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert f"scene odd-{tag}:" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mel_bins_corpus_against_default_mel_bins(self, pipeline, command,
+                                                      tmp_path, capsys):
+        """A data.mel_bins=8 corpus under the default data.mel_bins (13);
+        eval gets a checkpoint that fits the configured model."""
+        root, corpus, held, ckpt = pipeline
+        wrong = [*TINY, "--set", "data.mel_bins=13"]
+        if command == "train":
+            argv = ["train", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "m.ckpt")]
+        else:
+            cfg = load_config(None, dict(kv.split("=") for kv in wrong[1::2]))
+            params = (ActiveSpeakerModel(cfg.model_config()).parameters()
+                      + _build_gate_net(cfg).parameters())
+            fits = tmp_path / "fits.ckpt"
+            save_checkpoint({p.name: p.data for p in params}, fits)
+            argv = ["eval", "--corpus", str(held), "--model", str(fits),
+                    "--predictions", str(tmp_path / "p.csv"),
+                    "--metrics", str(tmp_path / "m.txt")]
+        assert run(*wrong, *argv) == 2
+        assert "scene scene00000: 2 speakers, 4x4 crops, 8 mel bins" in \
+            capsys.readouterr().err
+
+
+class TestGradcheckModel:
+    """The model, gate and scene `gradcheck` audits, pinned."""
+
+    def test_parameters_pinned(self):
+        scene, model, gate_net = gradcheck_inputs(0)
+        params = model.parameters() + gate_net.parameters()
+        assert len(params) == 187
+        assert sum(p.data.size for p in params) == 28732
+        shapes = {p.name: p.data.shape for p in params}
+        assert len(shapes) == 187
+        for block, d in (("fusion.cal_av", 8), ("fusion.cal_va", 8),
+                         *((f"dual.r{r}.{tag}", 16) for r in range(2)
+                           for tag in ("sal_time", "sal_speaker",
+                                       "cal_time", "cal_speaker"))):
+            for tag in "qkvo":
+                assert shapes.pop(f"{block}.{tag}_w") == (d, d)
+                assert shapes.pop(f"{block}.{tag}_b") == (d,)
+            assert shapes.pop(f"{block}.mlp1_w") == (d, 4 * d)
+            assert shapes.pop(f"{block}.mlp1_b") == (4 * d,)
+            assert shapes.pop(f"{block}.mlp2_w") == (4 * d, d)
+            assert shapes.pop(f"{block}.mlp2_b") == (d,)
+            for tag in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
+                assert shapes.pop(f"{block}.{tag}") == (d,)
+        assert shapes == {
+            "visual_enc.w1": (16, 8), "visual_enc.b1": (8,),
+            "visual_enc.w2": (8, 8), "visual_enc.b2": (8,),
+            "audio_enc.w1": (8, 8), "audio_enc.b1": (8,),
+            "audio_enc.w2": (8, 8), "audio_enc.b2": (8,),
+            "dual.speaker_emb.table": (2, 16),
+            "dual.head_w": (16, 1), "dual.head_b": (1,),
+            "heads.visual_w": (8, 1), "heads.visual_b": (1,),
+            "heads.audio_w": (8, 1), "heads.audio_b": (1,),
+            "gate.conv1_w": (3, 16, 4), "gate.conv1_b": (4,),
+            "gate.conv2_w": (3, 4, 4), "gate.conv2_b": (4,),
+            "gate.rnn_fwd_wx": (4, 4), "gate.rnn_fwd_wh": (4, 4),
+            "gate.rnn_fwd_b": (4,), "gate.rnn_bwd_wx": (4, 4),
+            "gate.rnn_bwd_wh": (4, 4), "gate.rnn_bwd_b": (4,),
+            "gate.out_w": (8, 1), "gate.out_b": (1,),
+        }
+
+    def test_scene_pinned(self):
+        scene, _model, _gate = gradcheck_inputs(0)
+        assert scene.scene_id == "scene00000"
+        assert scene.visual.shape == (2, 3, 4, 4, 1)
+        assert scene.audio.shape == (12, 8)
+        assert scene.labels.shape == scene.mask.shape == (2, 3)
+
+    @pytest.mark.parametrize("init_seed", [0, 3])
+    def test_same_as_model_built_from_dataclasses(self, init_seed):
+        """Built directly from GenConfig / ModelConfig values, the audited
+        scene and parameters come out bit for bit the same."""
+        scene, model, gate_net = gradcheck_inputs(init_seed)
+        gen = GenConfig(seed=5, speakers=2, frames=3, height=4, width=4,
+                        mel_bins=8, noise_std=0.2)
+        ref_scene = generate_scene(gen, 0)
+        for name in ("visual", "audio", "labels", "mask", "distractor"):
+            np.testing.assert_array_equal(getattr(scene, name),
+                                          getattr(ref_scene, name))
+        ref = ActiveSpeakerModel(ModelConfig(
+            channels=8, heads=2, rounds=2, s_max=2, vis_hidden=8,
+            audio_hidden=8, height=4, width=4, mel_bins=8,
+            init_seed=init_seed))
+        ref_gate = ConfidenceNet(8, 4, 4, np.random.default_rng(
+            [init_seed, 0xA0D10]), "gate")
+        got = model.parameters() + gate_net.parameters()
+        want = ref.parameters() + ref_gate.parameters()
+        assert [p.name for p in got] == [p.name for p in want]
+        for p, q in zip(got, want):
+            np.testing.assert_array_equal(p.data, q.data)
 
 
 class TestCheckpointFormat:

@@ -1,9 +1,42 @@
 """Flat config parsing, validation, and round-tripping."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
-from dualstream.config import RunConfig, load_config, parse_config_text
-from dualstream.errors import ConfigError
+from dualstream.config import SCHEMA, RunConfig, load_config, parse_config_text
+from dualstream.data import GenConfig
+from dualstream.errors import ConfigError, ContractError
+from dualstream.gate import GateParams
+from dualstream.losses import LossWeights
+from dualstream.model import ModelConfig
+
+VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
+         LossWeights: "loss"}
+OWN_KEYS = {"data.scenes", "train.epochs", "train.lr", "train.momentum",
+            "train.seed", "gate.conv_hidden", "gate.rnn_hidden",
+            "gate.epochs", "gate.lr", "eval.threshold"}
+
+
+def field_key(cls, f):
+    return f.metadata.get("key") or f"{VIEWS[cls]}.{f.name}"
+
+
+def just_outside(rng, typ):
+    """A value just beyond each finite end of ``rng``."""
+    values = []
+    if rng.lo > -math.inf:
+        step = rng.lo - 1 if typ is int else math.nextafter(rng.lo, -math.inf)
+        values.append(rng.lo if rng.open_lo else step)
+    if rng.hi < math.inf:
+        step = rng.hi + 1 if typ is int else math.nextafter(rng.hi, math.inf)
+        values.append(rng.hi if rng.open_hi else step)
+    return values
+
+
+RANGED = [(key, value) for key, (typ, _d, rng) in SCHEMA.items()
+          if rng is not None for value in just_outside(rng, typ)]
 
 
 class TestSchema:
@@ -50,6 +83,39 @@ class TestSchema:
             RunConfig({"model.channels": 10, "model.heads": 4})
         with pytest.raises(ConfigError, match="s_max"):
             RunConfig({"data.speakers": 9})
+        zeros = {k: "0" for k in ("loss.w_av", "loss.w_v", "loss.w_a",
+                                  "loss.w_con")}
+        with pytest.raises(ConfigError, match="at least one loss weight"):
+            load_config(None, zeros)
+
+    def test_keys_are_the_dataclass_fields_plus_own_keys(self):
+        held = {field_key(cls, f) for cls in VIEWS for f in fields(cls)}
+        assert len(SCHEMA) == 44
+        assert set(SCHEMA) == held | OWN_KEYS
+        assert not held & OWN_KEYS
+
+    def test_schema_defaults_are_the_field_defaults(self):
+        for cls in VIEWS:
+            for f in fields(cls):
+                typ, default, rng = SCHEMA[field_key(cls, f)]
+                assert (typ, default) == (type(f.default), f.default), f.name
+                assert rng == f.metadata.get("range"), f.name
+
+    @pytest.mark.parametrize("key,value", RANGED)
+    def test_value_just_outside_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="out of range"):
+            RunConfig().set(key, value)
+        for cls in VIEWS:
+            for f in fields(cls):
+                if field_key(cls, f) == key:
+                    with pytest.raises((ConfigError, ContractError),
+                                       match="out of range"):
+                        cls(**{f.name: value})
+
+    def test_every_range_probed(self):
+        ranged = {k for k, (_t, _d, rng) in SCHEMA.items() if rng is not None}
+        assert {key for key, _ in RANGED} == ranged
+        assert len(ranged) == 37  # all but the seeds, t_main, threshold, ablations
 
 
 class TestText:
@@ -91,8 +157,9 @@ class TestText:
 
 class TestViews:
     def test_gen_config_reflects_values(self):
-        cfg = RunConfig({"data.speakers": 2, "data.noise_std": 0.1})
-        gen = cfg.gen_config(seed=42)
+        cfg = RunConfig({"data.speakers": 2, "data.noise_std": 0.1,
+                         "data.seed": 42})
+        gen = cfg.gen_config()
         assert gen.speakers == 2 and gen.noise_std == 0.1 and gen.seed == 42
 
     def test_model_config_reflects_values(self):

@@ -1,11 +1,11 @@
-"""Frame-level encoders, the speaker repeat, and cross-modal fusion."""
+"""Frame-level encoders and cross-modal fusion."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import erf
 
-from dualstream.attention import AttentionConfig, CALayer
+from dualstream.attention import AttentionBlock, AttentionConfig
 from dualstream.encoders import (AudioClip, AudioEncoder, VisualClip,
                                  VisualEncoder, fuse)
 from dualstream.errors import ContractError, DimensionError
@@ -17,7 +17,7 @@ def gelu_np(x):
 
 
 def make_cal(dim, rng):
-    return CALayer(AttentionConfig(dim, 4, 4 * dim), rng, "cal")
+    return AttentionBlock(AttentionConfig(dim, 4, 4 * dim), rng, "cal", 1e-5)
 
 
 class TestVisualEncoder:
@@ -54,19 +54,6 @@ class TestVisualEncoder:
 
 
 class TestAudioEncoder:
-    def test_repeat_contract_bitwise(self):
-        rng = np.random.default_rng(3)
-        enc = AudioEncoder(5, 6, 8, rng)
-        out = enc.forward(AudioClip(rng.normal(size=(8, 5))), speakers=3).data
-        assert out.shape == (3, 2, 6)
-        assert (out[0] == out[1]).all() and (out[1] == out[2]).all()
-
-    def test_single_speaker(self):
-        rng = np.random.default_rng(4)
-        enc = AudioEncoder(5, 6, 8, rng)
-        out = enc.forward(AudioClip(rng.normal(size=(8, 5))), speakers=1)
-        assert out.shape == (1, 2, 6)
-
     def test_constant_pooling_oracle(self):
         rng = np.random.default_rng(5)
         enc = AudioEncoder(5, 6, 8, rng)

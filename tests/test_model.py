@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dualstream.attention import AttentionConfig, SALayer, cal_forward
+from dualstream.attention import AttentionBlock, AttentionConfig, cal_forward
 from dualstream.data import GenConfig, generate_scene
 from dualstream.encoders import AudioClip, VisualClip
 from dualstream.errors import ContractError
@@ -17,15 +17,16 @@ from dualstream.tensor import Tensor, tsum
 from test_attention import block_oracle
 
 DIM = 16
+LN_EPS = 1e-5
 
 
 def make_stack(rounds=2, s_max=4, rng=None, **kwargs):
     rng = rng or np.random.default_rng(0)
-    return DualStreamStack(DIM, 2, 2 * DIM, rounds, s_max, rng, **kwargs)
+    return DualStreamStack(DIM, 2, 2 * DIM, rounds, s_max, rng, LN_EPS, **kwargs)
 
 
 def make_sal(rng):
-    return SALayer(AttentionConfig(DIM, 2, 2 * DIM), rng, "sal")
+    return AttentionBlock(AttentionConfig(DIM, 2, 2 * DIM), rng, "sal", LN_EPS)
 
 
 class TestSpeakerStream:
