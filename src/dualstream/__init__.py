@@ -9,13 +9,13 @@ a from-scratch reverse-mode tensor engine, training loop, and ranking
 evaluators.
 """
 
-from .attention import AttentionBlock, AttentionConfig, cal_forward, mhca, mhsa, sal_forward
+from .attention import AttentionBlock, AttentionConfig, cal_forward, mhca, sal_forward
 from .data import GenConfig, Scenario, generate, read_corpus, write_corpus
-from .encoders import AudioClip, AudioEncoder, VisualClip, VisualEncoder, fuse
+from .encoders import AudioEncoder, VisualEncoder, fuse
 from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
                          false_positive_count, read_predictions,
                          write_predictions)
-from .gate import ConfidenceNet, GateParams, gate_apply, gate_batch, gate_scale, voice_confidence
+from .gate import ConfidenceNet, GateParams, gate_batch, voice_confidence
 from .losses import (LossWeights, SupervisionBatch, contrastive_av,
                      masked_bce, total_loss)
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,

@@ -104,11 +104,6 @@ def mhca(x, y, layer: AttentionBlock, return_weights=False):
     return linear(core, layer.wo, layer.bo)
 
 
-def mhsa(x, layer: AttentionBlock, return_weights=False):
-    """Scaled dot-product multi-head self-attention over [B, L, D] tokens."""
-    return mhca(x, x, layer, return_weights)
-
-
 def _block(x, y, layer):
     z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b, layer.ln_eps)
     return layer_norm(add(z, layer.mlp(z)), layer.ln2_g, layer.ln2_b, layer.ln_eps)

@@ -17,6 +17,9 @@ Corpus container (little-endian, magic "D2SYN1"):
     u32 id length + utf-8 id, u32 x5 dims (S, T, H, W, M),
     float64 visual [S*T*H*W], float64 audio [4T*M],
     then labels / mask / distractor as one byte per cell, row-major.
+
+``check_scene`` is the one contract a scene meets before any model sees
+it; the encoders, the model and the gate rely on it and check nothing.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError
 from .ranges import AT_LEAST_1, NON_NEGATIVE, UNIT, check_ranges, knob
 
 MAGIC = b"D2SYN1"
+
+# audio steps per visual frame: the spectrogram runs at 4x the frame rate
+STEPS_PER_FRAME = 4
+FLAGS = ("labels", "mask", "distractor")
 
 _LIP_AMPLITUDE = 1.2
 _LIP_RATE = 0.23  # cycles per frame, away from sin zero-lattices
@@ -77,10 +84,46 @@ class Scenario:
 
     scene_id: str
     visual: np.ndarray      # [S, T, H, W, 1] float64
-    audio: np.ndarray       # [4T, M] float64
+    audio: np.ndarray       # [STEPS_PER_FRAME * T, M] float64
     labels: np.ndarray      # {0,1} [S, T] uint8
     mask: np.ndarray        # {0,1} [S, T] uint8
     distractor: np.ndarray  # {0,1} [S, T] uint8
+
+
+def frame_steps(audio: np.ndarray) -> np.ndarray:
+    """[4T, M] audio as a [T, 4, M] view: the steps of each visual frame."""
+    steps, m = audio.shape
+    return audio.reshape(steps // STEPS_PER_FRAME, STEPS_PER_FRAME, m)
+
+
+def check_scene(scene: Scenario, s_max, height, width, mel_bins) -> None:
+    """The scene contract: 1 <= S <= s_max speakers, T >= 1 frames,
+    height x width crops, mel_bins audio bins, finite visual and audio
+    values, and flags of 0 or 1.  The array shapes agree with each other by
+    construction (``read_corpus``, ``generate_scene``).  Raises
+    DimensionError or ContractError naming the scene."""
+    s, t, h, w, _ = scene.visual.shape
+    has = (s, h, w, scene.audio.shape[1])
+    fits = (s_max, height, width, mel_bins)
+    if s < 1 or t < 1:
+        raise DimensionError(
+            f"scene {scene.scene_id}: {s} speakers x {t} frames; a scene "
+            f"needs at least one of each")
+    if has[0] > fits[0] or has[1:] != fits[1:]:
+        raise DimensionError(
+            "scene {}: {} speakers, {}x{} crops, {} mel bins; the configured "
+            "model takes at most {} speakers, {}x{} crops, {} mel bins"
+            .format(scene.scene_id, *has, *fits))
+    for name in ("visual", "audio"):
+        if not np.isfinite(getattr(scene, name)).all():
+            raise ContractError(
+                f"scene {scene.scene_id}: non-finite {name} values")
+    for name in FLAGS:
+        cells = getattr(scene, name)
+        bad = cells[(cells != 0) & (cells != 1)]
+        if bad.size:
+            raise ContractError(
+                f"scene {scene.scene_id}: {name} must be 0 or 1, got {bad[0]}")
 
 
 def slot_signature(slot: int, mel_bins: int) -> np.ndarray:
@@ -181,14 +224,15 @@ def generate_scene(cfg: GenConfig, index: int) -> Scenario:
             visual[spk, t, :, :, 0] = frame
     visual += rng.normal(0.0, cfg.noise_std, size=visual.shape)
 
-    audio = np.zeros((4 * t_frames, m))
+    audio = np.zeros((STEPS_PER_FRAME * t_frames, m))
+    by_frame = frame_steps(audio)
     for spk in range(valid):
         sig = slot_signature(spk, m)
         for t in range(t_frames):
             if labels[spk, t]:
-                audio[4 * t: 4 * t + 4] += sig
-    # speech-mimicking bursts: a signature's spectrum on 1-2 of the 4 steps,
-    # scaled so the frame mean looks like sustained speech
+                by_frame[t] += sig
+    # speech-mimicking bursts: a signature's spectrum on 1-2 of a frame's
+    # steps, scaled so the frame mean looks like sustained speech
     if cfg.noise_std > 0 and cfg.burst_rate > 0:
         event = None
         for t in range(t_frames):
@@ -198,11 +242,11 @@ def generate_scene(cfg: GenConfig, index: int) -> Scenario:
                 sig = slot_signature(int(rng.integers(0, s)), m)
                 hits = int(rng.integers(1, 3))
                 scale = cfg.burst_amp * rng.uniform(0.8, 1.3)
-                event = (sig * scale * (4.0 / hits), hits)
+                event = (sig * scale * (STEPS_PER_FRAME / hits), hits)
             if event is not None:
                 shape, hits = event
-                steps = rng.choice(4, size=hits, replace=False)
-                audio[4 * t + steps] += shape
+                steps = rng.choice(STEPS_PER_FRAME, size=hits, replace=False)
+                by_frame[t, steps] += shape
     audio += rng.normal(0.0, cfg.noise_std, size=audio.shape)
 
     return Scenario(
@@ -248,6 +292,17 @@ class ByteReader:
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what):
+        """A u32 length, then that many bytes of UTF-8 text."""
+        start = self.offset
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{self.what} {what} at offset {start} is not UTF-8: "
+                f"{exc.reason}") from None
+
     def f64s(self, count):
         return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
 
@@ -289,15 +344,14 @@ def read_corpus(path) -> list[Scenario]:
     if count == 0:
         raise FormatError(f"corpus contains zero scenes: {path}")
     scenes = []
-    for _ in range(count):
-        sid = bytes(r.take(r.u32())).decode("utf-8")
+    for index in range(count):
+        sid = r.text(f"scene {index}: id")
         s, t, h, w, m = struct.unpack("<5I", r.take(20))
         visual = r.f64s(s * t * h * w).reshape(s, t, h, w, 1)
-        audio = r.f64s(4 * t * m).reshape(4 * t, m)
-        labels = r.bytes_array(s * t).reshape(s, t)
-        mask = r.bytes_array(s * t).reshape(s, t)
-        distractor = r.bytes_array(s * t).reshape(s, t)
-        scenes.append(Scenario(sid, visual, audio, labels, mask, distractor))
+        steps = STEPS_PER_FRAME * t
+        audio = r.f64s(steps * m).reshape(steps, m)
+        flags = [r.bytes_array(s * t).reshape(s, t) for _ in FLAGS]
+        scenes.append(Scenario(sid, visual, audio, *flags))
     if r.offset != len(blob):
         raise FormatError(
             f"trailing data after last scene at offset {r.offset}")

@@ -1,10 +1,11 @@
 """Toy frame-level encoders and bidirectional cross-modal fusion.
 
 The visual encoder embeds each face crop independently (no temporal mixing
-inside the encoder); the audio encoder mean-pools the 4x-rate spectrogram
-down to the visual frame rate and embeds each frame.  The model replicates
-that embedding across the speaker axis, so each candidate sees the same
-scene audio.
+inside the encoder); the audio encoder mean-pools each frame's audio steps
+(``data.frame_steps``) down to the visual frame rate and embeds each frame.
+The model replicates that embedding across the speaker axis, so each
+candidate sees the same scene audio.  Both encoders take a scene's arrays
+as they are: ``data.check_scene`` has already checked them.
 
 Fusion runs one cross-attention block in each direction over the time axis
 (speakers folded into the batch) and concatenates audio-then-visual along
@@ -13,55 +14,18 @@ the channel axis, doubling the width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attention import AttentionBlock, cal_forward
-from .errors import ContractError, DimensionError
+from .data import frame_steps
+from .errors import DimensionError
 from .tensor import Parameter, Tensor, concat, gelu, init_uniform, linear
-
-
-@dataclass
-class VisualClip:
-    """S candidate face tracks, T frames of HxW grayscale crops."""
-
-    values: np.ndarray  # [S, T, H, W, 1]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 5 or self.values.shape[-1] != 1:
-            raise ContractError(
-                f"visual clip must be [S, T, H, W, 1], got {self.values.shape}")
-        if min(self.values.shape[:2]) < 1:
-            raise ContractError("visual clip needs S >= 1 and T >= 1")
-        if not np.isfinite(self.values).all():
-            raise ContractError("visual clip contains non-finite values")
-
-
-@dataclass
-class AudioClip:
-    """Mel-like spectrogram at 4x the visual frame rate."""
-
-    values: np.ndarray  # [4T, M]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ContractError(
-                f"audio clip must be [4T, M], got {self.values.shape}")
-        if self.values.shape[0] % 4 != 0:
-            raise ContractError(
-                f"audio length {self.values.shape[0]} not divisible by 4")
-        if not np.isfinite(self.values).all():
-            raise ContractError("audio clip contains non-finite values")
 
 
 class VisualEncoder:
     """Two-layer pointwise network on flattened crops: HW -> hidden -> C."""
 
     def __init__(self, height, width, channels, hidden, rng, name="visual_enc"):
-        self.height, self.width = height, width
         d_in = height * width
         self.w1 = Parameter(init_uniform(rng, d_in, (d_in, hidden)), f"{name}.w1")
         self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
@@ -71,21 +35,17 @@ class VisualEncoder:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, clip: VisualClip) -> Tensor:
-        s, t, h, w, _ = clip.values.shape
-        if (h, w) != (self.height, self.width):
-            raise DimensionError(
-                f"visual encoder built for {self.height}x{self.width} crops, "
-                f"got {h}x{w}")
-        x = clip.values.reshape(s, t, h * w)
+    def forward(self, visual: np.ndarray) -> Tensor:
+        """[S, T, H, W, 1] crops to [S, T, C] embeddings."""
+        s, t, h, w, _ = visual.shape
+        x = visual.reshape(s, t, h * w)
         return linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 class AudioEncoder:
-    """Mean-pool groups of 4 audio steps to frames, then embed M -> hidden -> C."""
+    """Mean-pool each frame's audio steps, then embed M -> hidden -> C."""
 
     def __init__(self, mel_bins, channels, hidden, rng, name="audio_enc"):
-        self.mel_bins = mel_bins
         self.w1 = Parameter(init_uniform(rng, mel_bins, (mel_bins, hidden)), f"{name}.w1")
         self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
         self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), f"{name}.w2")
@@ -94,13 +54,9 @@ class AudioEncoder:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def frame_embedding(self, clip: AudioClip) -> Tensor:
-        """Scene-level per-frame embedding, shape [T, C]."""
-        steps, m = clip.values.shape
-        if m != self.mel_bins:
-            raise DimensionError(
-                f"audio encoder built for {self.mel_bins} bins, got {m}")
-        frames = clip.values.reshape(steps // 4, 4, m).mean(axis=1)
+    def frame_embedding(self, audio: np.ndarray) -> Tensor:
+        """Scene-level per-frame embedding, shape [T, C], from [4T, M] audio."""
+        frames = frame_steps(audio).mean(axis=1)
         return linear(gelu(linear(frames, self.w1, self.b1)), self.w2, self.b2)
 
 

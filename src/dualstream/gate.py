@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import frame_steps
 from .errors import ContractError, DimensionError
 from .ranges import POSITIVE, UNIT, Range, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, concat, conv1d_same, gelu,
@@ -47,21 +48,6 @@ class GateParams:
         check_ranges(self, ContractError)
 
 
-def gate_scale(p_hat: float, gp: GateParams) -> float:
-    """Scaling factor alpha in (0, 1]; equals 1 whenever p_hat >= t_veto."""
-    if p_hat >= gp.t_veto:
-        return 1.0
-    return min(p_hat / (gp.t_veto + gp.eps), 1.0)
-
-
-def gate_apply(s: float, p_hat: float, gp: GateParams) -> float:
-    """Reconciled score: scores above t_main are blended toward (1-gamma)*s."""
-    if s <= gp.t_main:
-        return s
-    alpha = gate_scale(p_hat, gp)
-    return s * ((1.0 - gp.gamma) + gp.gamma * alpha)
-
-
 def gate_batch(scores: np.ndarray, p_hat: np.ndarray, gp: GateParams) -> np.ndarray:
     """Vectorized gate over [S, T] scores with one shared p_hat per frame."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -79,12 +65,11 @@ def gate_batch(scores: np.ndarray, p_hat: np.ndarray, gp: GateParams) -> np.ndar
 def gate_audio_features(audio: np.ndarray) -> np.ndarray:
     """The gate's input contract: [4T, M] audio in, [T, 2M] features out.
 
-    Each visual frame spans 4 audio steps; its features are the mean and the
-    std of those steps.  The within-frame spread is what separates sustained
-    speech from spiky interference.
+    Each visual frame spans ``data.STEPS_PER_FRAME`` audio steps; its
+    features are the mean and the std of those steps.  The within-frame
+    spread is what separates sustained speech from spiky interference.
     """
-    steps, m = audio.shape
-    grouped = audio.reshape(steps // 4, 4, m)
+    grouped = frame_steps(audio)
     return np.concatenate([grouped.mean(axis=1), grouped.std(axis=1)], axis=1)
 
 
@@ -92,8 +77,6 @@ class ConfidenceNet:
     """Conv-conv-biRNN-linear speech detector over ``gate_audio_features``."""
 
     def __init__(self, mel_bins, conv_hidden, rnn_hidden, rng, name="gate"):
-        self.mel_bins = mel_bins
-
         def conv(tag, cin, cout, k=3):
             w = Parameter(init_uniform(rng, k * cin, (k, cin, cout)),
                           f"{name}.{tag}_w")
@@ -119,16 +102,8 @@ class ConfidenceNet:
                 *self.fwd, *self.bwd, self.out_w, self.out_b]
 
     def logits(self, audio) -> Tensor:
-        """Per-frame speech logits, shape [T], from [4T, M] audio."""
-        audio = np.asarray(audio, dtype=np.float64)
-        if audio.ndim != 2 or audio.shape[1] != self.mel_bins:
-            raise DimensionError(
-                f"confidence net expects [4T, {self.mel_bins}] audio, "
-                f"got {audio.shape}")
-        if audio.shape[0] == 0 or audio.shape[0] % 4 != 0:
-            raise DimensionError(
-                f"confidence net needs a positive multiple of 4 audio steps, "
-                f"got {audio.shape[0]}")
+        """Per-frame speech logits, shape [T], from a scene's [4T, M] audio
+        (``data.check_scene``)."""
         x = gelu(conv1d_same(gate_audio_features(audio), self.c1_w, self.c1_b))
         x = gelu(conv1d_same(x, self.c2_w, self.c2_b))
         both = concat([tanh_rnn(x, *self.fwd),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBlock, AttentionConfig, cal_forward, sal_forward
-from .encoders import AudioClip, AudioEncoder, VisualClip, VisualEncoder, fuse
+from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError, DimensionError
 from .ranges import AT_LEAST_1, POSITIVE, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
@@ -30,16 +30,14 @@ class SpeakerEmbedding:
     def __init__(self, s_max, dim, rng, name="speaker_emb"):
         if s_max < 1:
             raise ContractError(f"s_max must be >= 1, got {s_max}")
-        self.s_max = s_max
         self.table = Parameter(init_uniform(rng, dim, (s_max, dim)), f"{name}.table")
 
     def parameters(self):
         return [self.table]
 
     def lookup(self, speakers):
-        if speakers > self.s_max:
-            raise ContractError(
-                f"speaker count {speakers} exceeds embedding capacity {self.s_max}")
+        """The first ``speakers`` rows; ``data.check_scene`` keeps a scene's
+        speaker count within the table."""
         return getitem(self.table, (slice(0, speakers),))
 
 
@@ -191,11 +189,10 @@ class ActiveSpeakerModel:
                 + self.stack.parameters()
                 + [self.head_v_w, self.head_v_b, self.head_a_w, self.head_a_b])
 
-    def forward(self, visual: VisualClip, audio: AudioClip) -> ModelOutput:
-        s, t = visual.values.shape[:2]
-        if audio.values.shape[0] != 4 * t:
-            raise DimensionError(
-                f"audio length {audio.values.shape[0]} != 4 x {t} visual frames")
+    def forward(self, visual: np.ndarray, audio: np.ndarray) -> ModelOutput:
+        """One scene's [S, T, H, W, 1] crops and [4T, M] audio, which meet
+        ``data.check_scene``, to logits and embeddings."""
+        s, t = visual.shape[:2]
         c = self.cfg.channels
 
         f_v = self.visual_enc.forward(visual)

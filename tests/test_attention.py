@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 from dualstream.attention import (AttentionBlock, AttentionConfig,
-                                  cal_forward, mhca, mhsa, sal_forward)
+                                  cal_forward, mhca, sal_forward)
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Tensor, add, matmul, mul, reshape, softmax,
@@ -93,44 +93,48 @@ def block_oracle(q_in, kv_in, layer):
 
 
 class TestMhsa:
+    """Self-attention: ``mhca`` of a sequence with itself."""
+
     def test_single_token_is_value_path(self):
         rng = np.random.default_rng(0)
         layer = make_sal(8, 2, rng)
         x = rng.normal(size=(3, 1, 8))
         expected = (x @ layer.wv.data + layer.bv.data) @ layer.wo.data + layer.bo.data
-        npt.assert_allclose(mhsa(Tensor(x), layer).data, expected, atol=1e-14)
+        npt.assert_allclose(mhca(Tensor(x), Tensor(x), layer).data, expected, atol=1e-14)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(1)
         layer = make_sal(8, 4, rng)
-        out = mhsa(Tensor(rng.normal(size=(2, 4, 8))), layer)
+        x = Tensor(rng.normal(size=(2, 4, 8)))
+        out = mhca(x, x, layer)
         assert out.shape == (2, 4, 8)
 
     def test_matches_per_position_oracle_single_head(self):
         rng = np.random.default_rng(2)
         layer = make_sal(4, 1, rng)
         x = rng.normal(size=(1, 3, 4))
-        npt.assert_allclose(mhsa(Tensor(x), layer).data,
+        npt.assert_allclose(mhca(Tensor(x), Tensor(x), layer).data,
                             attention_oracle(x, x, layer), atol=1e-10, rtol=0)
 
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(3)
         layer = make_sal(8, 2, rng)
-        _, w = mhsa(Tensor(rng.normal(size=(2, 5, 8))), layer,
-                    return_weights=True)
+        x = Tensor(rng.normal(size=(2, 5, 8)))
+        _, w = mhca(x, x, layer, return_weights=True)
         npt.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
     def test_dim_mismatch(self):
         layer = make_sal(8, 2, np.random.default_rng(4))
         with pytest.raises(DimensionError):
-            mhsa(Tensor(np.zeros((1, 3, 6))), layer)
+            x = Tensor(np.zeros((1, 3, 6)))
+            mhca(x, x, layer)
 
     def test_matches_primitive_composition_bit_for_bit(self):
         rng = np.random.default_rng(15)
         for heads in (1, 2, 4):
             layer = make_sal(8, heads, rng)
             x = Tensor(rng.normal(size=(3, 5, 8)))
-            out, weights = mhsa(x, layer, return_weights=True)
+            out, weights = mhca(x, x, layer, return_weights=True)
             expected, expected_weights = attend_composed(x, x, layer)
             npt.assert_array_equal(out.data, expected.data)
             npt.assert_array_equal(weights.data, expected_weights.data)

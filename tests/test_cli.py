@@ -1,6 +1,7 @@
 """Command pipeline: determinism, exit codes, checkpoint fidelity."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
 from dualstream.config import RunConfig, load_config
 from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
+from dualstream.errors import ContractError, DimensionError, FormatError
 from dualstream.evaluation import read_predictions
 from dualstream.gate import ConfidenceNet
 from dualstream.model import ActiveSpeakerModel, ModelConfig
-from dualstream.train import apply_checkpoint, load_checkpoint, save_checkpoint
+from dualstream.tensor import Parameter
+from dualstream.train import (CKPT_MAGIC, apply_checkpoint, load_checkpoint,
+                              save_checkpoint)
 
 # small-but-real sizes so the whole pipeline runs in well under a minute
 TINY = [
@@ -108,7 +112,6 @@ class TestTrain:
 
     def test_checkpoint_reproduces_forward_scores(self, pipeline):
         root, corpus, held, ckpt = pipeline
-        from dualstream.encoders import AudioClip, VisualClip
         cfg = RunConfig({"data.speakers": 2, "data.frames": 6,
                          "data.height": 4, "data.width": 4,
                          "data.mel_bins": 8, "model.channels": 8,
@@ -121,12 +124,10 @@ class TestTrain:
         model_tensors = {k: v for k, v in tensors.items()
                          if not k.startswith("gate.")}
         apply_checkpoint(model.parameters(), model_tensors)
-        out1 = model.forward(VisualClip(scenes[0].visual),
-                             AudioClip(scenes[0].audio)).scores.data
+        out1 = model.forward(scenes[0].visual, scenes[0].audio).scores.data
         model2 = ActiveSpeakerModel(cfg.model_config())
         apply_checkpoint(model2.parameters(), model_tensors)
-        out2 = model2.forward(VisualClip(scenes[0].visual),
-                              AudioClip(scenes[0].audio)).scores.data
+        out2 = model2.forward(scenes[0].visual, scenes[0].audio).scores.data
         assert (out1 == out2).all()
 
 
@@ -175,6 +176,19 @@ class TestEval:
                    "--predictions", str(tmp_path / "p.csv"),
                    "--metrics", str(tmp_path / "m.txt")) == 2
 
+    def test_non_utf8_checkpoint_name_is_data_error(self, pipeline, tmp_path,
+                                                    capsys):
+        root, corpus, held, ckpt = pipeline
+        blob = bytearray(ckpt.read_bytes())
+        blob[len(CKPT_MAGIC) + 8] = 0xFF  # first byte of the first name
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert run(*TINY, "eval", "--corpus", str(held), "--model", str(bad),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert "checkpoint tensor 0: name" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_checkpoint_model_mismatch_is_data_error(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
         # a checkpoint holding the wrong tensor set
@@ -198,8 +212,26 @@ class TestGradcheckCommand:
 
 
 class TestCorpusShapes:
-    """train and eval check every scene against data.height, data.width,
-    data.mel_bins and model.s_max before any work, and exit 2."""
+    """train and eval hold every scene to data.check_scene (data.height,
+    data.width, data.mel_bins, model.s_max, S and T >= 1, finite values,
+    0/1 flags) and read ids as UTF-8, before any work, and exit 2."""
+
+    # each malformed scene and the start of the error that names it
+    NAMED = {
+        "mel_bins": "scene odd-mel_bins: 2 speakers, 4x4 crops, 13 mel bins",
+        "crop": "scene odd-crop: 2 speakers, 5x4 crops, 8 mel bins",
+        "speakers": "scene odd-speakers: 3 speakers, 4x4 crops, 8 mel bins",
+        "no_speakers": "scene odd-no_speakers: 0 speakers x 6 frames",
+        "no_frames": "scene odd-no_frames: 2 speakers x 0 frames",
+        "visual_nan": "scene odd-visual_nan: non-finite visual values",
+        "visual_inf": "scene odd-visual_inf: non-finite visual values",
+        "audio_nan": "scene odd-audio_nan: non-finite audio values",
+        "audio_inf": "scene odd-audio_inf: non-finite audio values",
+        "labels": "scene odd-labels: labels must be 0 or 1, got 2",
+        "mask": "scene odd-mask: mask must be 0 or 1, got 7",
+        "distractor": "scene odd-distractor: distractor must be 0 or 1, got 5",
+        "utf8_id": "corpus scene 3: id at offset",
+    }
 
     @pytest.fixture(scope="class")
     def corpora(self, tmp_path_factory):
@@ -207,33 +239,60 @@ class TestCorpusShapes:
         tiny = GenConfig(seed=3, speakers=2, frames=6, height=4, width=4,
                          mel_bins=8)
         good = generate(tiny, 3)
-        odd = {"mel_bins": replace(tiny, mel_bins=13),
-               "crop": replace(tiny, height=5),
-               "speakers": replace(tiny, speakers=3)}
+        base = generate_scene(tiny, 0)
+
+        def poked(name, value):
+            arr = getattr(base, name).copy()
+            arr.reshape(-1)[7] = value
+            return replace(base, **{name: arr})
+
+        odd = {"mel_bins": generate_scene(replace(tiny, mel_bins=13), 0),
+               "crop": generate_scene(replace(tiny, height=5), 0),
+               "speakers": generate_scene(replace(tiny, speakers=3), 0),
+               "no_speakers": replace(base, visual=base.visual[:0],
+                                      labels=base.labels[:0], mask=base.mask[:0],
+                                      distractor=base.distractor[:0]),
+               "no_frames": replace(base, visual=base.visual[:, :0],
+                                    audio=base.audio[:0], labels=base.labels[:, :0],
+                                    mask=base.mask[:, :0],
+                                    distractor=base.distractor[:, :0]),
+               "visual_nan": poked("visual", np.nan),
+               "visual_inf": poked("visual", np.inf),
+               "audio_nan": poked("audio", np.nan),
+               "audio_inf": poked("audio", -np.inf),
+               "labels": poked("labels", 2),
+               "mask": poked("mask", 7),
+               "distractor": poked("distractor", 5),
+               "utf8_id": base}
         paths = {}
-        for tag, gen in odd.items():
+        for tag, scene in odd.items():
             # a bad scene after good ones, so checking the first is not enough
-            scene = replace(generate_scene(gen, 0), scene_id=f"odd-{tag}")
+            scene = replace(scene, scene_id=f"odd-{tag}")
             paths[tag] = root / f"mixed-{tag}.bin"
             write_corpus(good + [scene], paths[tag])
+        blob = bytearray(paths["utf8_id"].read_bytes())
+        blob[blob.index(b"odd-utf8_id")] = 0xFF
+        paths["utf8_id"].write_bytes(bytes(blob))
         return paths
 
-    @pytest.mark.parametrize("tag", ["mel_bins", "crop", "speakers"])
+    @pytest.mark.parametrize("tag", NAMED)
     def test_mixed_corpus_train(self, corpora, tag, tmp_path, capsys):
         assert run(*TINY, "train", "--corpus", str(corpora[tag]),
                    "--out", str(tmp_path / "m.ckpt")) == 2
-        assert f"scene odd-{tag}:" in capsys.readouterr().err
+        assert f"error: {self.NAMED[tag]}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt.log").exists()
+        assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.parametrize("tag", ["mel_bins", "crop", "speakers"])
+    @pytest.mark.parametrize("tag", NAMED)
     def test_mixed_corpus_eval(self, pipeline, corpora, tag, tmp_path, capsys):
         ckpt = pipeline[3]
         assert run(*TINY, "eval", "--corpus", str(corpora[tag]),
                    "--model", str(ckpt),
                    "--predictions", str(tmp_path / "p.csv"),
                    "--metrics", str(tmp_path / "m.txt")) == 2
-        assert f"scene odd-{tag}:" in capsys.readouterr().err
+        assert f"error: {self.NAMED[tag]}" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_mel_bins_corpus_against_default_mel_bins(self, pipeline, command,
@@ -344,14 +403,51 @@ class TestCheckpointFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.ckpt"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 10)
-        from dualstream.errors import FormatError
         with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+    def tiny_checkpoint(self, tmp_path):
+        params = [Parameter(np.arange(4.0).reshape(2, 2), "enc.w"),
+                  Parameter(np.ones(1), "b")]
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint({p.name: p.data for p in params}, path)
+        return params, path.read_bytes()
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        _, blob = self.tiny_checkpoint(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    def test_0xff_at_every_offset(self, tmp_path):
+        """A documented error, or tensors that load into the parameters."""
+        params, blob = self.tiny_checkpoint(tmp_path)
+        path = tmp_path / "hit.ckpt"
+        seen = set()
+        for offset in range(len(blob)):
+            hit = bytearray(blob)
+            hit[offset] = 0xFF
+            path.write_bytes(bytes(hit))
+            try:
+                apply_checkpoint(params, load_checkpoint(path))
+                seen.add("valid")
+            except (FormatError, DimensionError, ContractError) as exc:
+                seen.add(type(exc).__name__)
+        assert seen == {"FormatError", "valid"}
+
+    def test_dims_past_int64_are_truncation(self, tmp_path):
+        # 4294967295 x 2147483649 elements wrap negative in int64
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CKPT_MAGIC + struct.pack("<II", 1, 1) + b"a"
+                         + struct.pack("<3I", 2, 2**32 - 1, 2**31 + 1) + bytes(64))
+        with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_checkpoint({"a": np.ones(10)}, path)
         path.write_bytes(path.read_bytes()[:-8])
-        from dualstream.errors import FormatError
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)

@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dualstream.data import (GenConfig, Scenario, generate, generate_scene,
-                             read_corpus, slot_signature, write_corpus)
-from dualstream.errors import ConfigError, ContractError, FormatError
+from dualstream.data import (STEPS_PER_FRAME, GenConfig, check_scene,
+                             frame_steps, generate, generate_scene, read_corpus,
+                             slot_signature, write_corpus)
+from dualstream.errors import ConfigError, ContractError, DimensionError, FormatError
 
 
 def frame_energy(audio, t):
@@ -193,4 +194,60 @@ class TestCorpusIO:
         path = tmp_path / "zero.bin"
         path.write_bytes(b"D2SYN1" + b"\x00\x00\x00\x00")
         with pytest.raises(FormatError, match="zero scenes"):
+            read_corpus(path)
+
+
+# a one-scene corpus small enough to corrupt at every byte
+TINY = GenConfig(seed=4, speakers=1, frames=1, height=2, width=2, mel_bins=2)
+
+
+def test_frame_steps_is_a_view_of_consecutive_steps():
+    audio = np.arange(24.0).reshape(12, 2)
+    grouped = frame_steps(audio)
+    assert grouped.shape == (3, STEPS_PER_FRAME, 2)
+    npt.assert_array_equal(grouped[1], audio[4:8])
+    assert np.shares_memory(grouped, audio)
+
+
+class TestCorruptCorpus:
+    """Every damaged corpus fails with a documented error, never another
+    exception: cut at every offset, and 0xff written at every offset."""
+
+    def blob(self, tmp_path):
+        path = tmp_path / "one.bin"
+        write_corpus(generate(TINY, 1), path)
+        return path.read_bytes()
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        blob = self.blob(tmp_path)
+        path = tmp_path / "cut.bin"
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError):
+                read_corpus(path)
+
+    def test_0xff_at_every_offset(self, tmp_path):
+        blob = self.blob(tmp_path)
+        path = tmp_path / "hit.bin"
+        seen = set()
+        for offset in range(len(blob)):
+            hit = bytearray(blob)
+            hit[offset] = 0xFF
+            path.write_bytes(bytes(hit))
+            try:
+                for scene in read_corpus(path):
+                    check_scene(scene, s_max=1, height=2, width=2, mel_bins=2)
+                seen.add("valid")
+            except (FormatError, DimensionError, ContractError) as exc:
+                seen.add(type(exc).__name__)
+        # bytes of the id, the floats and the flags all get hit
+        assert seen == {"FormatError", "ContractError", "valid"}
+
+    def test_non_utf8_id_names_the_scene(self, tmp_path):
+        blob = bytearray(self.blob(tmp_path))
+        blob[blob.index(b"scene00000")] = 0xFF
+        path = tmp_path / "id.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="corpus scene 0: id at offset 10 "
+                                              "is not UTF-8"):
             read_corpus(path)

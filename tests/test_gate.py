@@ -1,5 +1,7 @@
 """Voice gate: exact hand evaluations, bounds, and the confidence branch."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +9,8 @@ import pytest
 
 from dualstream.data import GenConfig, generate
 from dualstream.errors import ContractError, DimensionError
-from dualstream.gate import (ConfidenceNet, GateParams, gate_apply, gate_audio_features,
-                             gate_batch, gate_scale, voice_confidence)
+from dualstream.gate import (ConfidenceNet, GateParams, gate_audio_features,
+                             gate_batch, voice_confidence)
 from dualstream.losses import masked_bce
 from dualstream.tensor import (Tensor, add, backward, concat, gelu, getitem, linear,
                                matmul, reshape, tanh, zero_grads)
@@ -21,35 +23,54 @@ MAX_GATE_NODES = 30
 GP = GateParams(t_main=0.0, t_veto=0.06, gamma=0.8, eps=1e-6)
 
 
+def gate_rule(s, p_hat, gp):
+    """The score-correction rule for one cell, written out scalar by scalar:
+    the oracle ``gate_batch`` must match."""
+    if s <= gp.t_main:
+        return s
+    alpha = min(p_hat / (gp.t_veto + gp.eps), 1.0) if p_hat < gp.t_veto else 1.0
+    return s * ((1.0 - gp.gamma) + gp.gamma * alpha)
+
+
+def gate_one(s, p_hat, gp=GP):
+    """``gate_batch`` on a single [1, 1] cell."""
+    return gate_batch(np.array([[s]]), np.array([p_hat]), gp)[0, 0]
+
+
+def gate_scale(p_hat):
+    """The scaling factor alpha: with gamma = 1 a unit score becomes alpha."""
+    return gate_one(1.0, p_hat, replace(GP, gamma=1.0))
+
+
 class TestGateScale:
     def test_boundary_equality_passes_open(self):
-        assert gate_scale(0.06, GP) == 1.0
+        assert gate_scale(0.06) == 1.0
 
     def test_zero_confidence(self):
-        assert gate_scale(0.0, GP) == 0.0
+        assert gate_scale(0.0) == 0.0
 
     def test_hand_value(self):
-        alpha = gate_scale(0.03, GP)
+        alpha = gate_scale(0.03)
         assert alpha == 0.03 / (0.06 + 1e-6)
         assert round(alpha, 7) == 0.4999917
 
     def test_above_threshold_open(self):
         for p in (0.06, 0.2, 0.5, 1.0):
-            assert gate_scale(p, GP) == 1.0
+            assert gate_scale(p) == 1.0
 
 
 class TestGateApply:
     def test_below_main_threshold_unchanged(self):
         for s in (-3.0, -0.5, 0.0):
-            assert gate_apply(s, 0.0, GP) == s
+            assert gate_one(s, 0.0, GP) == s
 
     def test_open_gate_identity(self):
         s = 1.7
-        assert gate_apply(s, 0.9, GP) == s * ((1.0 - GP.gamma) + GP.gamma * 1.0)
-        npt.assert_allclose(gate_apply(s, 0.9, GP), s, rtol=1e-15)
+        assert gate_one(s, 0.9, GP) == s * ((1.0 - GP.gamma) + GP.gamma * 1.0)
+        npt.assert_allclose(gate_one(s, 0.9, GP), s, rtol=1e-15)
 
     def test_hand_value_full_precision(self):
-        got = gate_apply(2.0, 0.03, GP)
+        got = gate_one(2.0, 0.03, GP)
         mpmath.mp.dps = 40
         alpha = mpmath.mpf("0.03") / (mpmath.mpf("0.06") + mpmath.mpf("1e-6"))
         expected = mpmath.mpf(2) * ((1 - mpmath.mpf("0.8"))
@@ -61,10 +82,6 @@ class TestGateApply:
         rng = np.random.default_rng(0)
         s = rng.uniform(0.0001, 10.0, size=100_000)
         p = rng.uniform(0.0, 1.0, size=100_000)
-        out = np.array([gate_apply(si, pi, GP) for si, pi in zip(s[:500], p[:500])])
-        assert (out <= s[:500] + 1e-15).all()
-        assert (out >= (1.0 - GP.gamma) * s[:500] - 1e-15).all()
-        # the vectorized form covers the full draw
         batch = gate_batch(s.reshape(1, -1), p, GP)[0]
         assert (batch <= s + 1e-15).all()
         assert (batch >= (1.0 - GP.gamma) * s - 1e-15).all()
@@ -72,26 +89,26 @@ class TestGateApply:
     def test_monotone_in_confidence(self):
         s = 2.5
         grid = np.linspace(0.0, 1.0, 2001)
-        vals = [gate_apply(s, p, GP) for p in grid]
+        vals = [gate_one(s, p, GP) for p in grid]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_order_preserved_at_equal_confidence(self):
         rng = np.random.default_rng(1)
         scores = np.sort(rng.uniform(0.01, 5.0, size=50))
         for p in (0.0, 0.03, 0.06, 0.8):
-            gated = [gate_apply(s, p, GP) for s in scores]
+            gated = [gate_one(s, p, GP) for s in scores]
             assert all(b >= a for a, b in zip(gated, gated[1:]))
 
     def test_gamma_zero_is_identity(self):
         gp = GateParams(t_main=0.0, t_veto=0.06, gamma=0.0, eps=1e-6)
         rng = np.random.default_rng(2)
         for s, p in zip(rng.normal(size=200) * 3, rng.uniform(0, 1, 200)):
-            assert gate_apply(s, p, gp) == s
+            assert gate_one(s, p, gp) == s
 
     def test_continuity_jump_bounded(self):
         # multiplier is continuous except the eps-sized step at p = t_veto
         def multiplier(p):
-            return gate_apply(1.0, p, GP)
+            return gate_one(1.0, p, GP)
 
         below = multiplier(GP.t_veto - 1e-12)
         at = multiplier(GP.t_veto)
@@ -123,7 +140,7 @@ class TestGateBatch:
         out = gate_batch(scores, p, GP)
         for s in range(4):
             for t in range(9):
-                assert out[s, t] == gate_apply(scores[s, t], p[t], GP)
+                assert out[s, t] == gate_rule(scores[s, t], p[t], GP)
 
     def test_time_mismatch(self):
         with pytest.raises(DimensionError):
@@ -169,15 +186,6 @@ class TestConfidenceNet:
         audio2[20:] += 1.0  # last frame perturbs the first output (bidirectional)
         out = voice_confidence(audio2, net).data
         assert abs(out[0] - base[0]) > 0
-
-    def test_wrong_mel_bins(self):
-        with pytest.raises(DimensionError, match=r"\[4T, 13\]"):
-            self.make_net().logits(np.zeros((8, 12)))
-
-    @pytest.mark.parametrize("steps", [10, 0])
-    def test_steps_not_positive_multiple_of_four(self, steps):
-        with pytest.raises(DimensionError, match="multiple of 4"):
-            self.make_net().logits(np.zeros((steps, 13)))
 
     def test_learns_speech_detection(self):
         cfg = GenConfig(seed=21, speakers=2, frames=10, noise_std=0.3,

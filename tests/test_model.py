@@ -2,12 +2,9 @@
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from dualstream.attention import AttentionBlock, AttentionConfig, cal_forward
 from dualstream.data import GenConfig, generate_scene
-from dualstream.encoders import AudioClip, VisualClip
-from dualstream.errors import ContractError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
                               SpeakerEmbedding, cross_interact, dual_forward,
@@ -64,12 +61,6 @@ class TestSpeakerStream:
         perm = rng.permutation(4)
         out = speaker_stream(Tensor(x[perm]), emb, sal).data
         npt.assert_allclose(out, base[perm], atol=1e-10, rtol=0)
-
-    def test_capacity_error(self):
-        rng = np.random.default_rng(4)
-        emb = SpeakerEmbedding(2, DIM, rng)
-        with pytest.raises(ContractError, match="capacity"):
-            speaker_stream(Tensor(np.zeros((3, 4, DIM))), emb, make_sal(rng))
 
 
 class TestTemporalStream:
@@ -204,7 +195,7 @@ def test_full_model_gradients_match_finite_differences():
     proj = Tensor(rng.normal(size=(2, 3)))
 
     def build():
-        out = model.forward(VisualClip(scene.visual), AudioClip(scene.audio))
+        out = model.forward(scene.visual, scene.audio)
         return tsum(out.scores * proj)
 
     worst = check_parameter_gradients(build, model.parameters(), step=1e-4,

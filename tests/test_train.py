@@ -5,7 +5,6 @@ import numpy.testing as npt
 
 from dualstream.config import load_config
 from dualstream.data import generate_scene
-from dualstream.encoders import AudioClip, VisualClip
 from dualstream.gate import ConfidenceNet
 from dualstream.losses import masked_bce, total_loss
 from dualstream.model import ActiveSpeakerModel
@@ -48,6 +47,18 @@ def test_parameters_are_views_into_the_flat_buffers():
         assert np.shares_memory(p.grad, opt.grad)
 
 
+def test_zero_grad_clears_the_flat_buffer_in_place():
+    params = [Parameter(np.ones((2, 3)), "a"), Parameter(np.ones(4), "b")]
+    opt = MomentumSGD(params, 0.1, 0.5)
+    for p in params:
+        p.grad[...] = 3.0
+    opt.zero_grad()
+    npt.assert_array_equal(opt.grad, 0.0)
+    for p in params:
+        npt.assert_array_equal(p.grad, 0.0)
+        assert np.shares_memory(p.grad, opt.grad)
+
+
 def tape(root):
     """Every distinct node reachable from ``root`` through ``.parents``."""
     seen, stack = {}, [root]
@@ -64,7 +75,7 @@ def default_losses():
     cfg = load_config(None, {})
     model = ActiveSpeakerModel(cfg.model_config())
     scene = generate_scene(cfg.gen_config(), 0)
-    out = model.forward(VisualClip(scene.visual), AudioClip(scene.audio))
+    out = model.forward(scene.visual, scene.audio)
     loss, _ = total_loss(scene_batch(out, scene), cfg.loss_weights())
     net = ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
                         cfg["gate.rnn_hidden"], np.random.default_rng(0))
