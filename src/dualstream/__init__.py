@@ -21,6 +21,7 @@ from .losses import (LossWeights, SupervisionBatch, contrastive_av,
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
                     SpeakerEmbedding, cross_interact, dual_forward,
                     speaker_stream, temporal_stream)
-from .tensor import Parameter, Tensor, backward, layer_norm, linear, matmul, softmax, zero_grads
+from .tensor import (Parameter, Tensor, backward, layer_norm, linear, matmul,
+                     no_grad, softmax, zero_grads)
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Used by the test suite and by the ``gradcheck`` CLI command.  The check
 perturbs individual parameter coordinates by ``+-step``, re-runs the
-forward pass, and compares the symmetric difference quotient against the
-gradient produced by ``backward``.
+forward pass without a tape (``no_grad``), and compares the symmetric
+difference quotient against the gradient produced by ``backward``.  A
+perturbed coordinate is put back even when ``build_loss`` raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import backward, zero_grads
+from .tensor import backward, no_grad, zero_grads
 
 
 def relative_error(a, b, floor=1e-4):
@@ -38,26 +39,29 @@ def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
     analytic = {p.name: p.grad.copy() for p in params}
 
     worst = {}
-    for k, p in enumerate(params):
-        n = p.data.size
-        if n <= max_coords:
-            coords = np.arange(n)
-        else:
-            rng = np.random.default_rng([seed, k])
-            coords = np.sort(rng.choice(n, size=max_coords, replace=False))
-        flat = p.data.reshape(-1)
-        err = 0.0
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
-            up = build_loss().item()
-            flat[i] = orig - step
-            down = build_loss().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = max(err, relative_error(analytic[p.name].reshape(-1)[i],
-                                          numeric, floor))
-        worst[p.name] = err
+    with no_grad():  # the perturbed passes only need the loss value
+        for k, p in enumerate(params):
+            n = p.data.size
+            if n <= max_coords:
+                coords = np.arange(n)
+            else:
+                rng = np.random.default_rng([seed, k])
+                coords = np.sort(rng.choice(n, size=max_coords, replace=False))
+            flat = p.data.reshape(-1)
+            err = 0.0
+            for i in coords:
+                orig = flat[i]
+                try:
+                    flat[i] = orig + step
+                    up = build_loss().item()
+                    flat[i] = orig - step
+                    down = build_loss().item()
+                finally:
+                    flat[i] = orig
+                numeric = (up - down) / (2.0 * step)
+                err = max(err, relative_error(analytic[p.name].reshape(-1)[i],
+                                              numeric, floor))
+            worst[p.name] = err
     return worst
 
 

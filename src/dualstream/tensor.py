@@ -27,9 +27,17 @@ Design points:
     ``sub``, ``mul``, ``linear``, ``conv1d_same`` and ``tanh_rnn`` record
     only their Tensor operands as parents, and the last three compute no
     gradient for a constant input ``x``.
+  * forward-only work records no tape.  Inside ``with no_grad():`` every op
+    runs the same forward code and then returns a parentless Tensor before
+    it builds a VJP closure or calls ``_record``, so outputs are
+    bit-identical to the taped ones and each op's inputs are freed as soon
+    as nothing else holds them.  ``eval``'s scoring and ``gradcheck``'s
+    perturbed passes run this way; ``backward`` refuses a loss with no tape.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf as _erf, expit as _expit
@@ -39,13 +47,35 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# False inside ``no_grad``: ops then record no parents and build no VJP.
+# Process-wide, like the rest of the package's single-threaded state.
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed ops without a tape, as ``torch.no_grad`` does.
+
+    Outputs equal the taped ones bit for bit but have no parents, so
+    nothing can be back-propagated through them.  Contexts nest; leaving
+    one, by exception too, restores the mode it entered from.
+    """
+    global _taping
+    entered_from = _taping
+    _taping = False
+    try:
+        yield
+    finally:
+        _taping = entered_from
+
 
 class Tensor:
     """Dense float64 array plus a grad tape.
 
     ``parents`` and ``vjp`` describe how this tensor was produced: ``vjp``
     maps the incoming gradient to one contribution per parent.  Leaf
-    tensors (constants, parameters) have neither.
+    tensors (constants, parameters) and the outputs of ops run under
+    ``no_grad`` have neither.
     """
 
     __slots__ = ("data", "parents", "vjp")
@@ -213,42 +243,54 @@ def _operands(a, b):
 
 def add(a, b):
     a, b, ta, tb = _operands(a, b)
+    out = (a.data if ta else a) + (b.data if tb else b)
+    if not _taping:
+        return Tensor(out)
     if ta and tb:
         def vjp(g):
             return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-        return Tensor(a.data + b.data, (a, b), vjp)
-    t, c = (a, b) if ta else (b, a)  # IEEE addition commutes bit for bit
-    return Tensor(t.data + c, (t,), lambda g: (_unbroadcast(g, t.shape),))
+        return Tensor(out, (a, b), vjp)
+    t = a if ta else b
+    return Tensor(out, (t,), lambda g: (_unbroadcast(g, t.shape),))
 
 
 def sub(a, b):
     a, b, ta, tb = _operands(a, b)
+    out = (a.data if ta else a) - (b.data if tb else b)
+    if not _taping:
+        return Tensor(out)
     if ta and tb:
         def vjp(g):
             return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-        return Tensor(a.data - b.data, (a, b), vjp)
+        return Tensor(out, (a, b), vjp)
     if ta:
-        return Tensor(a.data - b, (a,), lambda g: (_unbroadcast(g, a.shape),))
-    return Tensor(a - b.data, (b,), lambda g: (_unbroadcast(-g, b.shape),))
+        return Tensor(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    return Tensor(out, (b,), lambda g: (_unbroadcast(-g, b.shape),))
 
 
 def mul(a, b):
     a, b, ta, tb = _operands(a, b)
+    out = (a.data if ta else a) * (b.data if tb else b)
+    if not _taping:
+        return Tensor(out)
     if ta and tb:
         def vjp(g):
             return (_unbroadcast(g * b.data, a.shape),
                     _unbroadcast(g * a.data, b.shape))
 
-        return Tensor(a.data * b.data, (a, b), vjp)
+        return Tensor(out, (a, b), vjp)
     t, c = (a, b) if ta else (b, a)
-    return Tensor(t.data * c, (t,), lambda g: (_unbroadcast(g * c, t.shape),))
+    return Tensor(out, (t,), lambda g: (_unbroadcast(g * c, t.shape),))
 
 
 def neg(a):
     a = _lift(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,))
+    out = -a.data
+    if not _taping:
+        return Tensor(out)
+    return Tensor(out, (a,), lambda g: (-g,))
 
 
 def power(a, p):
@@ -256,6 +298,8 @@ def power(a, p):
     a = _lift(a)
     p = float(p)
     out = a.data ** p
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         return (g * p * a.data ** (p - 1.0),)
@@ -266,23 +310,32 @@ def power(a, p):
 def texp(a):
     a = _lift(a)
     out = np.exp(a.data)
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (g * out,))
 
 
 def tlog(a):
     a = _lift(a)
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
+    out = np.log(a.data)
+    if not _taping:
+        return Tensor(out)
+    return Tensor(out, (a,), lambda g: (g / a.data,))
 
 
 def tanh(a):
     a = _lift(a)
     out = np.tanh(a.data)
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a):
     a = _lift(a)
     out = _expit(a.data)
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -291,6 +344,8 @@ def softplus(a):
     a = _lift(a)
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         return (g * _expit(x),)
@@ -304,6 +359,8 @@ def gelu(a):
     x = a.data
     phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     out = x * phi
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         d = phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -334,6 +391,8 @@ def matmul(a, b):
             raise DimensionError(
                 f"matmul batch dimensions incompatible: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
@@ -361,6 +420,8 @@ def linear(x, w, b):
         out = (xd.reshape(1, n) @ wd + bd).reshape(m)
     else:
         out = xd @ wd + bd
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g, need=_ALL):
         g2 = g.reshape(-1, m)
@@ -396,6 +457,8 @@ def conv1d_same(x, w, b):
     for j in range(1, k):
         out = out + xp[j:j + t] @ wd[j]
     out = out + bd
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g, need=_ALL):
         gx = gw = None
@@ -438,6 +501,8 @@ def tanh_rnn(x, wx, wh, b, reverse=False):
     for i in order:
         h = np.tanh(xd[i:i + 1] @ wxd + h @ whd + bd)
         states[i] = h
+    if not _taping:
+        return Tensor(states)
 
     def vjp(g, need=_ALL):
         ds = np.empty((t, h_dim))  # gradient at each frame's pre-activation
@@ -471,6 +536,8 @@ def tanh_rnn(x, wx, wh, b, reverse=False):
 def tsum(a, axis=None, keepdims=False):
     a = _lift(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         if axis is None:
@@ -499,6 +566,8 @@ def softmax(a, axis):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -528,6 +597,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
            + eps) ** -0.5
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         gxhat = g * gamma.data
@@ -576,6 +647,8 @@ def attention_core(q, k, v, num_heads, return_weights=False):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     out = merge(weights @ vh, lq)
+    if not _taping:
+        return (Tensor(out), Tensor(weights)) if return_weights else Tensor(out)
 
     def vjp(g):
         gh = heads(g, lq)
@@ -597,6 +670,8 @@ def attention_core(q, k, v, num_heads, return_weights=False):
 def reshape(a, shape):
     a = _lift(a)
     out = a.data.reshape(shape)
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
@@ -605,12 +680,16 @@ def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(parts, axis):
     parts = [_lift(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
+    if not _taping:
+        return Tensor(out)
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -630,6 +709,8 @@ def getitem(a, key):
     a = _lift(a)
     out = a.data[key]
     out = np.array(out)  # detach from the parent's buffer
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         z = np.zeros(a.shape)
@@ -643,6 +724,8 @@ def broadcast_to(a, shape):
     a = _lift(a)
     shape = tuple(shape)
     out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
+    if not _taping:
+        return Tensor(out)
     return Tensor(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
@@ -651,6 +734,8 @@ def take_rows(a, idx):
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
+    if not _taping:
+        return Tensor(out)
 
     def vjp(g):
         z = np.zeros(a.shape)
@@ -667,14 +752,18 @@ def take_rows(a, idx):
 def backward(loss):
     """Accumulate d(loss)/d(param) into every reachable Parameter's grad.
 
-    ``loss`` must be a scalar produced by a recorded forward computation.
-    Gradients add onto whatever is already in Parameter.grad.
+    ``loss`` must be a scalar produced by a recorded forward computation,
+    or a Parameter.  Gradients add onto whatever is already in
+    Parameter.grad.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.size != 1:
         raise ContractError(
             f"backward expects a scalar loss, got shape {loss.shape}")
+    if not loss.parents and not isinstance(loss, Parameter):
+        raise ContractError("backward: the loss has no tape (a constant, or "
+                            "computed under no_grad)")
 
     topo = []
     seen = set()

@@ -9,9 +9,9 @@ from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, attention_core,
                                backward, broadcast_to, concat, conv1d_same,
                                gelu, getitem, layer_norm, linear, matmul, mul,
-                               power, reshape, sigmoid, softmax, softplus, sub,
-                               take_rows, tanh, tanh_rnn, texp, tlog, tmean,
-                               transpose, tsum, zero_grads)
+                               no_grad, power, reshape, sigmoid, softmax,
+                               softplus, sub, take_rows, tanh, tanh_rnn, texp,
+                               tlog, tmean, transpose, tsum, zero_grads)
 
 
 def rand(rng, *shape):
@@ -295,6 +295,20 @@ class TestBackward:
     def test_non_scalar_rejected(self):
         with pytest.raises(ContractError):
             backward(Tensor(np.zeros(3)))
+
+    def test_loss_without_tape_rejected(self):
+        w = Parameter(np.ones(2), "w")
+        with no_grad():
+            untaped = tsum(mul(w, 2.0))
+        for loss in (untaped, Tensor(1.5)):
+            with pytest.raises(ContractError, match="no tape"):
+                backward(loss)
+        npt.assert_array_equal(w.grad, np.zeros(2))
+
+    def test_parameter_loss_accepted(self):
+        w = Parameter(np.array(3.0), "w")
+        backward(w)
+        npt.assert_array_equal(w.grad, 1.0)
 
     def test_accumulation_is_additive(self):
         w = Parameter(np.ones(2), "w")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dualstream.cli import main  # loads every module the hooks look up
+from dualstream.cli import gradcheck_inputs, main  # loads every hooked module
 
 from test_cli import TINY
 
@@ -72,3 +72,36 @@ def test_tiny_pipeline_calls_every_layer_hook(tracing, tmp_path):
     # the per-step figures perfbench reads from each training loop
     for name in ("tensor.zero_grads", "tensor.backward", "train.MomentumSGD.step"):
         assert {(name, "model"), (name, "gate")} <= spans, name
+
+
+def forward_ticks(tracing, argv):
+    """Forward ticks recorded while ``dualstream <argv>`` runs under the
+    tick hooks, which perfbench reads as scored scenes and loss evaluations."""
+    tracer = tracing.Tracer()
+    hooks = tracing.Hooks(tracer)
+    try:
+        hooks.install(tracing.TICKS, ticks=True)
+        assert main(argv) == 0
+    finally:
+        hooks.remove()
+    return sum(1 for tick in tracer.ticks if tick[0] == tracing.FORWARD)
+
+
+def test_eval_ticks_one_forward_per_scene(tracing, tmp_path):
+    corpus, ckpt = tmp_path / "c.bin", tmp_path / "m.ckpt"
+    assert main([*TINY, "gen-data", "--scenes", "3", "--out", str(corpus)]) == 0
+    assert main([*TINY, "train", "--corpus", str(corpus),
+                 "--out", str(ckpt)]) == 0
+    assert forward_ticks(tracing, [
+        *TINY, "eval", "--corpus", str(corpus), "--model", str(ckpt),
+        "--predictions", str(tmp_path / "p.csv"),
+        "--metrics", str(tmp_path / "m.txt")]) == 3
+
+
+def test_gradcheck_ticks_one_forward_per_loss_evaluation(tracing):
+    _scene, model, gate_net = gradcheck_inputs(0)
+    params = model.parameters() + gate_net.parameters()
+    # the analytic pass, then a +step and a -step pass per probed coordinate
+    expected = 1 + 2 * sum(min(p.data.size, 8) for p in params)
+    assert expected == 2905
+    assert forward_ticks(tracing, ["gradcheck"]) == expected
