@@ -9,7 +9,7 @@ a from-scratch reverse-mode tensor engine, training loop, and ranking
 evaluators.
 """
 
-from .attention import AttentionBlock, AttentionConfig, cal_forward, mhca, sal_forward
+from .attention import AttentionBlock, AttentionConfig, cal_forward, sal_forward
 from .data import GenConfig, Scenario, generate, read_corpus, write_corpus
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
@@ -21,7 +21,6 @@ from .losses import (LossWeights, SupervisionBatch, contrastive_av,
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
                     SpeakerEmbedding, cross_interact, dual_forward,
                     speaker_stream, temporal_stream)
-from .tensor import (Parameter, Tensor, backward, layer_norm, linear, matmul,
-                     no_grad, softmax, zero_grads)
+from .tensor import Parameter, Tensor, backward, linear, no_grad, zero_grads
 
 __version__ = "0.1.0"

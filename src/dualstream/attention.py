@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Parameter, add, attention_core, gelu, init_uniform,
-                     layer_norm, linear)
+from .tensor import (Parameter, Tensor, attention_backward, attention_forward,
+                     gelu_backward, gelu_forward, init_uniform,
+                     layer_norm_backward, layer_norm_forward, linear_backward,
+                     linear_forward, record)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,6 @@ class AttentionBlock:
                 self.wo, self.bo, self.w1, self.b1, self.w2, self.b2,
                 self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b]
 
-    def mlp(self, x):
-        return linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
-
 
 def _check_tokens(x, model_dim, who):
     if x.ndim != 3:
@@ -86,27 +85,54 @@ def _check_tokens(x, model_dim, who):
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
 
 
-def mhca(x, y, layer: AttentionBlock, return_weights=False):
-    """Multi-head cross-attention: queries from x [B, Lx, D], keys/values
-    from y [B, Ly, D]; output follows the query length."""
-    _check_tokens(x, layer.cfg.model_dim, "attention query")
-    _check_tokens(y, layer.cfg.model_dim, "attention key/value")
+def _block(x: Tensor, y: Tensor, layer):
+    """The post-norm residual block as one tape node.
+
+    The forward replays, on arrays and in the same order, the op chain
+    q/k/v projections, attention core, output projection, x + attention,
+    layer norm, MLP, z + MLP(z), layer norm; so its output is bit-identical
+    to that chain's.  The parents are x, y (once when ``x is y``) and the 16
+    block parameters.
+    """
+    d = layer.cfg.model_dim
+    _check_tokens(x, d, "attention query")
+    _check_tokens(y, d, "attention key/value")
     if x.shape[0] != y.shape[0]:
         raise DimensionError(
             f"attention batch dims disagree: {x.shape} vs {y.shape}")
-    q = linear(x, layer.wq, layer.bq)
-    k = linear(y, layer.wk, layer.bk)
-    v = linear(y, layer.wv, layer.bv)
-    core = attention_core(q, k, v, layer.cfg.num_heads, return_weights)
-    if return_weights:
-        core, weights = core
-        return linear(core, layer.wo, layer.bo), weights
-    return linear(core, layer.wo, layer.bo)
+    params = layer.parameters()
+    wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, be1, g2, be2 = (
+        p.data for p in params)
+    xd, yd, eps = x.data, y.data, layer.ln_eps
+    core, att = attention_forward(linear_forward(xd, wq, bq),
+                                  linear_forward(yd, wk, bk),
+                                  linear_forward(yd, wv, bv), layer.cfg.num_heads)
+    z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1, eps)
+    h = linear_forward(z, w1, b1)
+    u, phi = gelu_forward(h)
+    out, ln2 = layer_norm_forward(z + linear_forward(u, w2, b2), g2, be2, eps)
+    self_attention = x is y
 
+    def vjp(g, need):
+        gs2, gg2, gbe2 = layer_norm_backward(g, g2, ln2)
+        gu, gw2, gb2 = linear_backward(gs2, u, w2)
+        gz, gw1, gb1 = linear_backward(gelu_backward(gu, h, phi), z, w1)
+        gs1, gg1, gbe1 = layer_norm_backward(gs2 + gz, g1, ln1)
+        gcore, gwo, gbo = linear_backward(gs1, core, wo)
+        gq, gk, gv = attention_backward(gcore, att)
+        gyv, gwv, gbv = linear_backward(gv, yd, wv)
+        gyk, gwk, gbk = linear_backward(gk, yd, wk)
+        gxq, gwq, gbq = linear_backward(gq, xd, wq)
+        # x's and y's terms summed in the order the op chain's tape added
+        # them: the residual, then v, k and q
+        if self_attention:
+            inputs = [gs1 + gyv + gyk + gxq]
+        else:
+            inputs = [gs1 + gxq, gyv + gyk]
+        return inputs + [gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo, gw1, gb1,
+                         gw2, gb2, gg1, gbe1, gg2, gbe2]
 
-def _block(x, y, layer):
-    z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b, layer.ln_eps)
-    return layer_norm(add(z, layer.mlp(z)), layer.ln2_g, layer.ln2_b, layer.ln_eps)
+    return record(out, ((x,) if self_attention else (x, y)) + tuple(params), vjp)
 
 
 def sal_forward(x, layer: AttentionBlock):

@@ -15,11 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit as _expit
 
 from .errors import ContractError, DimensionError
 from .ranges import NON_NEGATIVE, POSITIVE, check_ranges, knob
-from .tensor import (Tensor, add, matmul, mul, power, softplus, sub, take_rows,
-                     texp, tlog, tmean, transpose, tsum)
+from .tensor import Tensor, add, mul, record, tsum
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,14 @@ class SupervisionBatch:
 
 
 def masked_bce(logits: Tensor, labels, mask) -> Tensor:
-    """Mean binary cross-entropy (with logits) over mask=1 positions.
+    """Mean binary cross-entropy (with logits) over mask=1 positions, as one
+    tape node.
 
     Uses the stable form softplus(x) - x*y per element.  An empty mask is
-    defined as zero loss.
+    defined as zero loss.  The gradient is computed as the composed
+    softplus / mul / sub / sum tape computed it, gm * sigmoid(x) + (-gm) * y
+    with gm = g / sum(mask) * mask, not as the algebraically equal
+    (sigmoid(x) - y) * gm: the gate trainer's result moves with the last bit.
     """
     labels = np.asarray(labels, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -71,24 +75,28 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
     total = mask.sum()
     if total == 0:
         return Tensor(0.0)
-    elem = sub(softplus(logits), mul(logits, labels))
-    return mul(tsum(mul(elem, mask)), 1.0 / float(total))
+    x, scale = logits.data, 1.0 / float(total)
+    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = ((softplus - x * labels) * mask).sum() * scale
 
+    def vjp(g, need):
+        gm = np.broadcast_to(g * scale, x.shape) * mask
+        return (gm * _expit(x) + (-gm) * labels,)
 
-def _log_sum_exp_rows(sim: Tensor) -> Tensor:
-    # stable row-wise logsumexp; the max shift is a constant w.r.t. gradients
-    shift = sim.data.max(axis=1, keepdims=True)
-    return add(tlog(tsum(texp(sub(sim, shift)), axis=1)), shift.reshape(-1))
+    return record(out, (logits,), vjp)
 
 
 def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
                    temperature: float) -> Tensor:
-    """Symmetric frame-aligned InfoNCE over active-speech frames.
+    """Symmetric frame-aligned InfoNCE over active-speech frames, as one
+    tape node.
 
     Aligned (audio_t, visual_t) pairs are positives; every other active
     frame in the clip is a negative.  Similarity is cosine scaled by
     ``temperature``.  Fewer than two active frames make the objective
-    degenerate, so it returns 0 (with a warning).
+    degenerate, so it returns 0 (with a warning).  The forward replays the
+    arithmetic of the row-gather / normalize / matmul / log-sum-exp op
+    chain in its order, so the loss is bit-identical to that chain's.
     """
     if temperature <= 0:
         raise ContractError(f"temperature must be > 0, got {temperature}")
@@ -103,19 +111,42 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
         return Tensor(0.0)
 
     def normalize(rows):
-        sq = tsum(mul(rows, rows), axis=1, keepdims=True)
-        return mul(rows, power(add(sq, 1e-12), -0.5))
+        base = (rows * rows).sum(axis=1, keepdims=True) + 1e-12
+        return rows * base ** -0.5, base
 
-    a = normalize(take_rows(f_a_frames, active))
-    v = normalize(take_rows(f_v_frames, active))
-    sim = mul(matmul(a, transpose(v, (1, 0))), 1.0 / float(temperature))
-    n = active.size
-    eye = np.eye(n)
-    diag = tsum(mul(sim, eye), axis=1)
-    loss_av = tmean(sub(_log_sum_exp_rows(sim), diag))
-    sim_t = transpose(sim, (1, 0))
-    loss_va = tmean(sub(_log_sum_exp_rows(sim_t), diag))
-    return mul(add(loss_av, loss_va), 0.5)
+    def log_sum_exp_rows(s):
+        # stable row-wise logsumexp; the max shift is a constant for gradients
+        shift = s.max(axis=1, keepdims=True)
+        e = np.exp(s - shift)
+        total = e.sum(axis=1)
+        return np.log(total) + shift.reshape(-1), e, total
+
+    a_rows, v_rows = f_a_frames.data[active], f_v_frames.data[active]
+    a, a_base = normalize(a_rows)
+    v, v_base = normalize(v_rows)
+    inv_t, n = 1.0 / float(temperature), active.size
+    sim = (a @ v.transpose((1, 0))) * inv_t
+    diag = (sim * np.eye(n)).sum(axis=1)
+    lse_av, e_av, s_av = log_sum_exp_rows(sim)
+    lse_va, e_va, s_va = log_sum_exp_rows(sim.transpose((1, 0)))
+    out = ((lse_av - diag).sum() * (1.0 / float(n))
+           + (lse_va - diag).sum() * (1.0 / float(n))) * 0.5
+
+    def vjp(g, need):
+        gl = np.broadcast_to((g * 0.5) * (1.0 / float(n)), (n,))
+        g_sim = ((gl / s_av)[:, None] * e_av
+                 + np.diag((-gl) + (-gl))
+                 + ((gl / s_va)[:, None] * e_va).transpose((1, 0))) * inv_t
+        grads = []
+        for rows, base, g_unit, src in ((a_rows, a_base, g_sim @ v, f_a_frames),
+                                        (v_rows, v_base, (a.T @ g_sim).T, f_v_frames)):
+            g_sq = (g_unit * rows).sum(axis=1, keepdims=True) * -0.5 * base ** -1.5
+            full = np.zeros(src.shape)
+            full[active] = g_unit * base ** -0.5 + (g_sq * rows + g_sq * rows)
+            grads.append(full)
+        return grads
+
+    return record(out, (f_a_frames, f_v_frames), vjp)
 
 
 def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:

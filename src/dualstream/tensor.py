@@ -16,23 +16,28 @@ Design points:
     order, so two backward passes over an identical graph produce
     bit-identical gradients.
   * the tape stays small, because its cost is Python dispatch per node, not
-    arithmetic.  Hot composites (``linear``, ``layer_norm``,
-    ``attention_core``, ``conv1d_same``, ``tanh_rnn``) are single nodes with
-    closed-form VJPs; each one's forward replays the arithmetic of the
-    composed primitives in the same order, so its outputs are bit-identical
-    to the composition's.  The backwards of ``conv1d_same`` and ``tanh_rnn``
-    also replay the order in which the composed tape accumulated its
-    gradient terms, so their gradients are bit-identical too.  Constants
-    (Python scalars, numpy arrays) never become tape nodes: ``add``,
-    ``sub``, ``mul``, ``linear``, ``conv1d_same`` and ``tanh_rnn`` record
-    only their Tensor operands as parents, and the last three compute no
-    gradient for a constant input ``x``.
+    arithmetic.  The hot composites are single nodes with closed-form VJPs:
+    the ops ``linear``, ``gelu``, ``conv1d_same`` and ``tanh_rnn`` here, and
+    the whole attention block (``attention._block``), ``losses.masked_bce``
+    and ``losses.contrastive_av``.  Their arithmetic lives in plain numpy
+    forward / backward kernels (``linear_forward``, ``layer_norm_forward``,
+    ``attention_forward``, ...) that the ops and the composites share.  Each
+    composite's forward replays the arithmetic of the op chain it replaced
+    in the same order, so its outputs are bit-identical to that chain's.
+    The backwards of ``conv1d_same``, ``tanh_rnn``, the block and
+    ``masked_bce`` also replay the order in which the chain's tape
+    accumulated its gradient terms, so their gradients are bit-identical
+    too; ``contrastive_av``'s agree to rounding.  Constants (Python scalars,
+    numpy arrays) never become tape nodes: ``add``, ``sub``, ``mul`` and
+    every op built on ``record`` take only their Tensor operands as
+    parents, and ``linear``, ``conv1d_same`` and ``tanh_rnn`` compute no
+    gradient for a constant input.
   * forward-only work records no tape.  Inside ``with no_grad():`` every op
-    runs the same forward code and then returns a parentless Tensor before
-    it builds a VJP closure or calls ``_record``, so outputs are
-    bit-identical to the taped ones and each op's inputs are freed as soon
-    as nothing else holds them.  ``eval``'s scoring and ``gradcheck``'s
-    perturbed passes run this way; ``backward`` refuses a loss with no tape.
+    runs the same forward code and returns a parentless Tensor with no VJP,
+    so outputs are bit-identical to the taped ones and each op's inputs are
+    freed as soon as nothing else holds them.  ``eval``'s scoring and
+    ``gradcheck``'s perturbed passes run this way; ``backward`` refuses a
+    loss with no tape.
 """
 
 from __future__ import annotations
@@ -129,17 +134,11 @@ class Tensor:
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise ContractError("tensor/tensor division is not supported; "
-                                "multiply by power(x, -1.0) instead")
+                                "only division by a constant is")
         return mul(self, 1.0 / float(other))
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -175,10 +174,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-# the ``need`` flags of a fused op whose operands are all Tensors
-_ALL = (True,) * 4
-
-
 def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -188,20 +183,19 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _record(out, operands, vjp):
+def record(out, operands, vjp):
     """Tensor for ``out`` whose parents are the Tensor members of ``operands``.
 
-    ``vjp(g, need=_ALL)`` returns one gradient per operand; those whose
-    ``need`` flag is unset are dropped, may be None and need not be
-    computed, so a constant operand costs no tape node and, where the op
-    skips it, no gradient.
+    ``vjp(g, need)`` returns one gradient per operand; those whose ``need``
+    flag is unset are dropped, may be None and need not be computed, so a
+    constant operand costs no tape node and, where the op skips it, no
+    gradient.  Under ``no_grad`` the Tensor has no parents.
     """
-    for o in operands:
-        if not isinstance(o, Tensor):
-            break
-    else:
-        return Tensor(out, operands, vjp)
+    if not _taping:
+        return Tensor(out)
     need = [isinstance(o, Tensor) for o in operands]
+    if all(need):
+        return Tensor(out, operands, lambda g: vjp(g, need))
     parents = [o for o, n in zip(operands, need) if n]
     return Tensor(out, parents,
                   lambda g: [c for c, n in zip(vjp(g, need), need) if n])
@@ -293,44 +287,6 @@ def neg(a):
     return Tensor(out, (a,), lambda g: (-g,))
 
 
-def power(a, p):
-    """Raise to a constant real exponent."""
-    a = _lift(a)
-    p = float(p)
-    out = a.data ** p
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return Tensor(out, (a,), vjp)
-
-
-def texp(a):
-    a = _lift(a)
-    out = np.exp(a.data)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def tlog(a):
-    a = _lift(a)
-    out = np.log(a.data)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g / a.data,))
-
-
-def tanh(a):
-    a = _lift(a)
-    out = np.tanh(a.data)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
 def sigmoid(a):
     a = _lift(a)
     out = _expit(a.data)
@@ -339,67 +295,15 @@ def sigmoid(a):
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a):
-    """log(1 + exp(x)) in the overflow-safe split form."""
-    a = _lift(a)
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        return (g * _expit(x),)
-
-    return Tensor(out, (a,), vjp)
-
-
 def gelu(a):
     """Gaussian-error-linear activation, exact erf form (smooth everywhere)."""
     a = _lift(a)
-    x = a.data
-    phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = x * phi
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        d = phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * d,)
-
-    return Tensor(out, (a,), vjp)
+    out, phi = gelu_forward(a.data)
+    return record(out, (a,), lambda g, need: (gelu_backward(g, a.data, phi),))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-
-def matmul(a, b):
-    """Batched matrix product over the last two axes.
-
-    Leading axes broadcast numpy-style; gradients are summed back down to
-    each operand's shape.
-    """
-    a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
-            f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    for da, db in zip(a.shape[-3::-1], b.shape[-3::-1]):
-        if da != db and da != 1 and db != 1:
-            raise DimensionError(
-                f"matmul batch dimensions incompatible: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return Tensor(out, (a, b), vjp)
 
 
 def linear(x, w, b):
@@ -415,21 +319,8 @@ def linear(x, w, b):
     if bd.shape != (wd.shape[1],):
         raise DimensionError(
             f"linear: bias {bd.shape} incompatible with weight {wd.shape}")
-    n, m = wd.shape
-    if xd.ndim == 1:
-        out = (xd.reshape(1, n) @ wd + bd).reshape(m)
-    else:
-        out = xd @ wd + bd
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g, need=_ALL):
-        g2 = g.reshape(-1, m)
-        return ((g2 @ wd.T).reshape(xd.shape) if need[0] else None,
-                xd.reshape(-1, n).T @ g2 if need[1] else None,
-                g2.sum(axis=0) if need[2] else None)
-
-    return _record(out, (x, w, b), vjp)
+    return record(linear_forward(xd, wd, bd), (x, w, b),
+                  lambda g, need: linear_backward(g, xd, wd, need))
 
 
 def conv1d_same(x, w, b):
@@ -457,10 +348,8 @@ def conv1d_same(x, w, b):
     for j in range(1, k):
         out = out + xp[j:j + t] @ wd[j]
     out = out + bd
-    if not _taping:
-        return Tensor(out)
 
-    def vjp(g, need=_ALL):
+    def vjp(g, need):
         gx = gw = None
         if need[0]:
             gxp = np.zeros(xp.shape)
@@ -471,7 +360,7 @@ def conv1d_same(x, w, b):
             gw = np.stack([xp[j:j + t].T @ g for j in range(k)])
         return gx, gw, g.sum(axis=0) if need[2] else None
 
-    return _record(out, (x, w, b), vjp)
+    return record(out, (x, w, b), vjp)
 
 
 def tanh_rnn(x, wx, wh, b, reverse=False):
@@ -501,10 +390,8 @@ def tanh_rnn(x, wx, wh, b, reverse=False):
     for i in order:
         h = np.tanh(xd[i:i + 1] @ wxd + h @ whd + bd)
         states[i] = h
-    if not _taping:
-        return Tensor(states)
 
-    def vjp(g, need=_ALL):
+    def vjp(g, need):
         ds = np.empty((t, h_dim))  # gradient at each frame's pre-activation
         gx = np.empty(xd.shape) if need[0] else None
         gwh, gb = np.zeros((h_dim, h_dim)), np.zeros(h_dim)
@@ -526,11 +413,11 @@ def tanh_rnn(x, wx, wh, b, reverse=False):
             gwx += xd[i:i + 1].T @ ds[i:i + 1]
         return gx, gwx, gwh, gb
 
-    return _record(states, (x, wx, wh, b), vjp)
+    return record(states, (x, wx, wh, b), vjp)
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalization
+# reductions
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -556,111 +443,6 @@ def tmean(a, axis=None, keepdims=False):
     else:
         n = a.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def softmax(a, axis):
-    """Max-shifted exp-normalize along ``axis``; rows sum to one."""
-    a = _lift(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor(out, (a,), vjp)
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then scale+shift.
-
-    One tape node with the standard closed-form backward (Ba et al., 2016):
-    with xhat = (x - mean) / sqrt(var + eps) and gx_hat = g * gamma,
-    dx = (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)) / sqrt(var + eps).
-    """
-    x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
-    if eps <= 0:
-        raise ContractError(f"layer_norm eps must be > 0, got {eps}")
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
-            f"must match channel axis of {x.shape}")
-    inv_c = 1.0 / float(c)
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_c
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
-           + eps) ** -0.5
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
-    if not _taping:
-        return Tensor(out)
-
-    def vjp(g):
-        gxhat = g * gamma.data
-        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        g2 = g.reshape(-1, c)
-        return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
-
-    return Tensor(out, (x, gamma, beta), vjp)
-
-
-def attention_core(q, k, v, num_heads, return_weights=False):
-    """Multi-head scaled dot-product attention core as one tape node.
-
-    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
-    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
-    over the keys, and the heads are merged back to [B, Lq, D].  The
-    backward recomputes from the saved q/k/v and softmax weights (as in
-    Dao et al., 2022).  With ``return_weights`` the [B, heads, Lq, Lk]
-    weights come back as well, as a constant Tensor.
-    """
-    q, k, v = _lift(q), _lift(k), _lift(v)
-    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-        raise DimensionError(
-            f"attention_core expects q [B, Lq, D] and k, v [B, Lk, D], got "
-            f"{q.shape}, {k.shape}, {v.shape}")
-    b, lq, d = q.shape
-    lk = k.shape[1]
-    if k.shape[0] != b or k.shape[2] != d:
-        raise DimensionError(
-            f"attention_core: keys {k.shape} incompatible with queries {q.shape}")
-    if num_heads < 1 or d % num_heads != 0:
-        raise DimensionError(
-            f"attention_core: {d} channels do not split into {num_heads} heads")
-    hd = d // num_heads
-    scale = 1.0 / np.sqrt(float(hd))
-
-    def heads(t, length):  # [B, L, D] -> [B, heads, L, hd]
-        return t.reshape(b, length, num_heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(t, length):  # [B, heads, L, hd] -> [B, L, D]
-        return t.transpose(0, 2, 1, 3).reshape(b, length, d)
-
-    qh, kh, vh = heads(q.data, lq), heads(k.data, lk), heads(v.data, lk)
-    logits = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    out = merge(weights @ vh, lq)
-    if not _taping:
-        return (Tensor(out), Tensor(weights)) if return_weights else Tensor(out)
-
-    def vjp(g):
-        gh = heads(g, lq)
-        gw = gh @ vh.transpose(0, 1, 3, 2)
-        gv = weights.transpose(0, 1, 3, 2) @ gh
-        gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
-        gq = gl @ kh
-        gk = gl.transpose(0, 1, 3, 2) @ qh
-        return merge(gq, lq), merge(gk, lk), merge(gv, lk)
-
-    core = Tensor(out, (q, k, v), vjp)
-    return (core, Tensor(weights)) if return_weights else core
 
 
 # ---------------------------------------------------------------------------
@@ -729,20 +511,121 @@ def broadcast_to(a, shape):
     return Tensor(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
-def take_rows(a, idx):
-    """Gather rows along axis 0 by an integer index array."""
-    a = _lift(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
-    if not _taping:
-        return Tensor(out)
+# ---------------------------------------------------------------------------
+# fused kernels: plain numpy forward / backward pairs.  ``linear`` and
+# ``gelu`` above and the one-node attention block (``attention._block``) call
+# these, so each piece of arithmetic lives in one place.
 
-    def vjp(g):
-        z = np.zeros(a.shape)
-        np.add.at(z, idx, g)
-        return (z,)
 
-    return Tensor(out, (a,), vjp)
+def linear_forward(x, w, b):
+    """x @ w + b over the last axis, as matmul-then-add computes it."""
+    if x.ndim == 1:
+        return (x.reshape(1, -1) @ w + b).reshape(-1)
+    return x @ w + b
+
+
+def linear_backward(g, x, w, need=(True, True, True)):
+    """Gradients for (x, w, b); w's is one GEMM over the flattened leading
+    axes.  An unset ``need`` flag skips that gradient (None)."""
+    g2 = g.reshape(-1, w.shape[1])
+    return ((g2 @ w.T).reshape(x.shape) if need[0] else None,
+            x.reshape(-1, w.shape[0]).T @ g2 if need[1] else None,
+            g2.sum(axis=0) if need[2] else None)
+
+
+def gelu_forward(x):
+    """x * Phi(x) and the Phi(x) its backward reuses."""
+    phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    return x * phi, phi
+
+
+def gelu_backward(g, x, phi):
+    return g * (phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+
+
+def layer_norm_forward(x, gamma, beta, eps):
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    Returns the output and the (xhat, 1 / sqrt(var + eps)) its backward
+    reuses.
+    """
+    if eps <= 0:
+        raise ContractError(f"layer_norm eps must be > 0, got {eps}")
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
+            f"must match channel axis of {x.shape}")
+    inv_c = 1.0 / float(c)
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_c
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
+           + eps) ** -0.5
+    xhat = centered * inv
+    return xhat * gamma + beta, (xhat, inv)
+
+
+def layer_norm_backward(g, gamma, saved):
+    """Gradients for (x, gamma, beta), with the standard closed form (Ba et
+    al., 2016): with gx_hat = g * gamma,
+    dx = (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)) / sqrt(var + eps).
+    """
+    xhat, inv = saved
+    c = gamma.shape[0]
+    gxhat = g * gamma
+    # sum / c is what ndarray.mean computes, without its Python wrapper
+    gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) / c
+                - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / c))
+    g2 = g.reshape(-1, c)
+    return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
+
+
+def _split_heads(t, num_heads):  # [B, L, D] -> [B, heads, L, D / heads]
+    b, length, d = t.shape
+    return t.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(t):  # [B, heads, L, hd] -> [B, L, heads * hd]
+    b, num_heads, length, hd = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(b, length, num_heads * hd)
+
+
+def attention_forward(q, k, v, num_heads):
+    """Multi-head scaled dot-product attention core.
+
+    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
+    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
+    over the keys, and the heads are merged back to [B, Lq, D].  Returns the
+    output and the split q/k/v and softmax weights the backward recomputes
+    from (as in Dao et al., 2022).
+    """
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise DimensionError(
+            f"attention expects q [B, Lq, D] and k, v [B, Lk, D], got "
+            f"{q.shape}, {k.shape}, {v.shape}")
+    if k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]:
+        raise DimensionError(
+            f"attention: keys {k.shape} incompatible with queries {q.shape}")
+    if num_heads < 1 or q.shape[2] % num_heads != 0:
+        raise DimensionError(
+            f"attention: {q.shape[2]} channels do not split into "
+            f"{num_heads} heads")
+    qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
+    logits = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(float(qh.shape[3])))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
+
+
+def attention_backward(g, saved):
+    """Gradients for (q, k, v)."""
+    qh, kh, vh, weights = saved
+    scale = 1.0 / np.sqrt(float(qh.shape[3]))
+    gh = _split_heads(g, qh.shape[1])
+    gw = gh @ vh.transpose(0, 1, 3, 2)
+    gv = weights.transpose(0, 1, 3, 2) @ gh
+    gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+    return (_merge_heads(gl @ kh), _merge_heads(gl.transpose(0, 1, 3, 2) @ qh),
+            _merge_heads(gv))
 
 
 # ---------------------------------------------------------------------------

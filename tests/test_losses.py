@@ -8,7 +8,11 @@ from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.losses import (LossWeights, SupervisionBatch, contrastive_av,
                                masked_bce, total_loss)
-from dualstream.tensor import Parameter, Tensor
+from dualstream.tensor import (Parameter, Tensor, add, backward, mul, sub,
+                               tmean, transpose, tsum, zero_grads)
+
+from oracles import matmul, power, softplus, take_rows, texp, tlog
+from test_tensor import check_every_parent
 
 
 class TestMaskedBce:
@@ -192,3 +196,93 @@ class TestTotalLoss:
             build, [fused, visual, audio, fa, fv], step=1e-4,
             max_coords=8, seed=3)
         assert max(worst.values()) <= 1e-4, worst
+
+
+# ---------------------------------------------------------------------------
+# the op chains the one-node losses replace, kept as the oracles their values
+# must match bit for bit
+
+
+def masked_bce_composed(logits, labels, mask):
+    elem = sub(softplus(logits), mul(logits, labels))
+    return mul(tsum(mul(elem, mask)), 1.0 / float(mask.sum()))
+
+
+def log_sum_exp_rows_composed(sim):
+    shift = sim.data.max(axis=1, keepdims=True)
+    return add(tlog(tsum(texp(sub(sim, shift)), axis=1)), shift.reshape(-1))
+
+
+def contrastive_composed(f_a, f_v, active_mask, temperature):
+    active = np.flatnonzero(np.asarray(active_mask) != 0)
+
+    def normalize(rows):
+        sq = tsum(mul(rows, rows), axis=1, keepdims=True)
+        return mul(rows, power(add(sq, 1e-12), -0.5))
+
+    a = normalize(take_rows(f_a, active))
+    v = normalize(take_rows(f_v, active))
+    sim = mul(matmul(a, transpose(v, (1, 0))), 1.0 / float(temperature))
+    diag = tsum(mul(sim, np.eye(active.size)), axis=1)
+    loss_av = tmean(sub(log_sum_exp_rows_composed(sim), diag))
+    loss_va = tmean(sub(log_sum_exp_rows_composed(transpose(sim, (1, 0))), diag))
+    return mul(add(loss_av, loss_va), 0.5)
+
+
+def values_and_grads(loss_fn, inputs, weight):
+    """The loss value and each input's gradient of ``weight * loss``."""
+    zero_grads(inputs)
+    loss = loss_fn()
+    backward(mul(loss, weight))
+    return loss, [p.grad.copy() for p in inputs]
+
+
+def test_masked_bce_is_one_node_bit_identical_to_composed_tape():
+    # the gradient too: the gate trainer's outcome moves with its last bit
+    for trial in range(20):
+        rng = np.random.default_rng([19, trial])
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 13)))
+        logits = Parameter(rng.normal(size=shape) * 4.0, "logits")
+        labels = (rng.random(shape) < 0.5).astype(float)
+        mask = (rng.random(shape) < 0.7).astype(float)
+        mask.flat[0] = 1.0
+        weight = rng.uniform(0.1, 2.0)
+        fused, fused_grad = values_and_grads(
+            lambda: masked_bce(logits, labels, mask), [logits], weight)
+        composed, composed_grad = values_and_grads(
+            lambda: masked_bce_composed(logits, labels, mask), [logits], weight)
+        assert fused.parents == (logits,)
+        npt.assert_array_equal(fused.data, composed.data)
+        npt.assert_array_equal(fused_grad[0], composed_grad[0])
+
+
+def test_contrastive_is_one_node_matching_composed_tape():
+    for trial in range(20):
+        rng = np.random.default_rng([20, trial])
+        t, c = int(rng.integers(2, 16)), int(rng.integers(2, 9))
+        f_a = Parameter(rng.normal(size=(t, c)), "f_a")
+        f_v = Parameter(rng.normal(size=(t, c)), "f_v")
+        active = (rng.random(t) < 0.6).astype(float)
+        active[:2] = 1.0
+        weight = rng.uniform(0.1, 2.0)
+        fused, fused_grads = values_and_grads(
+            lambda: contrastive_av(f_a, f_v, active, 0.07), [f_a, f_v], weight)
+        composed, composed_grads = values_and_grads(
+            lambda: contrastive_composed(f_a, f_v, active, 0.07), [f_a, f_v],
+            weight)
+        assert fused.parents == (f_a, f_v)
+        npt.assert_array_equal(fused.data, composed.data)
+        for got, want in zip(fused_grads, composed_grads):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_masked_bce_gradients_every_parent():
+    labels = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0]])
+    mask = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0]])
+    check_every_parent(lambda x: masked_bce(x, labels, mask), [(2, 5)])
+
+
+def test_contrastive_gradients_every_parent():
+    active = np.array([1, 0, 1, 1, 1])
+    check_every_parent(lambda a, v: contrastive_av(a, v, active, 0.5),
+                       [(5, 3), (5, 3)])
