@@ -22,11 +22,11 @@ from .evaluation import (PredictionRecord, average_precision,
                          metrics_report, write_predictions)
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
-from .losses import masked_bce, total_loss
+from .losses import total_loss
 from .model import ActiveSpeakerModel
 from .tensor import no_grad
-from .train import (apply_checkpoint, load_checkpoint, save_checkpoint,
-                    scene_batch, train_gate, train_model)
+from .train import (apply_checkpoint, gate_loss, load_checkpoint,
+                    save_checkpoint, scene_batch, train_gate, train_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,14 +220,11 @@ def cmd_gradcheck(args) -> int:
     _echo_config(cfg)
     scene, model, gate_net = gradcheck_inputs(cfg["model.init_seed"])
     weights = cfg.loss_weights()
-    target = (scene.labels.sum(axis=0) > 0).astype(np.float64)
 
     def build_loss():
         out = model.forward(scene.visual, scene.audio)
         main, _ = total_loss(scene_batch(out, scene), weights)
-        gate_loss = masked_bce(gate_net.logits(scene.audio), target,
-                               np.ones_like(target))
-        return main + gate_loss
+        return main + gate_loss(gate_net, scene)
 
     params = model.parameters() + gate_net.parameters()
     worst = check_parameter_gradients(build_loss, params, step=1e-4,

@@ -43,8 +43,7 @@ class SupervisionBatch:
     """One scene's targets and branch outputs, ready for the total loss.
 
     ``labels`` are only read where ``mask`` is 1; padded speaker slots carry
-    all-zero mask rows.  The embedding pair feeds the contrastive term and
-    may be omitted (None) to skip it.
+    all-zero mask rows.  The embedding pair feeds the contrastive term.
     """
 
     labels: np.ndarray          # {0,1} [S, T]
@@ -52,8 +51,13 @@ class SupervisionBatch:
     fused_logits: Tensor        # [S, T]
     visual_logits: Tensor       # [S, T]
     audio_logits: Tensor        # [T] any-speech
-    audio_frames: Tensor | None = None   # [T, C]
-    visual_frames: Tensor | None = None  # [T, C]
+    audio_frames: Tensor        # [T, C]
+    visual_frames: Tensor       # [T, C]
+
+
+def any_speech(labels) -> np.ndarray:
+    """Frame-level target [T]: 1 where any speaker of the [S, T] labels speaks."""
+    return (np.asarray(labels).sum(axis=0) > 0).astype(np.float64)
 
 
 def masked_bce(logits: Tensor, labels, mask) -> Tensor:
@@ -161,19 +165,16 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
 
 def total_loss(batch: SupervisionBatch, w: LossWeights):
     """Weighted sum of the branch losses; returns (total, parts dict)."""
-    any_speech = (np.asarray(batch.labels).sum(axis=0) > 0).astype(np.float64)
+    speech = any_speech(batch.labels)
     any_valid = (np.asarray(batch.mask).sum(axis=0) > 0).astype(np.float64)
 
     l_av = masked_bce(batch.fused_logits, batch.labels, batch.mask)
     l_v = masked_bce(batch.visual_logits, batch.labels, batch.mask)
-    l_a = masked_bce(batch.audio_logits, any_speech, any_valid)
-    if batch.audio_frames is not None and batch.visual_frames is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            l_con = contrastive_av(batch.audio_frames, batch.visual_frames,
-                                   any_speech, w.temperature)
-    else:
-        l_con = Tensor(0.0)
+    l_a = masked_bce(batch.audio_logits, speech, any_valid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        l_con = contrastive_av(batch.audio_frames, batch.visual_frames,
+                               speech, w.temperature)
 
     total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
                 add(mul(l_a, w.w_a), mul(l_con, w.w_con)))

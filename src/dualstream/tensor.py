@@ -27,11 +27,13 @@ Design points:
     The backwards of ``conv1d_same``, ``tanh_rnn``, the block and
     ``masked_bce`` also replay the order in which the chain's tape
     accumulated its gradient terms, so their gradients are bit-identical
-    too; ``contrastive_av``'s agree to rounding.  Constants (Python scalars,
-    numpy arrays) never become tape nodes: ``add``, ``sub``, ``mul`` and
-    every op built on ``record`` take only their Tensor operands as
-    parents, and ``linear``, ``conv1d_same`` and ``tanh_rnn`` compute no
-    gradient for a constant input.
+    too; ``contrastive_av``'s agree to rounding.
+  * one recording path: every op, glue and fused alike, builds its node
+    through ``record``, which is also the only reader of the ``no_grad``
+    switch.  Constants (Python scalars, numpy arrays) never become tape
+    nodes: every op, ``concat`` included, takes only its Tensor operands as
+    parents, and ``mul``, ``linear``, ``conv1d_same``, ``tanh_rnn`` and the
+    broadcasting ops compute no gradient for a constant input.
   * forward-only work records no tape.  Inside ``with no_grad():`` every op
     runs the same forward code and returns a parentless Tensor with no VJP,
     so outputs are bit-identical to the taped ones and each op's inputs are
@@ -52,7 +54,7 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# False inside ``no_grad``: ops then record no parents and build no VJP.
+# False inside ``no_grad``: ``record`` then gives op outputs no parents or VJP.
 # Process-wide, like the rest of the package's single-threaded state.
 _taping = True
 
@@ -80,7 +82,7 @@ class Tensor:
     ``parents`` and ``vjp`` describe how this tensor was produced: ``vjp``
     maps the incoming gradient to one contribution per parent.  Leaf
     tensors (constants, parameters) and the outputs of ops run under
-    ``no_grad`` have neither.
+    ``no_grad`` or on constants alone have neither.
     """
 
     __slots__ = ("data", "parents", "vjp")
@@ -174,10 +176,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _data(x):
     """An operand's array: a Tensor's data, or a constant as float64."""
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
@@ -186,19 +184,23 @@ def _data(x):
 def record(out, operands, vjp):
     """Tensor for ``out`` whose parents are the Tensor members of ``operands``.
 
+    This is the only constructor of a tape node: every op computes its
+    forward on plain arrays and hands the result here with its VJP.
     ``vjp(g, need)`` returns one gradient per operand; those whose ``need``
     flag is unset are dropped, may be None and need not be computed, so a
     constant operand costs no tape node and, where the op skips it, no
-    gradient.  Under ``no_grad`` the Tensor has no parents.
+    gradient.  Under ``no_grad``, or when no operand is a Tensor, the
+    Tensor has no parents.
     """
-    if not _taping:
-        return Tensor(out)
-    need = [isinstance(o, Tensor) for o in operands]
-    if all(need):
-        return Tensor(out, operands, lambda g: vjp(g, need))
-    parents = [o for o, n in zip(operands, need) if n]
-    return Tensor(out, parents,
-                  lambda g: [c for c, n in zip(vjp(g, need), need) if n])
+    if _taping:
+        need = [isinstance(o, Tensor) for o in operands]
+        if all(need):
+            return Tensor(out, operands, lambda g: vjp(g, need))
+        if any(need):
+            parents = [o for o, n in zip(operands, need) if n]
+            return Tensor(out, parents,
+                          lambda g: [c for c, n in zip(vjp(g, need), need) if n])
+    return Tensor(out)
 
 
 def _unbroadcast(g, shape):
@@ -218,88 +220,50 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 
-def _operands(a, b):
-    """Split a binary op's operands into (tensor, constant) roles.
-
-    Returns ``(a, b, a_is_tensor, b_is_tensor)`` with Tensor operands kept
-    and constants as float64 arrays; if neither is a Tensor, ``a`` is lifted
-    so the op still yields a Tensor.
-    """
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return Tensor(a), np.asarray(b, dtype=np.float64), True, False
-    if not ta:
-        a = np.asarray(a, dtype=np.float64)
-    if not tb:
-        b = np.asarray(b, dtype=np.float64)
-    return a, b, ta, tb
-
-
 def add(a, b):
-    a, b, ta, tb = _operands(a, b)
-    out = (a.data if ta else a) + (b.data if tb else b)
-    if not _taping:
-        return Tensor(out)
-    if ta and tb:
-        def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    ad, bd = _data(a), _data(b)
 
-        return Tensor(out, (a, b), vjp)
-    t = a if ta else b
-    return Tensor(out, (t,), lambda g: (_unbroadcast(g, t.shape),))
+    def vjp(g, need):
+        return (_unbroadcast(g, ad.shape) if need[0] else None,
+                _unbroadcast(g, bd.shape) if need[1] else None)
+
+    return record(ad + bd, (a, b), vjp)
 
 
 def sub(a, b):
-    a, b, ta, tb = _operands(a, b)
-    out = (a.data if ta else a) - (b.data if tb else b)
-    if not _taping:
-        return Tensor(out)
-    if ta and tb:
-        def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    ad, bd = _data(a), _data(b)
 
-        return Tensor(out, (a, b), vjp)
-    if ta:
-        return Tensor(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
-    return Tensor(out, (b,), lambda g: (_unbroadcast(-g, b.shape),))
+    def vjp(g, need):
+        return (_unbroadcast(g, ad.shape) if need[0] else None,
+                _unbroadcast(-g, bd.shape) if need[1] else None)
+
+    return record(ad - bd, (a, b), vjp)
 
 
 def mul(a, b):
-    a, b, ta, tb = _operands(a, b)
-    out = (a.data if ta else a) * (b.data if tb else b)
-    if not _taping:
-        return Tensor(out)
-    if ta and tb:
-        def vjp(g):
-            return (_unbroadcast(g * b.data, a.shape),
-                    _unbroadcast(g * a.data, b.shape))
+    ad, bd = _data(a), _data(b)
 
-        return Tensor(out, (a, b), vjp)
-    t, c = (a, b) if ta else (b, a)
-    return Tensor(out, (t,), lambda g: (_unbroadcast(g * c, t.shape),))
+    def vjp(g, need):
+        return (_unbroadcast(g * bd, ad.shape) if need[0] else None,
+                _unbroadcast(g * ad, bd.shape) if need[1] else None)
+
+    return record(ad * bd, (a, b), vjp)
 
 
 def neg(a):
-    a = _lift(a)
-    out = -a.data
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (-g,))
+    return record(-_data(a), (a,), lambda g, need: (-g,))
 
 
 def sigmoid(a):
-    a = _lift(a)
-    out = _expit(a.data)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
+    out = _expit(_data(a))
+    return record(out, (a,), lambda g, need: (g * out * (1.0 - out),))
 
 
 def gelu(a):
     """Gaussian-error-linear activation, exact erf form (smooth everywhere)."""
-    a = _lift(a)
-    out, phi = gelu_forward(a.data)
-    return record(out, (a,), lambda g, need: (gelu_backward(g, a.data, phi),))
+    ad = _data(a)
+    out, phi = gelu_forward(ad)
+    return record(out, (a,), lambda g, need: (gelu_backward(g, ad, phi),))
 
 
 # ---------------------------------------------------------------------------
@@ -421,27 +385,19 @@ def tanh_rnn(x, wx, wh, b, reverse=False):
 
 
 def tsum(a, axis=None, keepdims=False):
-    a = _lift(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    if not _taping:
-        return Tensor(out)
+    ad = _data(a)
 
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+    def vjp(g, need):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, ad.shape).copy(),)
 
-    return Tensor(out, (a,), vjp)
+    return record(ad.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def tmean(a, axis=None, keepdims=False):
-    a = _lift(a)
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
+    ad = _data(a)
+    n = ad.size if axis is None else ad.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
@@ -450,65 +406,44 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
-    a = _lift(a)
-    out = a.data.reshape(shape)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
+    ad = _data(a)
+    return record(ad.reshape(shape), (a,), lambda g, need: (g.reshape(ad.shape),))
 
 
 def transpose(a, axes):
-    a = _lift(a)
-    axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (g.transpose(inv),))
+    return record(_data(a).transpose(axes), (a,),
+                  lambda g, need: (g.transpose(inv),))
 
 
 def concat(parts, axis):
-    parts = [_lift(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    if not _taping:
-        return Tensor(out)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    """Join along ``axis``; each Tensor part gets its slice of the gradient."""
+    datas = [_data(p) for p in parts]
 
-    def vjp(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(parts)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+    def vjp(g, need):
+        cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
+        return np.split(g, cuts, axis=axis)
 
-    return Tensor(out, tuple(parts), vjp)
+    return record(np.concatenate(datas, axis=axis), parts, vjp)
 
 
 def getitem(a, key):
     """Basic (int/slice) indexing; the gradient scatters into zeros."""
-    a = _lift(a)
-    out = a.data[key]
-    out = np.array(out)  # detach from the parent's buffer
-    if not _taping:
-        return Tensor(out)
+    ad = _data(a)
 
-    def vjp(g):
-        z = np.zeros(a.shape)
+    def vjp(g, need):
+        z = np.zeros(ad.shape)
         z[key] = g
         return (z,)
 
-    return Tensor(out, (a,), vjp)
+    # np.array detaches the result from the parent's buffer
+    return record(np.array(ad[key]), (a,), vjp)
 
 
 def broadcast_to(a, shape):
-    a = _lift(a)
-    shape = tuple(shape)
-    out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
-    if not _taping:
-        return Tensor(out)
-    return Tensor(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    ad = _data(a)
+    out = np.ascontiguousarray(np.broadcast_to(ad, shape))
+    return record(out, (a,), lambda g, need: (_unbroadcast(g, ad.shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .data import ByteReader, Scenario
 from .errors import FormatError, NumericalError
 from .gate import ConfidenceNet
 from .losses import (LossWeights, SupervisionBatch, active_visual_frames,
-                     masked_bce, total_loss)
+                     any_speech, masked_bce, total_loss)
 from .model import ActiveSpeakerModel
 from .tensor import backward, zero_grads
 
@@ -120,6 +120,13 @@ def train_model(model: ActiveSpeakerModel, scenes, weights: LossWeights,
     return history
 
 
+def gate_loss(net: ConfidenceNet, scene: Scenario):
+    """The gate's objective on one scene: BCE of its logits against the
+    frame-level any-speech target, over every frame."""
+    target = any_speech(scene.labels)
+    return masked_bce(net.logits(scene.audio), target, np.ones_like(target))
+
+
 def train_gate(net: ConfidenceNet, scenes, epochs, lr, momentum, seed):
     """Fit the confidence branch on frame-level any-speech labels."""
     params = net.parameters()
@@ -127,10 +134,8 @@ def train_gate(net: ConfidenceNet, scenes, epochs, lr, momentum, seed):
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 1_000_003 + epoch]).permutation(len(scenes))
         for idx in order:
-            scene = scenes[idx]
-            target = (scene.labels.sum(axis=0) > 0).astype(np.float64)
             opt.zero_grad()
-            loss = masked_bce(net.logits(scene.audio), target, np.ones_like(target))
+            loss = gate_loss(net, scenes[idx])
             if not np.isfinite(loss.item()):
                 culprit = _first_non_finite(params) or "loss"
                 raise NumericalError(

@@ -450,6 +450,7 @@ CONSTANT_PATHS = {
     "rmul_scalar": lambda p, c: -1.25 * p,
     "mul_array_broadcast": lambda p, c: mul(c, p[2]),
     "div_scalar": lambda p, c: p / 4.0,
+    "concat_with_array": lambda p, c: concat([p, c], axis=1),
 }
 
 
@@ -499,6 +500,13 @@ def test_constant_paths_match_lifted_constants_bit_for_bit():
         npt.assert_array_equal(op(c, x).data, op(Tensor(c), x).data)
         npt.assert_array_equal(op(x, 0.3).data, op(x, Tensor(0.3)).data)
     npt.assert_array_equal((0.3 - x).data, sub(Tensor(0.3), x).data)
+
+
+def test_ops_on_constants_alone_are_constants():
+    c = np.arange(6.0).reshape(2, 3)
+    for out in (add(c, 1.0), mul(2.0, c), sigmoid(c), tsum(c, axis=0),
+                concat([c, c], axis=0), linear(c, np.ones((3, 2)), np.ones(2))):
+        assert out.parents == () and out.vjp is None
 
 
 def test_values_finite_after_forward_chain():

@@ -6,10 +6,10 @@ import numpy.testing as npt
 from dualstream.config import load_config
 from dualstream.data import generate_scene
 from dualstream.gate import ConfidenceNet
-from dualstream.losses import masked_bce, total_loss
+from dualstream.losses import total_loss
 from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter
-from dualstream.train import MomentumSGD, scene_batch
+from dualstream.train import MomentumSGD, gate_loss, scene_batch
 
 # distinct nodes on one default-config training step's tape: 175 Parameters
 # and 51 ops.  The unfused graph had 875 and the per-op attention blocks and
@@ -80,8 +80,7 @@ def default_losses():
     loss, _ = total_loss(scene_batch(out, scene), cfg.loss_weights())
     net = ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
                         cfg["gate.rnn_hidden"], np.random.default_rng(0))
-    target = (scene.labels.sum(axis=0) > 0).astype(np.float64)
-    return loss, masked_bce(net.logits(scene.audio), target, np.ones_like(target))
+    return loss, gate_loss(net, scene)
 
 
 def test_training_step_tape_size_guard():
