@@ -9,18 +9,16 @@ a from-scratch reverse-mode tensor engine, training loop, and ranking
 evaluators.
 """
 
-from .attention import AttentionBlock, AttentionConfig, cal_forward, sal_forward
+from .attention import AttentionBlock, cal_forward, sal_forward
 from .data import GenConfig, Scenario, generate, read_corpus, write_corpus
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
                          false_positive_count, read_predictions,
                          write_predictions)
 from .gate import ConfidenceNet, GateParams, gate_batch, voice_confidence
-from .losses import (LossWeights, SupervisionBatch, contrastive_av,
-                     masked_bce, total_loss)
+from .losses import LossWeights, contrastive_av, masked_bce, total_loss
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
-                    SpeakerEmbedding, cross_interact, dual_forward,
-                    speaker_stream, temporal_stream)
+                    ModelOutput, cross_interact, dual_forward, speaker_stream)
 from .tensor import Parameter, Tensor, backward, linear, no_grad, zero_grads
 
 __version__ = "0.1.0"

@@ -14,45 +14,23 @@ only through the learnable speaker embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .tensor import (Parameter, Tensor, attention_backward, attention_forward,
                      gelu_backward, gelu_forward, init_uniform,
                      layer_norm_backward, layer_norm_forward, linear_backward,
                      linear_forward, record)
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Width settings for one attention block."""
-
-    model_dim: int
-    num_heads: int
-    mlp_hidden: int
-
-    def __post_init__(self):
-        if self.model_dim < 1 or self.num_heads < 1 or self.mlp_hidden < 1:
-            raise ContractError(f"attention dims must be >= 1: {self}")
-        if self.model_dim % self.num_heads != 0:
-            raise ContractError(
-                f"model_dim {self.model_dim} not divisible by "
-                f"num_heads {self.num_heads}")
-
-    @property
-    def head_dim(self):
-        return self.model_dim // self.num_heads
-
-
 class AttentionBlock:
-    """Projection, MLP and norm parameters of one block; it serves as SAL
-    or as CAL, depending only on its key/value input."""
+    """Projection, MLP and norm parameters of one block of width ``dim``
+    (``ModelConfig`` checks that ``heads`` divides it); it serves as SAL or
+    as CAL, depending only on its key/value input."""
 
-    def __init__(self, cfg: AttentionConfig, rng, name, ln_eps):
-        d, h = cfg.model_dim, cfg.mlp_hidden
-        self.cfg = cfg
+    def __init__(self, dim, heads, mlp_hidden, rng, name, ln_eps):
+        d, h = dim, mlp_hidden
+        self.heads = heads
         self.ln_eps = float(ln_eps)
 
         def lin(tag, din, dout):
@@ -94,7 +72,7 @@ def _block(x: Tensor, y: Tensor, layer):
     to that chain's.  The parents are x, y (once when ``x is y``) and the 16
     block parameters.
     """
-    d = layer.cfg.model_dim
+    d = layer.wq.shape[0]
     _check_tokens(x, d, "attention query")
     _check_tokens(y, d, "attention key/value")
     if x.shape[0] != y.shape[0]:
@@ -106,7 +84,7 @@ def _block(x: Tensor, y: Tensor, layer):
     xd, yd, eps = x.data, y.data, layer.ln_eps
     core, att = attention_forward(linear_forward(xd, wq, bq),
                                   linear_forward(yd, wk, bk),
-                                  linear_forward(yd, wv, bv), layer.cfg.num_heads)
+                                  linear_forward(yd, wv, bv), layer.heads)
     z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1, eps)
     h = linear_forward(z, w1, b1)
     u, phi = gelu_forward(h)

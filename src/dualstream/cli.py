@@ -26,7 +26,7 @@ from .losses import total_loss
 from .model import ActiveSpeakerModel
 from .tensor import no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
-                    save_checkpoint, scene_batch, train_gate, train_model)
+                    save_checkpoint, train_gate, train_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,7 +223,7 @@ def cmd_gradcheck(args) -> int:
 
     def build_loss():
         out = model.forward(scene.visual, scene.audio)
-        main, _ = total_loss(scene_batch(out, scene), weights)
+        main, _ = total_loss(out, scene.labels, scene.mask, weights)
         return main + gate_loss(gate_net, scene)
 
     params = model.parameters() + gate_net.parameters()

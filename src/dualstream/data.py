@@ -17,6 +17,8 @@ Corpus container (little-endian, magic "D2SYN1"):
     u32 id length + utf-8 id, u32 x5 dims (S, T, H, W, M),
     float64 visual [S*T*H*W], float64 audio [4T*M],
     then labels / mask / distractor as one byte per cell, row-major.
+    Scene ids are unique within a corpus: a (scene id, speaker, frame)
+    triple names one cell.
 
 ``check_scene`` is the one contract a scene meets before any model sees
 it; the encoders, the model and the gate rely on it and check nothing.
@@ -344,8 +346,12 @@ def read_corpus(path) -> list[Scenario]:
     if count == 0:
         raise FormatError(f"corpus contains zero scenes: {path}")
     scenes = []
+    first = {}  # scene id -> index of the scene that has it
     for index in range(count):
         sid = r.text(f"scene {index}: id")
+        if first.setdefault(sid, index) != index:
+            raise FormatError(f"corpus scene {index}: duplicate id {sid} "
+                              f"(first at scene {first[sid]})")
         s, t, h, w, m = struct.unpack("<5I", r.take(20))
         visual = r.f64s(s * t * h * w).reshape(s, t, h, w, 1)
         steps = STEPS_PER_FRAME * t

@@ -18,7 +18,6 @@ import numpy as np
 
 from .attention import AttentionBlock, cal_forward
 from .data import frame_steps
-from .errors import DimensionError
 from .tensor import Parameter, Tensor, concat, gelu, init_uniform, linear
 
 
@@ -64,13 +63,11 @@ def fuse(f_v: Tensor, f_a: Tensor, cal_av: AttentionBlock,
          cal_va: AttentionBlock) -> Tensor:
     """Bidirectional cross-modal attention over time, concatenated audio-first.
 
-    f~_a = CAL(f_a, f_v, f_v) and f~_v = CAL(f_v, f_a, f_a), each with the
-    speaker axis folded into the batch and attention running over T; the
-    output is [f~_a || f~_v] along channels, shape [S, T, 2C].
+    f~_a = CAL(f_a, f_v, f_v) and f~_v = CAL(f_v, f_a, f_a) on [S, T, C]
+    inputs (the model broadcasts f_a to f_v's shape), each with the speaker
+    axis folded into the batch and attention running over T; the output is
+    [f~_a || f~_v] along channels, shape [S, T, 2C].
     """
-    if f_v.shape != f_a.shape:
-        raise DimensionError(
-            f"fuse expects matching [S, T, C] inputs, got {f_v.shape} vs {f_a.shape}")
     fa_t = cal_forward(f_a, f_v, cal_av)
     fv_t = cal_forward(f_v, f_a, cal_va)
     return concat([fa_t, fv_t], axis=-1)

@@ -13,6 +13,7 @@ precision, recall, and F1 are all 0 when undefined.
 from __future__ import annotations
 
 import csv
+import math
 from typing import NamedTuple
 
 from .errors import FormatError, MetricError
@@ -121,16 +122,24 @@ def read_predictions(path) -> list:
                     f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
                     f"got {len(row)}")
             try:
-                records.append(PredictionRecord(
+                record = PredictionRecord(
                     scene_id=row[0],
                     speaker_idx=int(row[1]),
                     frame_idx=int(row[2]),
                     score=float(row[3]),
                     p_voice=float(row[4]),
                     label=int(row[5]),
-                ))
+                )
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
+            if record.label not in (0, 1):
+                raise FormatError(
+                    f"line {lineno}: label must be 0 or 1, got {record.label}")
+            if not (math.isfinite(record.score) and math.isfinite(record.p_voice)):
+                raise FormatError(
+                    f"line {lineno}: score and p_voice must be finite, got "
+                    f"{row[3]} and {row[4]}")
+            records.append(record)
     return records
 
 

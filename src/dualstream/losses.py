@@ -38,21 +38,11 @@ class LossWeights:
             raise ContractError("at least one loss weight must be positive")
 
 
-@dataclass
-class SupervisionBatch:
-    """One scene's targets and branch outputs, ready for the total loss.
-
-    ``labels`` are only read where ``mask`` is 1; padded speaker slots carry
-    all-zero mask rows.  The embedding pair feeds the contrastive term.
-    """
-
-    labels: np.ndarray          # {0,1} [S, T]
-    mask: np.ndarray            # {0,1} [S, T]
-    fused_logits: Tensor        # [S, T]
-    visual_logits: Tensor       # [S, T]
-    audio_logits: Tensor        # [T] any-speech
-    audio_frames: Tensor        # [T, C]
-    visual_frames: Tensor       # [T, C]
+def _zero(*inputs):
+    """A degenerate term: 0 as a tape node over its Tensor ``inputs`` that
+    sends them no gradient, so no constant becomes a leaf of the tape and
+    an all-degenerate loss still has a tape to walk."""
+    return record(np.zeros(()), inputs, lambda g, need: [None] * len(inputs))
 
 
 def any_speech(labels) -> np.ndarray:
@@ -78,7 +68,7 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
             f"labels {labels.shape}, mask {mask.shape}")
     total = mask.sum()
     if total == 0:
-        return Tensor(0.0)
+        return _zero(logits)
     x, scale = logits.data, 1.0 / float(total)
     softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     out = ((softplus - x * labels) * mask).sum() * scale
@@ -112,7 +102,7 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
     if active.size < 2:
         warnings.warn("contrastive_av: fewer than 2 active frames, "
                       "returning zero loss", stacklevel=2)
-        return Tensor(0.0)
+        return _zero(f_a_frames, f_v_frames)
 
     def normalize(rows):
         base = (rows * rows).sum(axis=1, keepdims=True) + 1e-12
@@ -163,18 +153,26 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
     return tsum(mul(visual_emb, weights[:, :, None]), axis=0)
 
 
-def total_loss(batch: SupervisionBatch, w: LossWeights):
-    """Weighted sum of the branch losses; returns (total, parts dict)."""
-    speech = any_speech(batch.labels)
-    any_valid = (np.asarray(batch.mask).sum(axis=0) > 0).astype(np.float64)
+def total_loss(out, labels, mask, w: LossWeights):
+    """Weighted sum of the branch losses of one forward's ``ModelOutput``
+    against a scene's {0,1} [S, T] ``labels`` and ``mask``; returns (total,
+    parts dict).
 
-    l_av = masked_bce(batch.fused_logits, batch.labels, batch.mask)
-    l_v = masked_bce(batch.visual_logits, batch.labels, batch.mask)
-    l_a = masked_bce(batch.audio_logits, speech, any_valid)
+    ``labels`` are read where ``mask`` is 1 by the per-cell terms; padded
+    speaker slots carry all-zero mask rows.  The contrastive term pairs the
+    audio frames with ``active_visual_frames``.
+    """
+    visual_frames = active_visual_frames(out.visual_frames, labels)
+    speech = any_speech(labels)
+    any_valid = (np.asarray(mask).sum(axis=0) > 0).astype(np.float64)
+
+    l_av = masked_bce(out.scores, labels, mask)
+    l_v = masked_bce(out.visual_logits, labels, mask)
+    l_a = masked_bce(out.audio_logits, speech, any_valid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        l_con = contrastive_av(batch.audio_frames, batch.visual_frames,
-                               speech, w.temperature)
+        l_con = contrastive_av(out.audio_frames, visual_frames, speech,
+                               w.temperature)
 
     total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
                 add(mul(l_a, w.w_a), mul(l_con, w.w_con)))

@@ -16,53 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBlock, AttentionConfig, cal_forward, sal_forward
+from .attention import AttentionBlock, cal_forward, sal_forward
 from .encoders import AudioEncoder, VisualEncoder, fuse
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .ranges import AT_LEAST_1, POSITIVE, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
 
-class SpeakerEmbedding:
-    """Learnable per-speaker-slot rows added before speaker-axis attention."""
-
-    def __init__(self, s_max, dim, rng, name="speaker_emb"):
-        if s_max < 1:
-            raise ContractError(f"s_max must be >= 1, got {s_max}")
-        self.table = Parameter(init_uniform(rng, dim, (s_max, dim)), f"{name}.table")
-
-    def parameters(self):
-        return [self.table]
-
-    def lookup(self, speakers):
-        """The first ``speakers`` rows; ``data.check_scene`` keeps a scene's
-        speaker count within the table."""
-        return getitem(self.table, (slice(0, speakers),))
-
-
-def speaker_stream(f_av: Tensor, emb: SpeakerEmbedding,
-                   sal: AttentionBlock) -> Tensor:
-    """Within-frame speaker interaction: swap to [T, S, 2C], add the slot
-    embedding, self-attend over S with T folded into the batch, swap back."""
+def speaker_stream(f_av: Tensor, table: Tensor, sal: AttentionBlock) -> Tensor:
+    """Within-frame speaker interaction: swap to [T, S, 2C], add the first S
+    rows of the slot embedding ``table``, self-attend over S with T folded
+    into the batch, swap back.  ``data.check_scene`` keeps S within the
+    table."""
     s = f_av.shape[0]
-    x = add(transpose(f_av, (1, 0, 2)), emb.lookup(s))
+    x = add(transpose(f_av, (1, 0, 2)), getitem(table, (slice(0, s),)))
     return transpose(sal_forward(x, sal), (1, 0, 2))
-
-
-def temporal_stream(f_av: Tensor, sal: AttentionBlock) -> Tensor:
-    """Cross-frame interaction: self-attend over T with S folded into the batch."""
-    return sal_forward(f_av, sal)
 
 
 def cross_interact(f_time: Tensor, f_sub: Tensor, cal_t: AttentionBlock,
                    cal_s: AttentionBlock):
-    """Mutual cross-attention between the two streams; each queries the
-    other over the time axis (speakers stay in the batch)."""
-    if f_time.shape != f_sub.shape:
-        raise DimensionError(
-            f"cross_interact expects matching shapes, got {f_time.shape} "
-            f"vs {f_sub.shape}")
+    """Mutual cross-attention between the two same-shaped streams; each
+    queries the other over the time axis (speakers stay in the batch)."""
     return (cal_forward(f_time, f_sub, cal_t),
             cal_forward(f_sub, f_time, cal_s))
 
@@ -80,44 +55,48 @@ class InteractionRound:
 
 
 class DualStreamStack:
-    """The interaction rounds, the speaker embedding, and the output head.
+    """The interaction rounds, the speaker-slot embedding and the output
+    head, all at the fused width 2C.
 
-    ``ablate_speaker`` / ``ablate_temporal`` replace the corresponding
-    stream with the identity (the cross-stream exchange still runs), which
-    is how the stream-contribution comparisons are produced.
+    ``cfg.ablate_speaker`` / ``cfg.ablate_temporal`` replace the
+    corresponding stream with the identity (the cross-stream exchange still
+    runs), which is how the stream-contribution comparisons are produced.
     """
 
-    def __init__(self, dim, heads, mlp_hidden, rounds, s_max, rng, ln_eps,
-                 ablate_speaker=False, ablate_temporal=False, name="dual"):
-        if rounds < 1:
-            raise ContractError(f"rounds must be >= 1, got {rounds}")
-        cfg = AttentionConfig(dim, heads, mlp_hidden)
-        self.rounds = []
-        for r in range(rounds):
-            def block(tag):
-                return AttentionBlock(cfg, rng, f"{name}.r{r}.{tag}", ln_eps)
-            # keyword arguments run left to right: the parameter draw order
-            self.rounds.append(InteractionRound(
-                sal_time=block("sal_time"), sal_speaker=block("sal_speaker"),
-                cal_time=block("cal_time"), cal_speaker=block("cal_speaker")))
-        self.emb = SpeakerEmbedding(s_max, dim, rng, f"{name}.speaker_emb")
-        self.head_w = Parameter(init_uniform(rng, dim, (dim, 1)), f"{name}.head_w")
-        self.head_b = Parameter(np.zeros(1), f"{name}.head_b")
-        self.ablate_speaker = ablate_speaker
-        self.ablate_temporal = ablate_temporal
+    def __init__(self, cfg: ModelConfig, rng):
+        self.cfg = cfg
+        d = 2 * cfg.channels
+
+        def block(r, tag):
+            return AttentionBlock(d, cfg.heads, cfg.mlp_ratio * d, rng,
+                                  f"dual.r{r}.{tag}", cfg.ln_eps)
+
+        # keyword arguments run left to right: the parameter draw order
+        self.rounds = [InteractionRound(
+            sal_time=block(r, "sal_time"), sal_speaker=block(r, "sal_speaker"),
+            cal_time=block(r, "cal_time"), cal_speaker=block(r, "cal_speaker"))
+            for r in range(cfg.rounds)]
+        # one learnable row per speaker slot, added before speaker attention
+        self.speaker_emb = Parameter(init_uniform(rng, d, (cfg.s_max, d)),
+                                     "dual.speaker_emb.table")
+        self.head_w = Parameter(init_uniform(rng, d, (d, 1)), "dual.head_w")
+        self.head_b = Parameter(np.zeros(1), "dual.head_b")
 
     def parameters(self):
         return ([p for rnd in self.rounds for p in rnd.parameters()]
-                + self.emb.parameters() + [self.head_w, self.head_b])
+                + [self.speaker_emb, self.head_w, self.head_b])
 
 
 def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
     """Run the interaction rounds and the linear head; returns raw logits [S, T]."""
     s, t, _ = f_av.shape
+    cfg = stack.cfg
     x_time, x_sub = f_av, f_av
     for rnd in stack.rounds:
-        f_time = x_time if stack.ablate_temporal else temporal_stream(x_time, rnd.sal_time)
-        f_sub = x_sub if stack.ablate_speaker else speaker_stream(x_sub, stack.emb, rnd.sal_speaker)
+        # the temporal stream: self-attention over T, S folded into the batch
+        f_time = x_time if cfg.ablate_temporal else sal_forward(x_time, rnd.sal_time)
+        f_sub = x_sub if cfg.ablate_speaker else speaker_stream(
+            x_sub, stack.speaker_emb, rnd.sal_speaker)
         x_time, x_sub = cross_interact(f_time, f_sub, rnd.cal_time, rnd.cal_speaker)
     f_dual = add(x_time, x_sub)
     return reshape(linear(f_dual, stack.head_w, stack.head_b), (s, t))
@@ -172,12 +151,11 @@ class ActiveSpeakerModel:
                                         cfg.vis_hidden, rng, "visual_enc")
         self.audio_enc = AudioEncoder(cfg.mel_bins, c, cfg.audio_hidden,
                                       rng, "audio_enc")
-        fusion_cfg = AttentionConfig(c, cfg.heads, cfg.mlp_ratio * c)
-        self.cal_av = AttentionBlock(fusion_cfg, rng, "fusion.cal_av", cfg.ln_eps)
-        self.cal_va = AttentionBlock(fusion_cfg, rng, "fusion.cal_va", cfg.ln_eps)
-        self.stack = DualStreamStack(
-            2 * c, cfg.heads, cfg.mlp_ratio * 2 * c, cfg.rounds, cfg.s_max,
-            rng, cfg.ln_eps, cfg.ablate_speaker, cfg.ablate_temporal, "dual")
+        self.cal_av = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
+                                     "fusion.cal_av", cfg.ln_eps)
+        self.cal_va = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
+                                     "fusion.cal_va", cfg.ln_eps)
+        self.stack = DualStreamStack(cfg, rng)
         self.head_v_w = Parameter(init_uniform(rng, c, (c, 1)), "heads.visual_w")
         self.head_v_b = Parameter(np.zeros(1), "heads.visual_b")
         self.head_a_w = Parameter(init_uniform(rng, c, (c, 1)), "heads.audio_w")

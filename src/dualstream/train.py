@@ -20,8 +20,7 @@ import numpy as np
 from .data import ByteReader, Scenario
 from .errors import FormatError, NumericalError
 from .gate import ConfidenceNet
-from .losses import (LossWeights, SupervisionBatch, active_visual_frames,
-                     any_speech, masked_bce, total_loss)
+from .losses import LossWeights, any_speech, masked_bce, total_loss
 from .model import ActiveSpeakerModel
 from .tensor import backward, zero_grads
 
@@ -73,19 +72,6 @@ def _first_non_finite(params):
     return None
 
 
-def scene_batch(model_out, scene: Scenario) -> SupervisionBatch:
-    return SupervisionBatch(
-        labels=scene.labels,
-        mask=scene.mask,
-        fused_logits=model_out.scores,
-        visual_logits=model_out.visual_logits,
-        audio_logits=model_out.audio_logits,
-        audio_frames=model_out.audio_frames,
-        visual_frames=active_visual_frames(model_out.visual_frames,
-                                           scene.labels),
-    )
-
-
 def train_model(model: ActiveSpeakerModel, scenes, weights: LossWeights,
                 epochs, lr, momentum, seed, log_fn=None):
     """Returns the per-epoch loss history as a list of dicts."""
@@ -99,7 +85,7 @@ def train_model(model: ActiveSpeakerModel, scenes, weights: LossWeights,
             scene = scenes[idx]
             opt.zero_grad()
             out = model.forward(scene.visual, scene.audio)
-            loss, parts = total_loss(scene_batch(out, scene), weights)
+            loss, parts = total_loss(out, scene.labels, scene.mask, weights)
             value = loss.item()
             if not np.isfinite(value):
                 culprit = _first_non_finite(params) or "loss"
@@ -175,9 +161,14 @@ def load_checkpoint(path) -> dict:
     tensors = {}
     for index in range(r.u32()):
         name = r.text(f"tensor {index}: name")
+        if name in tensors:
+            raise FormatError(f"checkpoint tensor {name} appears twice")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        tensors[name] = r.f64s(math.prod(shape)).reshape(shape)
+        values = r.f64s(math.prod(shape))
+        if not np.isfinite(values).all():
+            raise FormatError(f"checkpoint tensor {name} has non-finite values")
+        tensors[name] = values.reshape(shape)
     if r.offset != len(blob):
         raise FormatError(f"trailing data in checkpoint at offset {r.offset}")
     return tensors

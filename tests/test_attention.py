@@ -5,9 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf
 
-from dualstream.attention import (AttentionBlock, AttentionConfig,
-                                  cal_forward, sal_forward)
-from dualstream.errors import ContractError, DimensionError
+from dualstream.attention import AttentionBlock, cal_forward, sal_forward
+from dualstream.errors import DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, backward, gelu, linear,
                                mul, reshape, transpose, tsum, zero_grads)
@@ -20,13 +19,15 @@ LN_EPS = 1e-5
 
 
 def make_sal(dim, heads, rng, hidden=None):
-    return AttentionBlock(AttentionConfig(dim, heads, hidden or 4 * dim), rng,
-                          "sal", LN_EPS)
+    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "sal", LN_EPS)
 
 
 def make_cal(dim, heads, rng, hidden=None):
-    return AttentionBlock(AttentionConfig(dim, heads, hidden or 4 * dim), rng,
-                          "cal", LN_EPS)
+    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "cal", LN_EPS)
+
+
+def head_dim(layer):
+    return layer.wq.shape[0] // layer.heads
 
 
 def gelu_np(x):
@@ -41,15 +42,14 @@ def ln_np(x, gamma, beta, eps):
 
 def attention_oracle(q_in, kv_in, layer):
     """Loop over heads and query positions, softmax weights made explicit."""
-    cfg = layer.cfg
-    hd = cfg.head_dim
+    hd = head_dim(layer)
     q = q_in @ layer.wq.data + layer.bq.data
     k = kv_in @ layer.wk.data + layer.bk.data
     v = kv_in @ layer.wv.data + layer.bv.data
     b, lq, _ = q.shape
     lk = k.shape[1]
-    merged = np.zeros((b, lq, cfg.model_dim))
-    for head in range(cfg.num_heads):
+    merged = np.zeros((b, lq, layer.wq.shape[0]))
+    for head in range(layer.heads):
         sl = slice(head * hd, (head + 1) * hd)
         for bi in range(b):
             for i in range(lq):
@@ -64,14 +64,13 @@ def attention_oracle(q_in, kv_in, layer):
 def attend_composed(q_in, kv_in, layer):
     """The primitive composition the fused attention core replays: project,
     split heads, scaled QK^T, softmax, weight V, merge heads, project."""
-    cfg = layer.cfg
 
     def proj(t, w, b):
         return add(matmul(t, w), b)
 
     def heads(t):
         b, length, _ = t.shape
-        return transpose(reshape(t, (b, length, cfg.num_heads, cfg.head_dim)),
+        return transpose(reshape(t, (b, length, layer.heads, head_dim(layer))),
                          (0, 2, 1, 3))
 
     def merge(t):
@@ -82,7 +81,7 @@ def attend_composed(q_in, kv_in, layer):
     kh = heads(proj(kv_in, layer.wk, layer.bk))
     vh = heads(proj(kv_in, layer.wv, layer.bv))
     logits = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))),
-                 1.0 / np.sqrt(cfg.head_dim))
+                 1.0 / np.sqrt(head_dim(layer)))
     weights = softmax(logits, axis=-1)
     return proj(merge(matmul(weights, vh)), layer.wo, layer.bo), weights
 
@@ -92,7 +91,7 @@ def mhca(x, y, layer):
     became one node: projections and attention core, one node each."""
     core = attention_core(linear(x, layer.wq, layer.bq),
                           linear(y, layer.wk, layer.bk),
-                          linear(y, layer.wv, layer.bv), layer.cfg.num_heads)
+                          linear(y, layer.wv, layer.bv), layer.heads)
     return linear(core, layer.wo, layer.bo)
 
 
@@ -148,6 +147,12 @@ class TestMhsa:
         layer = make_sal(8, 2, np.random.default_rng(4))
         with pytest.raises(DimensionError):
             sal_forward(Tensor(np.zeros((1, 3, 6))), layer)
+
+    def test_heads_must_divide_width(self):
+        # ModelConfig refuses such a model; the block's kernel refuses too
+        layer = make_sal(10, 4, np.random.default_rng(18))
+        with pytest.raises(DimensionError, match="do not split into 4 heads"):
+            sal_forward(Tensor(np.zeros((1, 3, 10))), layer)
 
     def test_matches_primitive_composition_bit_for_bit(self):
         rng = np.random.default_rng(15)
@@ -240,15 +245,6 @@ class TestCalForward:
         with pytest.raises(DimensionError):
             cal_forward(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((3, 4, 8))),
                         layer)
-
-
-class TestConfig:
-    def test_head_divisibility(self):
-        with pytest.raises(ContractError):
-            AttentionConfig(10, 4, 40)
-
-    def test_head_dim(self):
-        assert AttentionConfig(16, 4, 64).head_dim == 4
 
 
 def test_block_gradients_match_finite_differences():

@@ -189,6 +189,34 @@ class TestEval:
         assert "checkpoint tensor 0: name" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("fault", ["nan", "inf", "duplicate"])
+    def test_bad_checkpoint_tensor_is_data_error(self, pipeline, tmp_path,
+                                                 capsys, fault):
+        """A non-finite value or a repeated name is refused, naming the
+        tensor, before any output is written."""
+        root, corpus, held, ckpt = pipeline
+        bad = tmp_path / "bad.ckpt"
+        if fault == "duplicate":
+            # the checkpoint's tensors, then dual.head_b once more
+            save_checkpoint({"dual.head_b": np.zeros(1)}, bad)
+            blob = ckpt.read_bytes()
+            count = struct.unpack_from("<I", blob, len(CKPT_MAGIC))[0]
+            bad.write_bytes(CKPT_MAGIC + struct.pack("<I", count + 1)
+                            + blob[len(CKPT_MAGIC) + 4:]
+                            + bad.read_bytes()[len(CKPT_MAGIC) + 4:])
+            message = "checkpoint tensor dual.head_b appears twice"
+        else:
+            tensors = load_checkpoint(ckpt)
+            tensors["dual.head_b"][0] = np.nan if fault == "nan" else -np.inf
+            save_checkpoint(tensors, bad)
+            message = "checkpoint tensor dual.head_b has non-finite values"
+        assert run(*TINY, "eval", "--corpus", str(held), "--model", str(bad),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
+
     def test_checkpoint_model_mismatch_is_data_error(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
         # a checkpoint holding the wrong tensor set
@@ -214,7 +242,7 @@ class TestGradcheckCommand:
 class TestCorpusShapes:
     """train and eval hold every scene to data.check_scene (data.height,
     data.width, data.mel_bins, model.s_max, S and T >= 1, finite values,
-    0/1 flags) and read ids as UTF-8, before any work, and exit 2."""
+    0/1 flags) and read ids as unique UTF-8, before any work, and exit 2."""
 
     # each malformed scene and the start of the error that names it
     NAMED = {
@@ -231,6 +259,8 @@ class TestCorpusShapes:
         "mask": "scene odd-mask: mask must be 0 or 1, got 7",
         "distractor": "scene odd-distractor: distractor must be 0 or 1, got 5",
         "utf8_id": "corpus scene 3: id at offset",
+        "duplicate_id": "corpus scene 4: duplicate id odd-duplicate_id "
+                        "(first at scene 3)",
     }
 
     @pytest.fixture(scope="class")
@@ -263,13 +293,15 @@ class TestCorpusShapes:
                "labels": poked("labels", 2),
                "mask": poked("mask", 7),
                "distractor": poked("distractor", 5),
-               "utf8_id": base}
+               "utf8_id": base,
+               "duplicate_id": base}
         paths = {}
         for tag, scene in odd.items():
             # a bad scene after good ones, so checking the first is not enough
             scene = replace(scene, scene_id=f"odd-{tag}")
             paths[tag] = root / f"mixed-{tag}.bin"
-            write_corpus(good + [scene], paths[tag])
+            twice = 2 if tag == "duplicate_id" else 1
+            write_corpus(good + [scene] * twice, paths[tag])
         blob = bytearray(paths["utf8_id"].read_bytes())
         blob[blob.index(b"odd-utf8_id")] = 0xFF
         paths["utf8_id"].write_bytes(bytes(blob))

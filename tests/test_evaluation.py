@@ -176,6 +176,21 @@ class TestPredictionsIO:
         with pytest.raises(FormatError, match="line 3"):
             read_predictions(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("s0,0,1,0.5,0.5,2", "line 3: label must be 0 or 1, got 2"),
+        ("s0,0,1,0.5,0.5,-1", "line 3: label must be 0 or 1, got -1"),
+        ("s0,0,1,nan,0.5,1", "line 3: score and p_voice must be finite"),
+        ("s0,0,1,0.5,inf,0", "line 3: score and p_voice must be finite"),
+        ("s0,0,1,-inf,0.5,0", "line 3: score and p_voice must be finite"),
+    ], ids=["label_2", "label_minus_1", "score_nan", "p_voice_inf",
+            "score_minus_inf"])
+    def test_out_of_range_value_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"
+                        f"s0,0,0,0.5,0.5,1\n{row}\n")
+        with pytest.raises(FormatError, match=message):
+            read_predictions(path)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"

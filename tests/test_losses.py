@@ -6,8 +6,9 @@ import pytest
 
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.losses import (LossWeights, SupervisionBatch, contrastive_av,
-                               masked_bce, total_loss)
+from dualstream.losses import (LossWeights, contrastive_av, masked_bce,
+                               total_loss)
+from dualstream.model import ModelOutput
 from dualstream.tensor import (Parameter, Tensor, add, backward, mul, sub,
                                tmean, transpose, tsum, zero_grads)
 
@@ -132,39 +133,39 @@ class TestContrastive:
                            np.ones(3), 0.0)
 
 
-def make_batch(rng, s=3, t=5, c=4):
+def make_output(rng, s=3, t=5, c=4):
+    """A forward's outputs, with the labels and mask they are scored on."""
     labels = (rng.random((s, t)) < 0.4).astype(float)
     labels[:, 0] = 1.0  # guarantee >= 2 active frames
     labels[0, 1] = 1.0
     mask = np.ones((s, t))
-    return SupervisionBatch(
-        labels=labels,
-        mask=mask,
-        fused_logits=Tensor(rng.normal(size=(s, t))),
+    out = ModelOutput(
+        scores=Tensor(rng.normal(size=(s, t))),
         visual_logits=Tensor(rng.normal(size=(s, t))),
         audio_logits=Tensor(rng.normal(size=t)),
         audio_frames=Tensor(rng.normal(size=(t, c))),
-        visual_frames=Tensor(rng.normal(size=(t, c))),
+        visual_frames=Tensor(rng.normal(size=(s, t, c))),
     )
+    return out, labels, mask
 
 
 class TestTotalLoss:
     def test_weight_isolation(self):
         rng = np.random.default_rng(7)
-        batch = make_batch(rng)
+        out, labels, mask = make_output(rng)
         w = LossWeights(w_av=1.0, w_v=0.0, w_a=0.0, w_con=0.0)
-        total, parts = total_loss(batch, w)
-        expected = masked_bce(batch.fused_logits, batch.labels, batch.mask)
+        total, parts = total_loss(out, labels, mask, w)
+        expected = masked_bce(out.scores, labels, mask)
         npt.assert_allclose(total.item(), expected.item(), rtol=1e-15)
         assert parts["l_av"] == expected.item()
 
     def test_doubling_weights_doubles_loss(self):
         rng = np.random.default_rng(8)
-        batch = make_batch(rng)
+        out, labels, mask = make_output(rng)
         w1 = LossWeights(w_av=1.0, w_v=0.5, w_a=0.5, w_con=0.3)
         w2 = LossWeights(w_av=2.0, w_v=1.0, w_a=1.0, w_con=0.6)
-        t1, _ = total_loss(batch, w1)
-        t2, _ = total_loss(batch, w2)
+        t1, _ = total_loss(out, labels, mask, w1)
+        t2, _ = total_loss(out, labels, mask, w2)
         assert t2.item() == 2.0 * t1.item()
 
     def test_weights_validated(self):
@@ -182,14 +183,13 @@ class TestTotalLoss:
         visual = Parameter(rng.normal(size=(s, t)), "visual")
         audio = Parameter(rng.normal(size=t), "audio")
         fa = Parameter(rng.normal(size=(t, c)), "fa")
-        fv = Parameter(rng.normal(size=(t, c)), "fv")
+        fv = Parameter(rng.normal(size=(s, t, c)), "fv")
 
         def build():
-            batch = SupervisionBatch(
-                labels=labels, mask=mask, fused_logits=fused,
-                visual_logits=visual, audio_logits=audio,
-                audio_frames=fa, visual_frames=fv)
-            total, _ = total_loss(batch, LossWeights())
+            out = ModelOutput(scores=fused, visual_logits=visual,
+                              audio_logits=audio, audio_frames=fa,
+                              visual_frames=fv)
+            total, _ = total_loss(out, labels, mask, LossWeights())
             return total
 
         worst = check_parameter_gradients(
@@ -286,3 +286,20 @@ def test_contrastive_gradients_every_parent():
     active = np.array([1, 0, 1, 1, 1])
     check_every_parent(lambda a, v: contrastive_av(a, v, active, 0.5),
                        [(5, 3), (5, 3)])
+
+
+def test_degenerate_terms_are_gradient_free_nodes_over_their_inputs():
+    # an empty mask and fewer than two active frames score 0 without putting
+    # a constant on the tape, and send their inputs no gradient
+    logits = Parameter(np.ones((2, 3)), "logits")
+    f_a = Parameter(np.ones((3, 2)), "f_a")
+    f_v = Parameter(np.ones((3, 2)), "f_v")
+    with pytest.warns(UserWarning, match="fewer than 2 active frames"):
+        l_con = contrastive_av(f_a, f_v, np.array([0, 1, 0]), 0.1)
+    for loss, parents in ((masked_bce(logits, np.ones((2, 3)), np.zeros((2, 3))),
+                           (logits,)), (l_con, (f_a, f_v))):
+        assert loss.item() == 0.0 and loss.parents == parents
+        zero_grads(parents)
+        backward(mul(loss, 2.0))
+        for p in parents:
+            npt.assert_array_equal(p.grad, 0.0)

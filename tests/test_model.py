@@ -3,13 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 
-from dualstream.attention import AttentionBlock, AttentionConfig, cal_forward
+from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, generate_scene
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
-                              SpeakerEmbedding, cross_interact, dual_forward,
-                              speaker_stream, temporal_stream)
-from dualstream.tensor import Tensor, tsum
+                              cross_interact, dual_forward, speaker_stream)
+from dualstream.tensor import Parameter, Tensor, init_uniform, tsum
 
 from test_attention import block_oracle
 
@@ -18,31 +17,38 @@ LN_EPS = 1e-5
 
 
 def make_stack(rounds=2, s_max=4, rng=None, **kwargs):
-    rng = rng or np.random.default_rng(0)
-    return DualStreamStack(DIM, 2, 2 * DIM, rounds, s_max, rng, LN_EPS, **kwargs)
+    """A stack of width DIM = 2C, with an MLP of 2 * DIM."""
+    cfg = ModelConfig(channels=DIM // 2, heads=2, mlp_ratio=2, rounds=rounds,
+                      s_max=s_max, ln_eps=LN_EPS, **kwargs)
+    return DualStreamStack(cfg, rng or np.random.default_rng(0))
 
 
 def make_sal(rng):
-    return AttentionBlock(AttentionConfig(DIM, 2, 2 * DIM), rng, "sal", LN_EPS)
+    return AttentionBlock(DIM, 2, 2 * DIM, rng, "sal", LN_EPS)
+
+
+def make_table(s_max, rng):
+    """A speaker-slot embedding table of ``s_max`` rows."""
+    return Parameter(init_uniform(rng, DIM, (s_max, DIM)), "speaker_emb.table")
 
 
 class TestSpeakerStream:
     def test_single_speaker_reduces_to_pointwise_path(self):
         rng = np.random.default_rng(1)
         sal = make_sal(rng)
-        emb = SpeakerEmbedding(2, DIM, rng)
+        emb = make_table(2, rng)
         x = rng.normal(size=(1, 5, DIM))
         out = speaker_stream(Tensor(x), emb, sal).data
         # over a single speaker, attention is identity weighting; the block
         # acts frame-by-frame on x + first embedding row
-        shifted = (x + emb.table.data[0]).transpose(1, 0, 2)  # [T, 1, D]
+        shifted = (x + emb.data[0]).transpose(1, 0, 2)  # [T, 1, D]
         expected = block_oracle(shifted, shifted, sal).transpose(1, 0, 2)
         npt.assert_allclose(out, expected, atol=1e-10)
 
     def test_per_frame_locality(self):
         rng = np.random.default_rng(2)
         sal = make_sal(rng)
-        emb = SpeakerEmbedding(4, DIM, rng)
+        emb = make_table(4, rng)
         x = rng.normal(size=(3, 6, DIM))
         base = speaker_stream(Tensor(x), emb, sal).data
         x2 = x.copy()
@@ -54,8 +60,8 @@ class TestSpeakerStream:
     def test_zeroed_embedding_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         sal = make_sal(rng)
-        emb = SpeakerEmbedding(4, DIM, rng)
-        emb.table.data[...] = 0.0
+        emb = make_table(4, rng)
+        emb.data[...] = 0.0
         x = rng.normal(size=(4, 5, DIM))
         base = speaker_stream(Tensor(x), emb, sal).data
         perm = rng.permutation(4)
@@ -64,30 +70,32 @@ class TestSpeakerStream:
 
 
 class TestTemporalStream:
+    """The temporal stream: ``sal_forward`` over T with S in the batch."""
+
     def test_single_frame_reduces_to_pointwise_path(self):
         rng = np.random.default_rng(5)
         sal = make_sal(rng)
         x = rng.normal(size=(3, 1, DIM))
-        out = temporal_stream(Tensor(x), sal).data
+        out = sal_forward(Tensor(x), sal).data
         npt.assert_allclose(out, block_oracle(x, x, sal), atol=1e-10)
 
     def test_per_speaker_locality(self):
         rng = np.random.default_rng(6)
         sal = make_sal(rng)
         x = rng.normal(size=(3, 6, DIM))
-        base = temporal_stream(Tensor(x), sal).data
+        base = sal_forward(Tensor(x), sal).data
         x2 = x.copy()
         x2[2] += rng.normal(size=(6, DIM))
-        out = temporal_stream(Tensor(x2), sal).data
+        out = sal_forward(Tensor(x2), sal).data
         npt.assert_allclose(out[:2], base[:2], atol=1e-12, rtol=0)
 
     def test_speaker_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         sal = make_sal(rng)
         x = rng.normal(size=(4, 5, DIM))
-        base = temporal_stream(Tensor(x), sal).data
+        base = sal_forward(Tensor(x), sal).data
         perm = rng.permutation(4)
-        out = temporal_stream(Tensor(x[perm]), sal).data
+        out = sal_forward(Tensor(x[perm]), sal).data
         npt.assert_allclose(out, base[perm], atol=1e-12, rtol=0)
 
 
@@ -143,8 +151,8 @@ class TestDualForward:
         f_av = rng.normal(size=(3, 4, DIM))
         x_t = x_s = Tensor(f_av)
         for rnd in stack.rounds:
-            f_time = temporal_stream(x_t, rnd.sal_time)
-            f_sub = speaker_stream(x_s, stack.emb, rnd.sal_speaker)
+            f_time = sal_forward(x_t, rnd.sal_time)
+            f_sub = speaker_stream(x_s, stack.speaker_emb, rnd.sal_speaker)
             x_t = cal_forward(f_time, f_sub, rnd.cal_time)
             x_s = cal_forward(f_sub, f_time, rnd.cal_speaker)
         f_dual = x_t.data + x_s.data
@@ -155,7 +163,7 @@ class TestDualForward:
     def test_zeroed_embedding_full_equivariance(self):
         rng = np.random.default_rng(13)
         stack = make_stack(rng=rng)
-        stack.emb.table.data[...] = 0.0
+        stack.speaker_emb.data[...] = 0.0
         for trial in range(10):
             trng = np.random.default_rng([14, trial])
             f_av = trng.normal(size=(3, 4, DIM))

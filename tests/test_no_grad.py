@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from dualstream import cli
-from dualstream.attention import (AttentionBlock, AttentionConfig, cal_forward,
-                                  sal_forward)
+from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.cli import _build_gate_net, collect_predictions, gradcheck_inputs
 from dualstream.config import RunConfig
 from dualstream.data import generate
@@ -24,8 +23,7 @@ from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
 
 def block():
     """A width-5 single-head attention block."""
-    return AttentionBlock(AttentionConfig(5, 1, 5), np.random.default_rng(0),
-                          "block", 1e-5)
+    return AttentionBlock(5, 1, 5, np.random.default_rng(0), "block", 1e-5)
 
 
 def taping():

@@ -1,5 +1,7 @@
 """Optimizer arithmetic and the size of one training step's tape."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 
@@ -9,7 +11,7 @@ from dualstream.gate import ConfidenceNet
 from dualstream.losses import total_loss
 from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter
-from dualstream.train import MomentumSGD, gate_loss, scene_batch
+from dualstream.train import MomentumSGD, gate_loss, train_model
 
 # distinct nodes on one default-config training step's tape: 175 Parameters
 # and 51 ops.  The unfused graph had 875 and the per-op attention blocks and
@@ -71,13 +73,23 @@ def tape(root):
     return list(seen.values())
 
 
-def default_losses():
-    """One default-config training loss and one gate loss on the same scene."""
+def speechless(scene):
+    return replace(scene, labels=np.zeros_like(scene.labels))
+
+
+def all_masked(scene):
+    """No valid speaker slot, so no label either."""
+    return replace(speechless(scene), mask=np.zeros_like(scene.mask))
+
+
+def default_losses(edit=lambda scene: scene):
+    """One default-config training loss and one gate loss on the same scene,
+    as ``edit`` returns it."""
     cfg = load_config(None, {})
     model = ActiveSpeakerModel(cfg.model_config())
-    scene = generate_scene(cfg.gen_config(), 0)
+    scene = edit(generate_scene(cfg.gen_config(), 0))
     out = model.forward(scene.visual, scene.audio)
-    loss, _ = total_loss(scene_batch(out, scene), cfg.loss_weights())
+    loss, _ = total_loss(out, scene.labels, scene.mask, cfg.loss_weights())
     net = ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
                         cfg["gate.rnn_hidden"], np.random.default_rng(0))
     return loss, gate_loss(net, scene)
@@ -89,8 +101,23 @@ def test_training_step_tape_size_guard():
 
 
 def test_every_leaf_is_a_parameter():
-    # inputs, targets and masks are constants and must stay off both tapes
-    for loss in default_losses():
-        leaves = [n for n in tape(loss) if not n.parents]
-        assert all(isinstance(n, Parameter) for n in leaves), [
-            n for n in leaves if not isinstance(n, Parameter)]
+    # inputs, targets and masks are constants and must stay off both tapes,
+    # and so must the zero of a degenerate loss term: the contrastive term's
+    # in a scene without speech, every term's in a scene without valid slots
+    for edit in (lambda scene: scene, speechless, all_masked):
+        for loss in default_losses(edit):
+            leaves = [n for n in tape(loss) if not n.parents]
+            assert all(isinstance(n, Parameter) for n in leaves), [
+                n for n in leaves if not isinstance(n, Parameter)]
+
+
+def test_all_masked_scene_trains_with_zero_gradients():
+    cfg = load_config(None, {})
+    model = ActiveSpeakerModel(cfg.model_config())
+    scene = all_masked(generate_scene(cfg.gen_config(), 0))
+    before = [p.data.copy() for p in model.parameters()]
+    history = train_model(model, [scene], cfg.loss_weights(), epochs=1,
+                          lr=0.03, momentum=0.9, seed=0)
+    assert history[0]["total"] == 0.0
+    for p, old in zip(model.parameters(), before):
+        npt.assert_array_equal(p.data, old, err_msg=p.name)
