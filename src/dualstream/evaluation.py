@@ -102,6 +102,10 @@ def write_predictions(records, path) -> None:
 
 
 def read_predictions(path) -> list:
+    """Records of a ``write_predictions`` CSV.  Raises FormatError, naming
+    the line, on a malformed row, a label other than 0 or 1, a non-finite
+    score or p_voice, a negative speaker or frame index, or a cell that
+    appears twice."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -116,6 +120,7 @@ def read_predictions(path) -> list:
             raise FormatError(
                 f"unexpected prediction header: {header}")
         records = []
+        first_line = {}  # each cell's line, to name both lines of a repeat
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_COLUMNS):
                 raise FormatError(
@@ -139,6 +144,16 @@ def read_predictions(path) -> list:
                 raise FormatError(
                     f"line {lineno}: score and p_voice must be finite, got "
                     f"{row[3]} and {row[4]}")
+            if record.speaker_idx < 0 or record.frame_idx < 0:
+                raise FormatError(
+                    f"line {lineno}: speaker_idx and frame_idx must be "
+                    f"non-negative, got {record.speaker_idx} and "
+                    f"{record.frame_idx}")
+            cell = record[:3]
+            seen = first_line.setdefault(cell, lineno)
+            if seen != lineno:
+                raise FormatError(
+                    f"line {lineno}: cell {cell} repeats line {seen}")
             records.append(record)
     return records
 

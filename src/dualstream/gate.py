@@ -4,10 +4,10 @@ The gate is a pure post-processor.  A small temporal network (two 1-d
 convolutions, one bidirectional tanh recurrence, a linear head and a
 sigmoid squash) maps a scene's audio to a per-frame speech confidence
 p_hat in (0, 1); ``gate_audio_features`` defines what it reads.  Each
-convolution is one ``conv1d_same`` tape node and each recurrence direction
-one ``tanh_rnn`` node, so a gate loss has the same small tape at any scene
-length.  At
-evaluation time each positive main score s is rescaled by
+convolution is one ``conv1d_same`` tape node and the recurrence, both
+directions, one ``tanh_birnn`` node, so a gate loss has the same small tape
+at any scene length.  At evaluation time each positive main score s is
+rescaled by
 
     alpha = min(p_hat / (t_veto + eps), 1)   if p_hat < t_veto, else 1
     s_final = s * ((1 - gamma) + gamma * alpha)   if s > t_main, else s
@@ -27,8 +27,8 @@ import numpy as np
 from .data import frame_steps
 from .errors import ContractError, DimensionError
 from .ranges import POSITIVE, UNIT, Range, check_ranges, knob
-from .tensor import (Parameter, Tensor, add, concat, conv1d_same, gelu,
-                     init_uniform, linear, reshape, sigmoid, tanh_rnn)
+from .tensor import (Parameter, Tensor, add, conv1d_same, gelu, init_uniform,
+                     linear, reshape, sigmoid, tanh_birnn)
 
 # keeps voice_confidence strictly inside (0, 1) even when the trained head
 # saturates the float64 sigmoid
@@ -106,8 +106,7 @@ class ConfidenceNet:
         (``data.check_scene``)."""
         x = gelu(conv1d_same(gate_audio_features(audio), self.c1_w, self.c1_b))
         x = gelu(conv1d_same(x, self.c2_w, self.c2_b))
-        both = concat([tanh_rnn(x, *self.fwd),
-                       tanh_rnn(x, *self.bwd, reverse=True)], axis=1)
+        both = tanh_birnn(x, self.fwd, self.bwd)
         return reshape(linear(both, self.out_w, self.out_b), (x.shape[0],))
 
 

@@ -17,14 +17,15 @@ Design points:
     bit-identical gradients.
   * the tape stays small, because its cost is Python dispatch per node, not
     arithmetic.  The hot composites are single nodes with closed-form VJPs:
-    the ops ``linear``, ``gelu``, ``conv1d_same`` and ``tanh_rnn`` here, and
-    the whole attention block (``attention._block``), ``losses.masked_bce``
-    and ``losses.contrastive_av``.  Their arithmetic lives in plain numpy
+    the ops ``linear``, ``gelu``, ``conv1d_same`` and ``tanh_birnn`` (both
+    directions of the gate's recurrence) here, and the whole attention
+    block (``attention._block``), ``losses.masked_bce`` and
+    ``losses.contrastive_av``.  Their arithmetic lives in plain numpy
     forward / backward kernels (``linear_forward``, ``layer_norm_forward``,
     ``attention_forward``, ...) that the ops and the composites share.  Each
     composite's forward replays the arithmetic of the op chain it replaced
     in the same order, so its outputs are bit-identical to that chain's.
-    The backwards of ``conv1d_same``, ``tanh_rnn``, the block and
+    The backwards of ``conv1d_same``, ``tanh_birnn``, the block and
     ``masked_bce`` also replay the order in which the chain's tape
     accumulated its gradient terms, so their gradients are bit-identical
     too; ``contrastive_av``'s agree to rounding.
@@ -32,8 +33,9 @@ Design points:
     through ``record``, which is also the only reader of the ``no_grad``
     switch.  Constants (Python scalars, numpy arrays) never become tape
     nodes: every op, ``concat`` included, takes only its Tensor operands as
-    parents, and ``mul``, ``linear``, ``conv1d_same``, ``tanh_rnn`` and the
-    broadcasting ops compute no gradient for a constant input.
+    parents, and ``mul``, ``linear``, ``conv1d_same`` and the broadcasting
+    ops compute no gradient for a constant input; ``tanh_birnn`` computes
+    none for a constant x.
   * forward-only work records no tape.  Inside ``with no_grad():`` every op
     runs the same forward code and returns a parentless Tensor with no VJP,
     so outputs are bit-identical to the taped ones and each op's inputs are
@@ -307,7 +309,8 @@ def conv1d_same(x, w, b):
             f"conv1d_same: bias {bd.shape} incompatible with weight {wd.shape}")
     k, t = wd.shape[0], xd.shape[0]
     lo = k // 2
-    xp = np.pad(xd, ((lo, k - 1 - lo), (0, 0)))
+    xp = np.zeros((t + k - 1, xd.shape[1]))
+    xp[lo:lo + t] = xd
     out = xp[0:t] @ wd[0]
     for j in range(1, k):
         out = out + xp[j:j + t] @ wd[j]
@@ -327,57 +330,86 @@ def conv1d_same(x, w, b):
     return record(out, (x, w, b), vjp)
 
 
-def tanh_rnn(x, wx, wh, b, reverse=False):
-    """Tanh recurrence h_i = tanh((x_i @ wx + h @ wh) + b), one tape node.
+def _pair(a, b):
+    """[N, 2, ...] array whose row i holds a[i], then b[i]."""
+    out = np.empty((a.shape[0], 2, *a.shape[1:]))
+    out[:, 0] = a
+    out[:, 1] = b
+    return out
 
-    x [T, C], wx [C, H], wh [H, H], b [H]; the state starts at zero and the
-    [T, H] states come back in frame order, computed last frame first when
-    ``reverse``.  The forward takes one [1, C] @ [C, H] product per frame,
-    as the per-frame tape this op replaces did, so the states are
-    bit-identical to it.  The backward is BPTT and sums the per-frame weight
-    terms in that tape's order: wh and b in backward-sweep order, wx latest
-    frame first in either direction.
+
+def tanh_birnn(x, fwd, bwd):
+    """Bidirectional tanh recurrence, one tape node.
+
+    x [T, C]; ``fwd`` and ``bwd`` are each (wx [C, H], wh [H, H], b [H]).
+    Each direction runs h_i = tanh((x_i @ wx + h @ wh) + b) from a zero
+    state, ``fwd`` over frames 0..T-1 and ``bwd`` over T-1..0, and the
+    [T, 2H] result holds each frame's forward state, then its backward one.
+    Loop step s advances ``fwd`` at frame s and ``bwd`` at frame T-1-s
+    together, so a step is one stacked [2, 1, H] @ [2, H, H] product, the
+    adds and a tanh; every x_i @ wx is taken before the loop, in one stacked
+    call of [1, C] @ [C, H] products.  numpy runs each slice of a stacked
+    product with the kernel a lone row gets, so the states are bit-identical
+    to a per-frame, per-direction loop's (numpy does not promise this;
+    ``tests/test_gate.py`` holds the op to that loop's tape).  The backward
+    is BPTT with one multiply-add and one product per step.  Its weight
+    gradients are per-frame outer products summed by ``np.add.reduce`` over
+    the frame axis, which adds them in index order: wh and b in
+    backward-sweep order, wx latest frame first in either direction, as the
+    per-frame tape this op replaced did.
     """
-    xd, wxd, whd, bd = _data(x), _data(wx), _data(wh), _data(b)
-    if xd.ndim != 2 or whd.ndim != 2 or whd.shape[0] != whd.shape[1] \
-            or wxd.shape != (xd.shape[1], whd.shape[0]):
+    xd = _data(x)
+    fd, bd = [_data(p) for p in fwd], [_data(p) for p in bwd]
+    shapes = [p.shape for p in fd]
+    h_dim = shapes[1][-1] if shapes[1] else 0
+    if xd.ndim != 2 or [p.shape for p in bd] != shapes or shapes != [
+            (xd.shape[1], h_dim), (h_dim, h_dim), (h_dim,)]:
         raise DimensionError(
-            f"tanh_rnn: input {xd.shape}, wx {wxd.shape} and wh {whd.shape} "
-            f"disagree")
-    t, h_dim = xd.shape[0], whd.shape[0]
-    if bd.shape != (h_dim,):
-        raise DimensionError(
-            f"tanh_rnn: bias {bd.shape} incompatible with wh {whd.shape}")
-    order = range(t - 1, -1, -1) if reverse else range(t)
-    states = np.empty((t, h_dim))
-    h = np.zeros((1, h_dim))
-    for i in order:
-        h = np.tanh(xd[i:i + 1] @ wxd + h @ whd + bd)
-        states[i] = h
+            f"tanh_birnn: input {xd.shape}, forward weights {shapes} and "
+            f"backward weights {[p.shape for p in bd]} disagree")
+    wx, wh, b = (np.array(pair) for pair in zip(fd, bd))
+    t = xd.shape[0]
+    # [T, 2, 1, H]: row s holds both directions' input terms of loop step s
+    xw = _pair(xd, xd[::-1])[:, :, None] @ wx
+    b = b[:, None]
+    hs = np.empty((t, 2, 1, h_dim))  # the states each loop step makes
+    h = np.zeros((2, 1, h_dim))
+    for xw_s, hs_s in zip(xw, hs):
+        pre = xw_s + h @ wh
+        pre += b
+        h = np.tanh(pre, out=hs_s)
+    states = np.concatenate([hs[:, 0, 0], hs[::-1, 1, 0]], axis=1)
 
     def vjp(g, need):
-        ds = np.empty((t, h_dim))  # gradient at each frame's pre-activation
-        gx = np.empty(xd.shape) if need[0] else None
-        gwh, gb = np.zeros((h_dim, h_dim)), np.zeros(h_dim)
-        dh = None  # gradient reaching the state from the next step
-        back = 1 if reverse else -1  # frame of the previous step's state
-        for i in reversed(order):
-            hi = states[i:i + 1]
-            d = (g[i:i + 1] if dh is None else g[i:i + 1] + dh) * (1.0 - hi * hi)
-            ds[i] = d
-            gb += d[0]
-            if need[0]:
-                gx[i] = d @ wxd.T
-            j = i + back
-            if 0 <= j < t:  # the first step's previous state is the zero start
-                gwh += states[j:j + 1].T @ d
-                dh = d @ whd.T
-        gwx = np.zeros(wxd.shape)
-        for i in range(t - 1, -1, -1):
-            gwx += xd[i:i + 1].T @ ds[i:i + 1]
-        return gx, gwx, gwh, gb
+        # backward step k undoes loop step T-1-k.  What add.reduce sums is
+        # C-contiguous with the terms in the order they must be added in
+        hk = hs[::-1]
+        slope = 1.0 - hk * hk
+        gk = _pair(g[::-1, :h_dim], g[:, h_dim:])[:, :, None]
+        wht = wh.transpose(0, 2, 1)
+        ds = np.empty(gk.shape)  # gradient at each step's pre-activation
+        d = None
+        for gk_k, slope_k, ds_k in zip(gk, slope, ds):
+            if d is not None:
+                gk_k += d @ wht
+            d = np.multiply(gk_k, slope_k, out=ds_k)
+        # step k's wh term pairs its gradient with the state it started from
+        outer = np.empty((max(t - 1, 0), 2, h_dim, h_dim))
+        np.multiply(hk[1:, :, 0, :, None], ds[:-1], out=outer)
+        gwh = np.add.reduce(outer, axis=0)
+        gb = np.add.reduce(ds, axis=0)[:, 0]
+        # both directions' gradients by frame, latest frame first
+        late = _pair(ds[:, 0], ds[::-1, 1])
+        outer = np.empty((t, 2, xd.shape[1], h_dim))
+        np.multiply(xd[::-1, None, :, None], late, out=outer)
+        gwx = np.add.reduce(outer, axis=0)
+        gx = None
+        if need[0]:
+            gxs = late @ wx.transpose(0, 2, 1)
+            gx = (gxs[:, 0, 0] + gxs[:, 1, 0])[::-1]
+        return gx, gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1]
 
-    return record(states, (x, wx, wh, b), vjp)
+    return record(states, (x, *fwd, *bwd), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def test_one_node_block_matches_composed_tape_bit_for_bit(self_attention):
 
 
 def scaled_block(params):
-    # weights scaled down, as for tanh_rnn: at full U(-2, 2) weights the
+    # weights scaled down, as for tanh_birnn: at full U(-2, 2) weights the
     # central differences' step-squared truncation error alone reaches
     # 2.6e-5 (2.6e-7 at step 1e-5), above the 1e-5 bound
     return block_of([mul(p, 0.5) for p in params])

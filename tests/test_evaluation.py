@@ -191,6 +191,32 @@ class TestPredictionsIO:
         with pytest.raises(FormatError, match=message):
             read_predictions(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("s0,-1,1,0.5,0.5,0", "line 3: speaker_idx and frame_idx must be "
+                              "non-negative, got -1 and 1"),
+        ("s0,0,-3,0.5,0.5,0", "line 3: speaker_idx and frame_idx must be "
+                              "non-negative, got 0 and -3"),
+    ], ids=["speaker_minus_1", "frame_minus_3"])
+    def test_negative_index_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"
+                        f"s0,0,0,0.5,0.5,1\n{row}\n")
+        with pytest.raises(FormatError, match=message):
+            read_predictions(path)
+
+    def test_repeated_cell_names_both_lines(self, tmp_path):
+        # same cell with another label; the same frame of another speaker or
+        # scene is a different cell
+        path = tmp_path / "bad.csv"
+        path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"
+                        "s0,0,0,0.5,0.5,1\n"
+                        "s0,1,0,0.5,0.5,1\n"
+                        "s1,0,0,0.5,0.5,1\n"
+                        "s0,0,0,0.25,0.5,0\n")
+        with pytest.raises(FormatError, match=r"line 5: cell \('s0', 0, 0\) "
+                                              r"repeats line 2"):
+            read_predictions(path)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"

@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dualstream import cli
+from dualstream.config import RunConfig
 from dualstream.data import GenConfig, generate
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gate import (ConfidenceNet, GateParams, gate_audio_features,
@@ -18,11 +20,11 @@ from dualstream.train import train_gate
 
 from oracles import matmul, tanh
 
-# distinct nodes on one gate loss's tape, at any T: 12 Parameters and 10
-# ops, the one-node masked_bce among them; the per-frame tape the fused
-# conv and recurrence replaced had 198 at T=12 and 630 at T=48, and the
-# loss's softplus / mul / sub / sum chain took 5 nodes more than now
-MAX_GATE_NODES = 22
+# distinct nodes on one gate loss's tape, at any T: 12 Parameters and 8
+# ops (two conv1d_same, two gelu, one tanh_birnn for both recurrence
+# directions, linear, reshape, masked_bce); the per-frame tape the fused
+# conv and recurrence replaced had 198 at T=12 and 630 at T=48
+MAX_GATE_NODES = 20
 
 GP = GateParams(t_main=0.0, t_veto=0.06, gamma=0.8, eps=1e-6)
 
@@ -209,7 +211,7 @@ class TestConfidenceNet:
 
 
 # ---------------------------------------------------------------------------
-# the per-op tape the fused conv1d_same and tanh_rnn replace, kept as the
+# the per-op tape the fused conv1d_same and tanh_birnn replace, kept as the
 # oracle their values and gradients must match bit for bit
 
 
@@ -276,17 +278,32 @@ def tape_nodes(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("frames", [1, 3, 12, 48])
-def test_fused_gate_matches_per_op_tape_bit_for_bit(frames):
+def gate_sizes(cfg):
+    """(mel bins, conv width, recurrence width) of a config's gate."""
+    return cfg["data.mel_bins"], cfg["gate.conv_hidden"], cfg["gate.rnn_hidden"]
+
+
+# the 8-wide gate under the cases' bare frame ids, then the gates the CLI
+# builds by default and for ``gradcheck``
+GATE_CASES = [pytest.param(frames, sizes, id=f"{prefix}{frames}")
+              for prefix, sizes in (("", (13, 8, 8)),
+                                    ("defaults-", gate_sizes(RunConfig({}))),
+                                    ("tiny-", gate_sizes(RunConfig(cli.TINY))))
+              for frames in (1, 3, 12, 48)]
+
+
+@pytest.mark.parametrize("frames,sizes", GATE_CASES)
+def test_fused_gate_matches_per_op_tape_bit_for_bit(frames, sizes):
     # non-zero biases, so every term of every accumulation is exercised
-    net = ConfidenceNet(13, 8, 8, np.random.default_rng(frames))
+    mel_bins = sizes[0]
+    net = ConfidenceNet(*sizes, np.random.default_rng(frames))
     rng = np.random.default_rng([frames, 1])
     for p in net.parameters():
         p.data[...] = p.data + rng.normal(scale=0.3, size=p.shape)
     params = net.parameters()
     for trial in range(3):
         audio = np.random.default_rng([frames, 2, trial]).normal(
-            size=(4 * frames, 13)) * 2.0
+            size=(4 * frames, mel_bins)) * 2.0
         grads = []
         for logits_fn in (net.logits, lambda a: logits_composed(net, a)):
             zero_grads(params)

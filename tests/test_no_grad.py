@@ -15,7 +15,7 @@ from dualstream.gradcheck import check_parameter_gradients
 from dualstream.losses import contrastive_av, masked_bce
 from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import (Parameter, conv1d_same, linear, mul, no_grad,
-                               tanh_rnn, tsum)
+                               tanh_birnn, tsum)
 
 from oracles import attention_core, layer_norm
 from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
@@ -43,9 +43,11 @@ OPS = {
     "conv1d_same": lambda p, c: conv1d_same(
         p[0], Parameter(c[:, :, :4], "w"),
         Parameter(c[0, 0, :4], "b")),
-    "tanh_rnn": lambda p, c: tanh_rnn(
-        p[0], Parameter(c[0, :, :4], "wx"), Parameter(c[1, :4, :4], "wh"),
-        Parameter(c[2, 0, :4], "b"), reverse=True),
+    "tanh_birnn": lambda p, c: tanh_birnn(
+        p[0], (Parameter(c[0, :, :4], "wxf"), Parameter(c[1, :4, :4], "whf"),
+               Parameter(c[2, 0, :4], "bf")),
+        (Parameter(c[0, :, 1:], "wxb"), Parameter(c[1, 1:, 1:], "whb"),
+         Parameter(c[2, 1, 1:], "bb"))),
     "attention_core": lambda p, c: attention_core(p, Parameter(c, "k"),
                                                   Parameter(c, "v"), 1),
     "block_self": lambda p, c: sal_forward(p, block()),

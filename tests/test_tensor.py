@@ -9,7 +9,7 @@ from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, backward,
                                broadcast_to, concat, conv1d_same, gelu,
                                getitem, linear, mul, no_grad, reshape,
-                               sigmoid, sub, tanh_rnn, tmean, transpose, tsum,
+                               sigmoid, sub, tanh_birnn, tmean, transpose, tsum,
                                zero_grads)
 from oracles import (attention_core, layer_norm, matmul, power, softmax,
                      softplus, take_rows, tanh, texp, tlog)
@@ -222,15 +222,21 @@ class TestConv1dSame:
 
 
 class TestTanhRnn:
+    """``tanh_birnn``, the bidirectional tanh recurrence."""
+
     def test_matches_numpy_oracle_both_directions(self):
         rng = np.random.default_rng(16)
-        x, wx, wh, b = rand(rng, 5, 3), rand(rng, 3, 4), rand(rng, 4, 4), rand(rng, 4)
-        for reverse, order in ((False, range(5)), (True, range(4, -1, -1))):
-            h, expected = np.zeros(4), np.zeros((5, 4))
+        x = rand(rng, 5, 3)
+        fwd = rand(rng, 3, 4), rand(rng, 4, 4), rand(rng, 4)
+        bwd = rand(rng, 3, 4), rand(rng, 4, 4), rand(rng, 4)
+        expected = np.zeros((5, 8))
+        for (wx, wh, b), order, cols in ((fwd, range(5), slice(0, 4)),
+                                         (bwd, range(4, -1, -1), slice(4, 8))):
+            h = np.zeros(4)
             for i in order:
-                h = expected[i] = np.tanh(x[i] @ wx + h @ wh + b)
-            npt.assert_allclose(tanh_rnn(x, wx, wh, b, reverse=reverse).data,
-                                expected, atol=1e-12, rtol=0)
+                h = expected[i, cols] = np.tanh(x[i] @ wx + h @ wh + b)
+        npt.assert_allclose(tanh_birnn(x, fwd, bwd).data, expected,
+                            atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("x_shape,wx_shape,wh_shape,b_shape", [
         ((5, 3), (2, 4), (4, 4), (4,)),   # input width vs wx
@@ -240,9 +246,20 @@ class TestTanhRnn:
         ((5,), (3, 4), (4, 4), (4,)),     # input rank
     ])
     def test_bad_shapes_rejected(self, x_shape, wx_shape, wh_shape, b_shape):
+        weights = [np.zeros(wx_shape), np.zeros(wh_shape), np.zeros(b_shape)]
         with pytest.raises(DimensionError):
-            tanh_rnn(np.zeros(x_shape), np.zeros(wx_shape), np.zeros(wh_shape),
-                     np.zeros(b_shape))
+            tanh_birnn(np.zeros(x_shape), weights, weights)
+
+    @pytest.mark.parametrize("which", [0, 1, 2, None])
+    def test_directions_must_agree(self, which):
+        # the backward direction takes one weight (None: all three) of a
+        # 5-wide recurrence; either direction alone would fit x
+        fwd = [np.zeros((3, 4)), np.zeros((4, 4)), np.zeros(4)]
+        wide = [np.zeros((3, 5)), np.zeros((5, 5)), np.zeros(5)]
+        bwd = wide if which is None else \
+            fwd[:which] + [wide[which]] + fwd[which + 1:]
+        with pytest.raises(DimensionError, match="tanh_birnn"):
+            tanh_birnn(np.zeros((2, 3)), fwd, bwd)
 
 
 class TestAttentionCore:
@@ -421,14 +438,14 @@ def test_conv1d_same_gradients_every_parent(k, frames):
     check_every_parent(conv1d_same, [(frames, 3), (k, 3, 4), (4,)])
 
 
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("frames", [1, 5])
-def test_tanh_rnn_gradients_every_parent(reverse, frames):
+def test_tanh_birnn_gradients_every_parent(frames):
     # weights scaled down so the states stay off tanh's flat tails
     check_every_parent(
-        lambda x, wx, wh, b: tanh_rnn(x, mul(wx, 0.5), mul(wh, 0.5), b,
-                                      reverse=reverse),
-        [(frames, 3), (3, 4), (4, 4), (4,)])
+        lambda x, wxf, whf, bf, wxb, whb, bb: tanh_birnn(
+            x, (mul(wxf, 0.5), mul(whf, 0.5), bf),
+            (mul(wxb, 0.5), mul(whb, 0.5), bb)),
+        [(frames, 3), (3, 4), (4, 4), (4,), (3, 4), (4, 4), (4,)])
 
 
 def test_attention_core_gradients_every_parent():
