@@ -448,6 +448,22 @@ def test_tanh_birnn_gradients_every_parent(frames):
         [(frames, 3), (3, 4), (4, 4), (4,), (3, 4), (4, 4), (4,)])
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("frames", [1, 5])
+def test_tanh_rnn_gradients_every_parent(reverse, frames):
+    # one direction's weights are Parameters, the other's are constant
+    # arrays, so each direction's gradient path is checked on its own
+    rng = np.random.default_rng([12, frames])
+    fixed = (0.5 * rand(rng, 3, 4), 0.5 * rand(rng, 4, 4), rand(rng, 4))
+
+    def op(x, wx, wh, b):
+        trained = (mul(wx, 0.5), mul(wh, 0.5), b)
+        return (tanh_birnn(x, fixed, trained) if reverse
+                else tanh_birnn(x, trained, fixed))
+
+    check_every_parent(op, [(frames, 3), (3, 4), (4, 4), (4,)])
+
+
 def test_attention_core_gradients_every_parent():
     # 2 heads, 3 queries against 5 keys
     check_every_parent(lambda q, k, v: attention_core(q, k, v, 2),
