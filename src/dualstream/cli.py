@@ -24,7 +24,7 @@ from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
 from .losses import total_loss
 from .model import ActiveSpeakerModel
-from .tensor import no_grad
+from .tensor import add, no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
                     save_checkpoint, train_gate, train_model)
 
@@ -138,7 +138,7 @@ def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
         # what dropping the tape saves there.
         with no_grad():
             raw = model.forward(scene.visual, scene.audio).scores.data
-            p_voice = voice_confidence(scene.audio, gate_net).data
+            p_voice = voice_confidence(scene.audio, gate_net)
         final = gate_batch(raw, p_voice, gate_params) if apply_gate else raw
         spk, frame = np.nonzero(scene.mask)  # row-major: the CSV's order
         ids = [scene.scene_id] * len(spk)
@@ -224,7 +224,7 @@ def cmd_gradcheck(args) -> int:
     def build_loss():
         out = model.forward(scene.visual, scene.audio)
         main, _ = total_loss(out, scene.labels, scene.mask, weights)
-        return main + gate_loss(gate_net, scene)
+        return add(main, gate_loss(gate_net, scene))
 
     params = model.parameters() + gate_net.parameters()
     worst = check_parameter_gradients(build_loss, params, step=1e-4,

@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .gate import GateParams
 from .losses import LossWeights
 from .model import ModelConfig
-from .ranges import AT_LEAST_1, POSITIVE, Range
+from .ranges import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Range
 
 # the dataclass behind each view and the namespace of its keys
 _VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
@@ -29,7 +29,7 @@ _OWN_KEYS = {
     "train.epochs": (int, 16, AT_LEAST_1),
     "train.lr": (float, 0.03, POSITIVE),
     "train.momentum": (float, 0.9, Range(0, 1, open_hi=True)),
-    "train.seed": (int, 0, None),
+    "train.seed": (int, 0, NON_NEGATIVE),
     "gate.conv_hidden": (int, 16, AT_LEAST_1),
     "gate.rnn_hidden": (int, 16, AT_LEAST_1),
     "gate.epochs": (int, 20, AT_LEAST_1),

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .data import frame_steps
 from .errors import ContractError, DimensionError
 from .ranges import POSITIVE, UNIT, Range, check_ranges, knob
-from .tensor import (Parameter, Tensor, add, conv1d_same, gelu, init_uniform,
-                     linear, reshape, sigmoid, tanh_birnn)
+from .tensor import (Parameter, Tensor, conv1d_same, gelu, init_uniform,
+                     linear, reshape, tanh_birnn)
 
 # keeps voice_confidence strictly inside (0, 1) even when the trained head
 # saturates the float64 sigmoid
@@ -110,8 +111,8 @@ class ConfidenceNet:
         return reshape(linear(both, self.out_w, self.out_b), (x.shape[0],))
 
 
-def voice_confidence(audio, net: ConfidenceNet) -> Tensor:
-    """Frame-level speech confidence in the open interval (0, 1), from
-    [4T, M] audio."""
-    p = sigmoid(net.logits(audio))
-    return add(p * (1.0 - 2.0 * _SQUASH_MARGIN), _SQUASH_MARGIN)
+def voice_confidence(audio, net: ConfidenceNet) -> np.ndarray:
+    """Frame-level speech confidence in the open interval (0, 1), shape
+    [T], from [4T, M] audio.  Forward-only: it trains through ``logits``."""
+    p = expit(net.logits(audio).data)
+    return p * (1.0 - 2.0 * _SQUASH_MARGIN) + _SQUASH_MARGIN

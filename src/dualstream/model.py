@@ -19,7 +19,8 @@ import numpy as np
 from .attention import AttentionBlock, cal_forward, sal_forward
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError
-from .ranges import AT_LEAST_1, POSITIVE, check_ranges, knob
+from .ranges import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, Range, check_ranges,
+                     knob)
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
@@ -116,9 +117,9 @@ class ModelConfig:
     # input sizes: the corpus's, so they read the data.* keys
     height: int = knob(8, AT_LEAST_1, key="data.height")
     width: int = knob(8, AT_LEAST_1, key="data.width")
-    mel_bins: int = knob(13, AT_LEAST_1, key="data.mel_bins")
+    mel_bins: int = knob(13, Range(lo=2), key="data.mel_bins")
     ln_eps: float = knob(1e-5, POSITIVE)
-    init_seed: int = 0
+    init_seed: int = knob(0, NON_NEGATIVE)
     ablate_speaker: bool = False
     ablate_temporal: bool = False
 

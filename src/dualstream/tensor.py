@@ -33,9 +33,9 @@ Design points:
     through ``record``, which is also the only reader of the ``no_grad``
     switch.  Constants (Python scalars, numpy arrays) never become tape
     nodes: every op, ``concat`` included, takes only its Tensor operands as
-    parents, and ``mul``, ``linear``, ``conv1d_same`` and the broadcasting
-    ops compute no gradient for a constant input; ``tanh_birnn`` computes
-    none for a constant x.
+    parents, and ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute
+    no gradient for a constant operand; ``tanh_birnn`` computes none for a
+    constant x.
   * forward-only work records no tape.  Inside ``with no_grad():`` every op
     runs the same forward code and returns a parentless Tensor with no VJP,
     so outputs are bit-identical to the taped ones and each op's inputs are
@@ -49,7 +49,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import erf as _erf, expit as _expit
+from scipy.special import erf as _erf
 
 from .errors import ContractError, DimensionError
 
@@ -88,9 +88,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "parents", "vjp")
-    # numpy defers every operator with a Tensor operand to the Tensor's
-    # reflected method, so ``c - t`` records a tape node instead of building
-    # an object array elementwise
+    # ops are the module's functions only: Tensor defines no operators, and
+    # this makes numpy refuse one too, so ``c - t`` raises TypeError instead
+    # of building an object array elementwise
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjp=None):
@@ -115,53 +115,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    # operator sugar; all arithmetic lives in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported; "
-                                "only division by a constant is")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 class Parameter(Tensor):
@@ -232,16 +185,6 @@ def add(a, b):
     return record(ad + bd, (a, b), vjp)
 
 
-def sub(a, b):
-    ad, bd = _data(a), _data(b)
-
-    def vjp(g, need):
-        return (_unbroadcast(g, ad.shape) if need[0] else None,
-                _unbroadcast(-g, bd.shape) if need[1] else None)
-
-    return record(ad - bd, (a, b), vjp)
-
-
 def mul(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -250,15 +193,6 @@ def mul(a, b):
                 _unbroadcast(g * ad, bd.shape) if need[1] else None)
 
     return record(ad * bd, (a, b), vjp)
-
-
-def neg(a):
-    return record(-_data(a), (a,), lambda g, need: (-g,))
-
-
-def sigmoid(a):
-    out = _expit(_data(a))
-    return record(out, (a,), lambda g, need: (g * out * (1.0 - out),))
 
 
 def gelu(a):

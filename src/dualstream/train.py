@@ -1,9 +1,10 @@
-"""Training loops, the optimizer, and checkpoint I/O.
+"""The training loop, the optimizer, and checkpoint I/O.
 
 Plain gradient descent with momentum and a fixed step, one update per
-scene, scenes shuffled each epoch with a seeded generator.  The main model
-and the voice-confidence branch are trained separately (the gate stays a
-pure post-processor) but live in the same checkpoint.
+scene, scenes shuffled each epoch with a seeded generator (``fit``).  The
+main model and the voice-confidence branch are trained separately by that
+loop (the gate stays a pure post-processor) but live in the same
+checkpoint.
 
 Checkpoint container (little-endian, magic "D2CKPT1"): u32 tensor count,
 then per tensor: u32 name length + utf-8 name, u32 ndim, u32 dims...,
@@ -39,14 +40,13 @@ class MomentumSGD:
     """
 
     def __init__(self, params, lr, momentum):
-        self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
-        self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        self.data = np.concatenate([p.data.reshape(-1) for p in params])
+        self.grad = np.concatenate([p.grad.reshape(-1) for p in params])
         self.velocity = np.zeros_like(self.data)
         offset = 0
-        for p in self.params:
+        for p in params:
             end = offset + p.data.size
             p.data = self.data[offset:end].reshape(p.data.shape)
             p.grad = self.grad[offset:end].reshape(p.data.shape)
@@ -65,45 +65,51 @@ class MomentumSGD:
         self.data += v
 
 
-def _first_non_finite(params):
-    for p in params:
-        if not np.isfinite(p.data).all() or not np.isfinite(p.grad).all():
-            return p.name
-    return None
-
-
-def train_model(model: ActiveSpeakerModel, scenes, weights: LossWeights,
-                epochs, lr, momentum, seed, log_fn=None):
-    """Returns the per-epoch loss history as a list of dicts."""
-    params = model.parameters()
+def fit(params, scenes, objective, epochs, lr, momentum, seed, salt, what,
+        log_fn=None):
+    """Momentum SGD on ``params``, one step per scene, in an order shuffled
+    each epoch by ``[seed, salt + epoch]``.  ``objective(scene)`` returns
+    the loss Tensor and a dict of float parts.  Returns, and passes to
+    ``log_fn``, one row per epoch: the mean loss ("total") and parts.  A
+    non-finite loss raises ``NumericalError`` naming ``what``."""
     opt = MomentumSGD(params, lr, momentum)
     history = []
     for epoch in range(epochs):
-        order = np.random.default_rng([seed, epoch]).permutation(len(scenes))
-        sums = {"total": 0.0, "l_av": 0.0, "l_v": 0.0, "l_a": 0.0, "l_con": 0.0}
+        order = np.random.default_rng([seed, salt + epoch]).permutation(len(scenes))
+        sums = {}
         for idx in order:
-            scene = scenes[idx]
             opt.zero_grad()
-            out = model.forward(scene.visual, scene.audio)
-            loss, parts = total_loss(out, scene.labels, scene.mask, weights)
+            loss, parts = objective(scenes[idx])
             value = loss.item()
             if not np.isfinite(value):
-                culprit = _first_non_finite(params) or "loss"
+                # zero_grad has just cleared every grad: only data can be bad
+                bad = next((p.name for p in params
+                            if not np.isfinite(p.data).all()), None)
+                where = (f"first bad parameter: {bad}" if bad
+                         else "every parameter is finite")
                 raise NumericalError(
-                    f"non-finite loss at epoch {epoch}; first bad parameter: "
-                    f"{culprit}")
+                    f"non-finite {what} at epoch {epoch}; {where}")
             backward(loss)
             opt.step()
-            sums["total"] += value
-            for k, v in parts.items():
-                sums[k] += v
-        n = float(len(scenes))
-        row = {k: v / n for k, v in sums.items()}
+            for k, v in {"total": value, **parts}.items():
+                sums[k] = sums.get(k, 0.0) + v
+        row = {k: v / float(len(scenes)) for k, v in sums.items()}
         row["epoch"] = epoch
         history.append(row)
         if log_fn is not None:
             log_fn(row)
     return history
+
+
+def train_model(model: ActiveSpeakerModel, scenes, weights: LossWeights,
+                epochs, lr, momentum, seed, log_fn=None):
+    """Returns the per-epoch loss history as a list of dicts."""
+    def objective(scene):
+        out = model.forward(scene.visual, scene.audio)
+        return total_loss(out, scene.labels, scene.mask, weights)
+
+    return fit(model.parameters(), scenes, objective, epochs, lr, momentum,
+               seed, 0, "loss", log_fn)
 
 
 def gate_loss(net: ConfidenceNet, scene: Scenario):
@@ -115,20 +121,8 @@ def gate_loss(net: ConfidenceNet, scene: Scenario):
 
 def train_gate(net: ConfidenceNet, scenes, epochs, lr, momentum, seed):
     """Fit the confidence branch on frame-level any-speech labels."""
-    params = net.parameters()
-    opt = MomentumSGD(params, lr, momentum)
-    for epoch in range(epochs):
-        order = np.random.default_rng([seed, 1_000_003 + epoch]).permutation(len(scenes))
-        for idx in order:
-            opt.zero_grad()
-            loss = gate_loss(net, scenes[idx])
-            if not np.isfinite(loss.item()):
-                culprit = _first_non_finite(params) or "loss"
-                raise NumericalError(
-                    f"non-finite gate loss at epoch {epoch}; first bad "
-                    f"parameter: {culprit}")
-            backward(loss)
-            opt.step()
+    fit(net.parameters(), scenes, lambda scene: (gate_loss(net, scene), {}),
+        epochs, lr, momentum, seed, 1_000_003, "gate loss")
 
 
 # ---------------------------------------------------------------------------

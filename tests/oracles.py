@@ -16,13 +16,23 @@ import numpy as np
 from scipy.special import expit
 
 from dualstream.errors import DimensionError
-from dualstream.tensor import (Tensor, _unbroadcast, attention_backward,
-                               attention_forward, layer_norm_backward,
-                               layer_norm_forward, record)
+from dualstream.tensor import (Tensor, _data, _unbroadcast,
+                               attention_backward, attention_forward,
+                               layer_norm_backward, layer_norm_forward, record)
 
 
 def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def sub(a, b):
+    ad, bd = _data(a), _data(b)
+
+    def vjp(g, need):
+        return (_unbroadcast(g, ad.shape) if need[0] else None,
+                _unbroadcast(-g, bd.shape) if need[1] else None)
+
+    return record(ad - bd, (a, b), vjp)
 
 
 def power(a, p):

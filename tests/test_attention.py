@@ -258,7 +258,7 @@ def test_block_gradients_match_finite_differences():
     def build():
         a = sal_forward(x, sal)
         b = cal_forward(a, y, cal)
-        return tsum(b * proj)
+        return tsum(mul(b, proj))
 
     params = sal.parameters() + cal.parameters()
     worst = check_parameter_gradients(build, params, step=1e-4, max_coords=4,

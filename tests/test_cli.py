@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dualstream import cli
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
 from dualstream.config import RunConfig, load_config
 from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
@@ -74,6 +75,15 @@ class TestGenData:
         assert run(*TINY, "gen-data", "--scenes", "0",
                    "--out", str(tmp_path / "x.bin")) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.bin"
+        assert run(*TINY, "gen-data", "--seed", "-1", "--scenes", "2",
+                   "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "data.seed: value -1 out of range" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert run("--set", "bogus.key=1", "gen-data", "--scenes", "2",
                    "--out", str(tmp_path / "x.bin")) == 1
@@ -100,6 +110,25 @@ class TestTrain:
         assert run(*TINY, *zeros, "train", "--corpus", str(tmp_path / "nope.bin"),
                    "--out", str(tmp_path / "m.ckpt")) == 1
         assert not (tmp_path / "m.ckpt.log").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ("train.lr=1e3", "non-finite loss at epoch 1"),
+        ("gate.lr=1e300", "non-finite gate loss at epoch 0"),
+    ], ids=["model", "gate"])
+    def test_non_finite_loss_is_numerical_error(self, tmp_path, capsys,
+                                                override, message):
+        sizes = [a for k, v in cli.TINY.items() for a in ("--set", f"{k}={v}")]
+        corpus, ckpt = tmp_path / "c.bin", tmp_path / "m.ckpt"
+        assert run(*sizes, "gen-data", "--scenes", "4",
+                   "--out", str(corpus)) == 0
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning):  # numpy's overflow on the way
+            code = run(*sizes, "--set", override, "train", "--epochs", "3",
+                       "--corpus", str(corpus), "--out", str(ckpt))
+        assert code == 3
+        assert capsys.readouterr().err == \
+            f"error: {message}; every parameter is finite\n"
+        assert not ckpt.exists()
 
     def test_fixed_seed_reproduces_loss_curve(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline

@@ -115,7 +115,7 @@ class TestSchema:
     def test_every_range_probed(self):
         ranged = {k for k, (_t, _d, rng) in SCHEMA.items() if rng is not None}
         assert {key for key, _ in RANGED} == ranged
-        assert len(ranged) == 37  # all but the seeds, t_main, threshold, ablations
+        assert len(ranged) == 40  # all but t_main, threshold, ablations
 
 
 class TestText:

@@ -173,24 +173,24 @@ class TestConfidenceNet:
         net = self.make_net()
         out = voice_confidence(np.random.default_rng(6).normal(size=(4, 13)), net)
         assert out.shape == (1,)
-        assert 0.0 < out.data[0] < 1.0
+        assert 0.0 < out[0] < 1.0
 
     def test_range_strictly_inside_unit_interval(self):
         net = self.make_net()
         rng = np.random.default_rng(7)
         for _ in range(1000):
             audio = rng.normal(size=(4 * rng.integers(1, 9), 13)) * 10
-            p = voice_confidence(audio, net).data
+            p = voice_confidence(audio, net)
             assert (p > 0.0).all() and (p < 1.0).all()
 
     def test_depends_on_whole_sequence(self):
         net = self.make_net()
         rng = np.random.default_rng(8)
         audio = rng.normal(size=(24, 13))
-        base = voice_confidence(audio, net).data
+        base = voice_confidence(audio, net)
         audio2 = audio.copy()
         audio2[20:] += 1.0  # last frame perturbs the first output (bidirectional)
-        out = voice_confidence(audio2, net).data
+        out = voice_confidence(audio2, net)
         assert abs(out[0] - base[0]) > 0
 
     def test_learns_speech_detection(self):
@@ -203,7 +203,7 @@ class TestConfidenceNet:
         train_gate(net, train_scenes, epochs=8, lr=0.1, momentum=0.9, seed=0)
         hits = total = 0
         for scene in held_out:
-            p = voice_confidence(scene.audio, net).data
+            p = voice_confidence(scene.audio, net)
             truth = scene.labels.sum(axis=0) > 0
             hits += ((p >= 0.5) == truth).sum()
             total += truth.size

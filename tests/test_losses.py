@@ -9,10 +9,10 @@ from dualstream.gradcheck import check_parameter_gradients
 from dualstream.losses import (LossWeights, contrastive_av, masked_bce,
                                total_loss)
 from dualstream.model import ModelOutput
-from dualstream.tensor import (Parameter, Tensor, add, backward, mul, sub,
-                               tmean, transpose, tsum, zero_grads)
+from dualstream.tensor import (Parameter, Tensor, add, backward, mul, tmean,
+                               transpose, tsum, zero_grads)
 
-from oracles import matmul, power, softplus, take_rows, texp, tlog
+from oracles import matmul, power, softplus, sub, take_rows, texp, tlog
 from test_tensor import check_every_parent
 
 

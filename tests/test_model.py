@@ -8,7 +8,7 @@ from dualstream.data import GenConfig, generate_scene
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
                               cross_interact, dual_forward, speaker_stream)
-from dualstream.tensor import Parameter, Tensor, init_uniform, tsum
+from dualstream.tensor import Parameter, Tensor, init_uniform, mul, tsum
 
 from test_attention import block_oracle
 
@@ -204,7 +204,7 @@ def test_full_model_gradients_match_finite_differences():
 
     def build():
         out = model.forward(scene.visual, scene.audio)
-        return tsum(out.scores * proj)
+        return tsum(mul(out.scores, proj))
 
     worst = check_parameter_gradients(build, model.parameters(), step=1e-4,
                                       max_coords=3, seed=2)

@@ -4,18 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dualstream import cli
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.cli import _build_gate_net, collect_predictions, gradcheck_inputs
 from dualstream.config import RunConfig
 from dualstream.data import generate
 from dualstream.evaluation import PredictionRecord
-from dualstream.gate import gate_batch, voice_confidence
+from dualstream.gate import ConfidenceNet, gate_batch, voice_confidence
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.losses import contrastive_av, masked_bce
 from dualstream.model import ActiveSpeakerModel
-from dualstream.tensor import (Parameter, conv1d_same, linear, mul, no_grad,
-                               tanh_birnn, tsum)
+from dualstream.tensor import (Parameter, add, conv1d_same, getitem, linear,
+                               mul, no_grad, tanh_birnn, tsum)
 
 from oracles import attention_core, layer_norm
 from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
@@ -35,16 +34,15 @@ def taping():
 OPS = {
     **{f"primitive_{name}": op for name, op in PRIMITIVES.items()},
     **{f"constant_{name}": op for name, op in CONSTANT_PATHS.items()},
-    "neg": lambda p, c: -p,
     "linear": lambda p, c: linear(p, Parameter(c[0], "w"),
                                   Parameter(c[1, 0], "b")),
     "layer_norm": lambda p, c: layer_norm(p, Parameter(c[0, 0], "g"),
                                           Parameter(c[1, 0], "b"), 1e-5),
     "conv1d_same": lambda p, c: conv1d_same(
-        p[0], Parameter(c[:, :, :4], "w"),
+        getitem(p, 0), Parameter(c[:, :, :4], "w"),
         Parameter(c[0, 0, :4], "b")),
     "tanh_birnn": lambda p, c: tanh_birnn(
-        p[0], (Parameter(c[0, :, :4], "wxf"), Parameter(c[1, :4, :4], "whf"),
+        getitem(p, 0), (Parameter(c[0, :, :4], "wxf"), Parameter(c[1, :4, :4], "whf"),
                Parameter(c[2, 0, :4], "bf")),
         (Parameter(c[0, :, 1:], "wxb"), Parameter(c[1, 1:, 1:], "whb"),
          Parameter(c[2, 1, 1:], "bb"))),
@@ -54,8 +52,8 @@ OPS = {
     "block_cross": lambda p, c: cal_forward(p, Parameter(c[:, :2], "y"),
                                             block()),
     "masked_bce": lambda p, c: masked_bce(p, c > 0, c > -1),
-    "contrastive_av": lambda p, c: contrastive_av(p[0], Parameter(c[0], "v"),
-                                                  c[1, :, 0] > -1, 0.1),
+    "contrastive_av": lambda p, c: contrastive_av(
+        getitem(p, 0), Parameter(c[0], "v"), c[1, :, 0] > -1, 0.1),
 }
 
 
@@ -91,19 +89,19 @@ def test_model_and_gate_outputs_bit_identical(which):
 
     def run():
         out = model.forward(scene.visual, scene.audio)
-        return out, voice_confidence(scene.audio, gate_net)
+        return out, gate_net.logits(scene.audio)
 
-    taped_out, taped_p = run()
+    taped_out, taped_gate = run()
     with no_grad():
-        free_out, free_p = run()
+        free_out, free_gate = run()
     for name in ("scores", "visual_logits", "audio_logits"):
         npt.assert_array_equal(getattr(free_out, name).data,
                                getattr(taped_out, name).data, err_msg=name)
-    npt.assert_array_equal(free_p.data, taped_p.data)
-    assert taped_out.scores.parents and taped_p.parents
+    npt.assert_array_equal(free_gate.data, taped_gate.data)
+    assert taped_out.scores.parents and taped_gate.parents
     for name, value in vars(free_out).items():
         assert value.parents == (), name
-    assert free_p.parents == ()
+    assert free_gate.parents == ()
 
 
 def test_nested_contexts_restore_the_mode():
@@ -135,7 +133,7 @@ def taped_predictions(model, gate_net, scenes, gp, apply_gate):
     records, raw_records = [], []
     for scene in scenes:
         raw = model.forward(scene.visual, scene.audio).scores.data
-        p_voice = voice_confidence(scene.audio, gate_net).data
+        p_voice = voice_confidence(scene.audio, gate_net)
         final = gate_batch(raw, p_voice, gp) if apply_gate else raw
         for spk, frame in zip(*np.nonzero(scene.mask)):
             for scores, dest in ((final, records), (raw, raw_records)):
@@ -155,20 +153,20 @@ def test_collect_predictions_matches_taped_loop(monkeypatch):
     want = {gate: taped_predictions(model, gate_net, scenes, gp, gate)
             for gate in (True, False)}
 
-    taped = []  # whether each scored forward and gate output kept a tape
+    taped = []  # whether each scored forward and gate logits kept a tape
 
     def forward(visual, audio):
         out = ActiveSpeakerModel.forward(model, visual, audio)
         taped.append(bool(out.scores.parents))
         return out
 
-    def confidence(audio, net):
-        p = voice_confidence(audio, net)
-        taped.append(bool(p.parents))
-        return p
+    def logits(audio):
+        out = ConfidenceNet.logits(gate_net, audio)
+        taped.append(bool(out.parents))
+        return out
 
     monkeypatch.setattr(model, "forward", forward)
-    monkeypatch.setattr(cli, "voice_confidence", confidence)
+    monkeypatch.setattr(gate_net, "logits", logits)
     for apply_gate in (True, False):
         got = collect_predictions(model, gate_net, scenes, gp, apply_gate)
         assert got == want[apply_gate]
@@ -187,7 +185,7 @@ def test_gradcheck_puts_back_the_coordinate_when_the_loss_raises(fail_on):
         calls.append(taping())
         if len(calls) == fail_on:
             raise RuntimeError("loss failed")
-        return tsum(mul(params[0], params[0])) + tsum(params[1])
+        return add(tsum(mul(params[0], params[0])), tsum(params[1]))
 
     with pytest.raises(RuntimeError, match="loss failed"):
         check_parameter_gradients(build_loss, params)

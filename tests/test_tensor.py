@@ -1,5 +1,7 @@
 """Tensor engine: forward oracles, gradient rules, backward semantics."""
 
+import operator
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,10 +11,9 @@ from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, backward,
                                broadcast_to, concat, conv1d_same, gelu,
                                getitem, linear, mul, no_grad, reshape,
-                               sigmoid, sub, tanh_birnn, tmean, transpose, tsum,
-                               zero_grads)
+                               tanh_birnn, tmean, transpose, tsum, zero_grads)
 from oracles import (attention_core, layer_norm, matmul, power, softmax,
-                     softplus, take_rows, tanh, texp, tlog)
+                     softplus, sub, take_rows, tanh, texp, tlog)
 
 
 def rand(rng, *shape):
@@ -367,7 +368,6 @@ PRIMITIVES = {
     "exp": lambda p, c: texp(p),
     "log": lambda p, c: tlog(add(mul(p, p), 0.5)),
     "tanh": lambda p, c: tanh(p),
-    "sigmoid": lambda p, c: sigmoid(p),
     "softplus": lambda p, c: softplus(p),
     "gelu": lambda p, c: gelu(p),
     "softmax": lambda p, c: softmax(p, axis=-1),
@@ -473,16 +473,12 @@ def test_attention_core_gradients_every_parent():
 # constant operands are numpy arrays or Python scalars, never tape nodes
 CONSTANT_PATHS = {
     "add_scalar": lambda p, c: add(p, 0.75),
-    "radd_scalar": lambda p, c: 0.75 + p,
-    "add_array_broadcast": lambda p, c: add(c, p[0]),
+    "add_array_broadcast": lambda p, c: add(c, getitem(p, 0)),
     "sub_scalar": lambda p, c: sub(p, 1.5),
     "sub_from_array": lambda p, c: sub(c, p),
-    "rsub_scalar": lambda p, c: 2.0 - p,
-    "sub_from_array_broadcast": lambda p, c: sub(c, p[1]),
+    "sub_from_array_broadcast": lambda p, c: sub(c, getitem(p, 1)),
     "mul_scalar": lambda p, c: mul(p, -1.25),
-    "rmul_scalar": lambda p, c: -1.25 * p,
-    "mul_array_broadcast": lambda p, c: mul(c, p[2]),
-    "div_scalar": lambda p, c: p / 4.0,
+    "mul_array_broadcast": lambda p, c: mul(c, getitem(p, 2)),
     "concat_with_array": lambda p, c: concat([p, c], axis=1),
 }
 
@@ -510,14 +506,22 @@ def test_constant_operand_paths(name):
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 
 
-@pytest.mark.parametrize("op", [lambda c, p: c - p, lambda c, p: c + p,
-                                lambda c, p: c * p], ids=["sub", "add", "mul"])
-def test_ndarray_on_the_left_defers_to_the_tensor(op):
+def test_operators_on_tensors_are_refused():
+    # ops are the module's functions only: an operator with a Tensor
+    # operand, beside an ndarray too, raises rather than building a tape
+    # node or an object array
     rng = np.random.default_rng(17)
-    p, c = Parameter(rand(rng, 3, 4), "p"), rand(rng, 3, 4)
-    out = op(c, p)
-    assert isinstance(out, Tensor) and out.parents == (p,)
-    npt.assert_array_equal(out.data, op(c, p.data))
+    p = Parameter(rand(rng, 3, 4), "p")
+    for other in (rand(rng, 3, 4), 0.5, Tensor(rand(rng, 3, 4))):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((other, p), (p, other)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+    for op in (operator.neg, lambda a: a[0]):
+        with pytest.raises(TypeError):
+            op(p)
+    for name in ("reshape", "transpose", "sum", "mean"):
+        assert not hasattr(p, name)
 
 
 def test_ndarray_matmul_tensor_is_refused():
@@ -532,12 +536,11 @@ def test_constant_paths_match_lifted_constants_bit_for_bit():
         npt.assert_array_equal(op(x, c).data, op(x, Tensor(c)).data)
         npt.assert_array_equal(op(c, x).data, op(Tensor(c), x).data)
         npt.assert_array_equal(op(x, 0.3).data, op(x, Tensor(0.3)).data)
-    npt.assert_array_equal((0.3 - x).data, sub(Tensor(0.3), x).data)
 
 
 def test_ops_on_constants_alone_are_constants():
     c = np.arange(6.0).reshape(2, 3)
-    for out in (add(c, 1.0), mul(2.0, c), sigmoid(c), tsum(c, axis=0),
+    for out in (add(c, 1.0), mul(2.0, c), tsum(c, axis=0),
                 concat([c, c], axis=0), linear(c, np.ones((3, 2)), np.ones(2))):
         assert out.parents == () and out.vjp is None
 

@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Byte-identity check for refactors: run one artifact set from each of two
+# source trees and cmp every file the two runs write.
+#
+#   tools/cmp_artifacts.sh PARENT_TREE CHANGE_TREE
+#
+# Each tree is a checkout with the package under src/.  For each tree, with
+# one BLAS thread and in a directory of its own, the script runs
+#   * default sizes: gen-data of 48 training and 16 held-out scenes, train
+#     for 4 model and 4 gate epochs, eval with the gate on and off;
+#   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
+#     epochs, the same train and evals;
+#   * gradcheck at model.init_seed 0 and 3.
+# Corpora, checkpoints, train logs, prediction CSVs, metrics and every
+# command's stdout are compared.  Exit 0: every pair is byte-identical.
+# Exit 1: each differing file is named, and both runs are kept for a look.
+# Exit 2: a command failed.  About 20 s per tree on a 2-core x86 host.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 PARENT_TREE CHANGE_TREE" >&2
+    exit 2
+fi
+
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+work=$(mktemp -d)
+keep=0
+trap '[ "$keep" -eq 1 ] || rm -rf "$work"' EXIT
+
+run_set() {  # run_set TREE OUT_DIR
+    local tree=$1 src
+    src=$(cd "$tree" && pwd)/src
+    mkdir -p "$2"
+    (
+        cd "$2"
+        ds() {
+            PYTHONPATH="$src" python3 -m dualstream "$@" || {
+                echo "cmp_artifacts: failed in $tree: dualstream $*" >&2
+                exit 2
+            }
+        }
+        pipeline() {  # pipeline TAG TRAIN_SCENES EPOCHS [--set KEY=VALUE]...
+            local tag=$1 scenes=$2 epochs=$3
+            shift 3
+            ds "$@" gen-data --seed 7 --scenes "$scenes" \
+                --out "$tag.train.bin" > "$tag.gen-train.out"
+            ds "$@" gen-data --seed 1000 --scenes 16 \
+                --out "$tag.held.bin" > "$tag.gen-held.out"
+            ds "$@" --set "gate.epochs=$epochs" train --epochs "$epochs" \
+                --corpus "$tag.train.bin" --out "$tag.ckpt" > "$tag.train.out"
+            for gate in on off; do
+                ds "$@" eval --corpus "$tag.held.bin" --model "$tag.ckpt" \
+                    --gate "$gate" --predictions "$tag.gate-$gate.csv" \
+                    --metrics "$tag.gate-$gate.metrics" > "$tag.gate-$gate.out"
+            done
+        }
+        pipeline default 48 4
+        pipeline long 24 2 --set data.frames=48 --set data.speakers=4 \
+            --set model.ablate_temporal=true
+        for seed in 0 3; do
+            ds --set "model.init_seed=$seed" gradcheck > "gradcheck-$seed.out"
+        done
+    )
+}
+
+run_set "$1" "$work/parent"
+run_set "$2" "$work/change"
+
+status=0
+while IFS= read -r name; do
+    if ! cmp -s "$work/parent/$name" "$work/change/$name"; then
+        echo "differs: $name"
+        status=1
+    fi
+done < <({ (cd "$work/parent" && find . -type f)
+           (cd "$work/change" && find . -type f); } | sort -u)
+
+if [ "$status" -eq 0 ]; then
+    echo "all $(find "$work/parent" -type f | wc -l) files byte-identical"
+else
+    keep=1
+    echo "runs kept in $work"
+fi
+exit "$status"
