@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .evaluation import (PredictionRecord, average_precision,
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
 from .losses import total_loss
-from .model import ActiveSpeakerModel
+from .model import ActiveSpeakerModel, dual_forward
 from .tensor import add, no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
                     save_checkpoint, train_gate, train_model)
@@ -215,20 +216,50 @@ def gradcheck_inputs(init_seed):
     return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
 
 
+def gradcheck_losses(scene, model, gate_net, weights):
+    """``build_loss`` and ``resume`` for ``check_parameter_gradients``: the
+    model's training loss on ``scene`` plus the gate's, and builders that
+    re-run only what a perturbed parameter feeds.  Those take the rest of
+    the loss from one unperturbed pass: a gate parameter re-runs the gate
+    loss, a ``model.stack`` parameter the stack from the fused features,
+    any other the model forward."""
+    def main_loss(out):
+        return total_loss(out, scene.labels, scene.mask, weights)[0]
+
+    def build_loss():
+        out = model.forward(scene.visual, scene.audio)
+        return add(main_loss(out), gate_loss(gate_net, scene))
+
+    def resume():
+        out = model.forward(scene.visual, scene.audio)
+        main, gate = main_loss(out), gate_loss(gate_net, scene)
+
+        def gate_pass():
+            return add(main, gate_loss(gate_net, scene))
+
+        def stack_pass():
+            scores = dual_forward(out.fused, model.stack)
+            return add(main_loss(replace(out, scores=scores)), gate)
+
+        def model_pass():
+            return add(main_loss(model.forward(scene.visual, scene.audio)), gate)
+
+        passes = {id(p): gate_pass for p in gate_net.parameters()}
+        passes.update((id(p), stack_pass) for p in model.stack.parameters())
+        return lambda p: passes.get(id(p), model_pass)
+
+    return build_loss, resume
+
+
 def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
     scene, model, gate_net = gradcheck_inputs(cfg["model.init_seed"])
-    weights = cfg.loss_weights()
-
-    def build_loss():
-        out = model.forward(scene.visual, scene.audio)
-        main, _ = total_loss(out, scene.labels, scene.mask, weights)
-        return add(main, gate_loss(gate_net, scene))
-
+    build_loss, resume = gradcheck_losses(scene, model, gate_net,
+                                          cfg.loss_weights())
     params = model.parameters() + gate_net.parameters()
     worst = check_parameter_gradients(build_loss, params, step=1e-4,
-                                      max_coords=8, seed=0)
+                                      max_coords=8, seed=0, resume=resume)
     groups = worst_by_group(worst)
     overall = 0.0
     for module in sorted(groups):

@@ -4,7 +4,9 @@ Used by the test suite and by the ``gradcheck`` CLI command.  The check
 perturbs individual parameter coordinates by ``+-step``, re-runs the
 forward pass without a tape (``no_grad``), and compares the symmetric
 difference quotient against the gradient produced by ``backward``.  A
-perturbed coordinate is put back even when ``build_loss`` raises.
+perturbed pass may re-run only the part of the loss the perturbed parameter
+feeds (``resume``).  A perturbed coordinate is put back even when the loss
+raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -24,13 +26,21 @@ def relative_error(a, b, floor=1e-4):
 
 
 def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
-                              seed=0, floor=1e-4):
+                              seed=0, floor=1e-4, resume=None):
     """Compare analytic vs central-difference gradients for every parameter.
 
     ``build_loss`` must re-run the full forward pass from the current
     parameter values and return a scalar Tensor.  For parameters with more
     than ``max_coords`` entries a deterministic random subset of
-    coordinates is probed; smaller parameters are probed exhaustively.
+    coordinates is probed (seeded by ``[seed, index in params]``); smaller
+    parameters are probed exhaustively.
+
+    By default every perturbed pass re-runs ``build_loss``.  ``resume``, if
+    given, is called once under ``no_grad`` before any coordinate moves,
+    and returns ``loss_of``: ``loss_of(p)`` is the zero-argument builder the
+    perturbed passes of Parameter ``p`` call instead.  It may reuse values
+    of that unperturbed pass for whatever ``p`` does not feed, but must
+    return what ``build_loss`` would.
 
     Returns ``{param_name: worst_relative_error}``.
     """
@@ -40,7 +50,9 @@ def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
 
     worst = {}
     with no_grad():  # the perturbed passes only need the loss value
+        loss_of = resume() if resume is not None else lambda p: build_loss
         for k, p in enumerate(params):
+            perturbed_loss = loss_of(p)
             n = p.data.size
             if n <= max_coords:
                 coords = np.arange(n)
@@ -53,9 +65,9 @@ def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
                 orig = flat[i]
                 try:
                     flat[i] = orig + step
-                    up = build_loss().item()
+                    up = perturbed_loss().item()
                     flat[i] = orig - step
-                    down = build_loss().item()
+                    down = perturbed_loss().item()
                 finally:
                     flat[i] = orig
                 numeric = (up - down) / (2.0 * step)

@@ -139,6 +139,7 @@ class ModelOutput:
     audio_logits: Tensor    # [T] auxiliary any-speech logits
     audio_frames: Tensor    # [T, C] pre-fusion audio embedding
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
+    fused: Tensor           # [S, T, 2C] fused features, the input of dual_forward
 
 
 class ActiveSpeakerModel:
@@ -196,4 +197,5 @@ class ActiveSpeakerModel:
             audio_logits=audio_logits,
             audio_frames=audio_frames,
             visual_frames=f_v,
+            fused=f_av,
         )

@@ -14,6 +14,7 @@ from dualstream.data import GenConfig, generate, generate_scene, read_corpus, wr
 from dualstream.errors import ContractError, DimensionError, FormatError
 from dualstream.evaluation import read_predictions
 from dualstream.gate import ConfidenceNet
+from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import ActiveSpeakerModel, ModelConfig
 from dualstream.tensor import Parameter
 from dualstream.train import (CKPT_MAGIC, apply_checkpoint, load_checkpoint,
@@ -266,6 +267,38 @@ class TestGradcheckCommand:
         second = [l for l in capsys.readouterr().out.splitlines()
                   if l.startswith("overall")]
         assert first == second
+
+
+def audit(scene, model, gate_net, resumed, max_coords=8):
+    """``{name: worst}`` of the audit ``cmd_gradcheck`` runs, with its
+    perturbed passes resumed or each re-running the whole loss."""
+    build_loss, resume = cli.gradcheck_losses(
+        scene, model, gate_net, RunConfig(cli.TINY).loss_weights())
+    return check_parameter_gradients(
+        build_loss, model.parameters() + gate_net.parameters(), step=1e-4,
+        max_coords=max_coords, seed=0, resume=resume if resumed else None)
+
+
+class TestResumedGradcheck:
+    """Resumed perturbed passes give the full recompute's report, value for
+    value and in its key order."""
+
+    @pytest.mark.parametrize("init_seed", [0, 3])
+    def test_same_worst_errors_as_full_recompute(self, init_seed):
+        scene, model, gate_net = gradcheck_inputs(init_seed)
+        resumed = audit(scene, model, gate_net, True)
+        assert list(resumed.items()) == list(
+            audit(scene, model, gate_net, False).items())
+
+    @pytest.mark.parametrize("ablate", ["ablate_speaker", "ablate_temporal"])
+    def test_same_worst_errors_with_a_stream_ablated(self, ablate):
+        scene, _model, gate_net = gradcheck_inputs(0)
+        model = ActiveSpeakerModel(
+            RunConfig({**cli.TINY, f"model.{ablate}": True}).model_config())
+        assert getattr(model.stack.cfg, ablate)
+        resumed = audit(scene, model, gate_net, True, max_coords=2)
+        assert list(resumed.items()) == list(
+            audit(scene, model, gate_net, False, max_coords=2).items())
 
 
 class TestCorpusShapes:

@@ -145,6 +145,7 @@ def make_output(rng, s=3, t=5, c=4):
         audio_logits=Tensor(rng.normal(size=t)),
         audio_frames=Tensor(rng.normal(size=(t, c))),
         visual_frames=Tensor(rng.normal(size=(s, t, c))),
+        fused=Tensor(rng.normal(size=(s, t, 2 * c))),
     )
     return out, labels, mask
 
@@ -188,7 +189,8 @@ class TestTotalLoss:
         def build():
             out = ModelOutput(scores=fused, visual_logits=visual,
                               audio_logits=audio, audio_frames=fa,
-                              visual_frames=fv)
+                              visual_frames=fv,
+                              fused=Tensor(np.zeros((s, t, 2 * c))))
             total, _ = total_loss(out, labels, mask, LossWeights())
             return total
 

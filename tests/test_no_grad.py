@@ -193,3 +193,35 @@ def test_gradcheck_puts_back_the_coordinate_when_the_loss_raises(fail_on):
     assert taping()
     for p, want in zip(params, before):
         npt.assert_array_equal(p.data, want, err_msg=p.name)
+
+
+@pytest.mark.parametrize("fail_on", [1, 2])  # the +step and the -step pass
+def test_gradcheck_puts_back_the_coordinate_when_a_resumed_loss_raises(fail_on):
+    rng = np.random.default_rng(23)
+    params = [Parameter(rand(rng, 3, 4), "a"), Parameter(rand(rng, 2), "b")]
+    before = [p.data.copy() for p in params]
+    calls = []
+
+    def build_loss():
+        calls.append(("full", taping()))
+        return add(tsum(mul(params[0], params[0])), tsum(params[1]))
+
+    def resume():
+        calls.append(("resume", taping()))
+        base = tsum(mul(params[0], params[0]))
+
+        def resumed():  # the passes of "b" reuse the "a" term
+            calls.append(("resumed", taping()))
+            if calls.count(("resumed", False)) == fail_on:
+                raise RuntimeError("loss failed")
+            return add(base, tsum(params[1]))
+
+        return lambda p: resumed if p is params[1] else build_loss
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        check_parameter_gradients(build_loss, params, resume=resume)
+    assert calls == ([("full", True), ("resume", False)]
+                     + [("full", False)] * 24 + [("resumed", False)] * fail_on)
+    assert taping()
+    for p, want in zip(params, before):
+        npt.assert_array_equal(p.data, want, err_msg=p.name)

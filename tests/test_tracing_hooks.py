@@ -76,7 +76,8 @@ def test_tiny_pipeline_calls_every_layer_hook(tracing, tmp_path):
 
 def forward_ticks(tracing, argv):
     """Forward ticks recorded while ``dualstream <argv>`` runs under the
-    tick hooks, which perfbench reads as scored scenes and loss evaluations."""
+    tick hooks, which perfbench reads as scored scenes and, in gradcheck,
+    as loss evaluations."""
     tracer = tracing.Tracer()
     hooks = tracing.Hooks(tracer)
     try:
@@ -98,10 +99,15 @@ def test_eval_ticks_one_forward_per_scene(tracing, tmp_path):
         "--metrics", str(tmp_path / "m.txt")]) == 3
 
 
-def test_gradcheck_ticks_one_forward_per_loss_evaluation(tracing):
+def test_gradcheck_ticks_one_forward_per_full_model_pass(tracing):
     _scene, model, gate_net = gradcheck_inputs(0)
-    params = model.parameters() + gate_net.parameters()
-    # the analytic pass, then a +step and a -step pass per probed coordinate
-    expected = 1 + 2 * sum(min(p.data.size, 8) for p in params)
-    assert expected == 2905
+    # gate and stack parameters' perturbed passes resume from the
+    # unperturbed pass; every other parameter's re-run the model forward
+    resumed = {id(p) for p in model.stack.parameters() + gate_net.parameters()}
+    full = sum(min(p.data.size, 8) for p in model.parameters()
+               if id(p) not in resumed)
+    # the analytic pass, the unperturbed pass, then a +step and a -step
+    # pass per probed coordinate of the other parameters
+    expected = 1 + 1 + 2 * full
+    assert expected == 678
     assert forward_ticks(tracing, ["gradcheck"]) == expected
