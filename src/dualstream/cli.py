@@ -23,7 +23,7 @@ from .evaluation import (PredictionRecord, average_precision,
                          metrics_report, write_predictions)
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
-from .losses import total_loss
+from .losses import loss_terms, total_loss, weighted_total
 from .model import ActiveSpeakerModel, dual_forward
 from .tensor import add, no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
@@ -221,10 +221,14 @@ def gradcheck_losses(scene, model, gate_net, weights):
     model's training loss on ``scene`` plus the gate's, and builders that
     re-run only what a perturbed parameter feeds.  Those take the rest of
     the loss from one unperturbed pass: a gate parameter re-runs the gate
-    loss, a ``model.stack`` parameter the stack from the fused features,
-    any other the model forward."""
+    loss; a ``model.stack`` parameter re-runs, from that pass's round
+    states, its own block and the blocks that read what it changes
+    (``model.dual_round``), then the head and ``l_av``; any other
+    parameter re-runs the model forward."""
+    labels, mask = scene.labels, scene.mask
+
     def main_loss(out):
-        return total_loss(out, scene.labels, scene.mask, weights)[0]
+        return total_loss(out, labels, mask, weights)[0]
 
     def build_loss():
         out = model.forward(scene.visual, scene.audio)
@@ -232,20 +236,31 @@ def gradcheck_losses(scene, model, gate_net, weights):
 
     def resume():
         out = model.forward(scene.visual, scene.audio)
-        main, gate = main_loss(out), gate_loss(gate_net, scene)
+        terms = loss_terms(out, labels, mask, weights)
+        main, gate = weighted_total(terms, weights), gate_loss(gate_net, scene)
 
         def gate_pass():
             return add(main, gate_loss(gate_net, scene))
 
-        def stack_pass():
-            scores = dual_forward(out.fused, model.stack)
-            return add(main_loss(replace(out, scores=scores)), gate)
+        def stack_pass(moved):
+            def loss():
+                scores = dual_forward(out.rounds[0].x_time, model.stack,
+                                      before=out.rounds, moved=moved)
+                resumed = loss_terms(replace(out, scores=scores), labels,
+                                     mask, weights, like=terms)
+                return add(weighted_total(resumed, weights), gate)
+            return loss
 
         def model_pass():
             return add(main_loss(model.forward(scene.visual, scene.audio)), gate)
 
         passes = {id(p): gate_pass for p in gate_net.parameters()}
-        passes.update((id(p), stack_pass) for p in model.stack.parameters())
+        # a round block's parameters move that block; the speaker table and
+        # the head parameters move themselves
+        owner = {id(p): block for rnd in model.stack.rounds
+                 for block in rnd.blocks() for p in block.parameters()}
+        passes.update((id(p), stack_pass(owner.get(id(p), p)))
+                      for p in model.stack.parameters())
         return lambda p: passes.get(id(p), model_pass)
 
     return build_loss, resume

@@ -153,29 +153,41 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
     return tsum(mul(visual_emb, weights[:, :, None]), axis=0)
 
 
-def total_loss(out, labels, mask, w: LossWeights):
-    """Weighted sum of the branch losses of one forward's ``ModelOutput``
-    against a scene's {0,1} [S, T] ``labels`` and ``mask``; returns (total,
-    parts dict).
+def loss_terms(out, labels, mask, w: LossWeights, like=None):
+    """The branch losses of one forward's ``ModelOutput`` against a scene's
+    {0,1} [S, T] ``labels`` and ``mask``, by name: ``l_av``, ``l_v``,
+    ``l_a``, ``l_con``.
 
     ``labels`` are read where ``mask`` is 1 by the per-cell terms; padded
     speaker slots carry all-zero mask rows.  The contrastive term pairs the
-    audio frames with ``active_visual_frames``.
+    audio frames with ``active_visual_frames``.  ``like``, the terms of an
+    earlier output that differs from ``out`` in ``scores`` alone, gives all
+    but ``l_av``, which alone reads ``scores``.
     """
+    l_av = masked_bce(out.scores, labels, mask)
+    if like is not None:
+        return {**like, "l_av": l_av}
     visual_frames = active_visual_frames(out.visual_frames, labels)
     speech = any_speech(labels)
     any_valid = (np.asarray(mask).sum(axis=0) > 0).astype(np.float64)
 
-    l_av = masked_bce(out.scores, labels, mask)
     l_v = masked_bce(out.visual_logits, labels, mask)
     l_a = masked_bce(out.audio_logits, speech, any_valid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         l_con = contrastive_av(out.audio_frames, visual_frames, speech,
                                w.temperature)
+    return {"l_av": l_av, "l_v": l_v, "l_a": l_a, "l_con": l_con}
 
-    total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
-                add(mul(l_a, w.w_a), mul(l_con, w.w_con)))
-    parts = {"l_av": l_av.item(), "l_v": l_v.item(),
-             "l_a": l_a.item(), "l_con": l_con.item()}
-    return total, parts
+
+def weighted_total(terms, w: LossWeights) -> Tensor:
+    """The weighted sum of ``loss_terms``, always added in this order."""
+    return add(add(mul(terms["l_av"], w.w_av), mul(terms["l_v"], w.w_v)),
+               add(mul(terms["l_a"], w.w_a), mul(terms["l_con"], w.w_con)))
+
+
+def total_loss(out, labels, mask, w: LossWeights):
+    """``weighted_total`` of ``loss_terms``; returns (total, parts dict of
+    each term's value)."""
+    terms = loss_terms(out, labels, mask, w)
+    return weighted_total(terms, w), {name: t.item() for name, t in terms.items()}

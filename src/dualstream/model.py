@@ -35,14 +35,6 @@ def speaker_stream(f_av: Tensor, table: Tensor, sal: AttentionBlock) -> Tensor:
     return transpose(sal_forward(x, sal), (1, 0, 2))
 
 
-def cross_interact(f_time: Tensor, f_sub: Tensor, cal_t: AttentionBlock,
-                   cal_s: AttentionBlock):
-    """Mutual cross-attention between the two same-shaped streams; each
-    queries the other over the time axis (speakers stay in the batch)."""
-    return (cal_forward(f_time, f_sub, cal_t),
-            cal_forward(f_sub, f_time, cal_s))
-
-
 @dataclass
 class InteractionRound:
     sal_time: AttentionBlock
@@ -50,9 +42,11 @@ class InteractionRound:
     cal_time: AttentionBlock
     cal_speaker: AttentionBlock
 
+    def blocks(self):
+        return (self.sal_time, self.sal_speaker, self.cal_time, self.cal_speaker)
+
     def parameters(self):
-        return (self.sal_time.parameters() + self.sal_speaker.parameters()
-                + self.cal_time.parameters() + self.cal_speaker.parameters())
+        return [p for block in self.blocks() for p in block.parameters()]
 
 
 class DualStreamStack:
@@ -88,17 +82,72 @@ class DualStreamStack:
                 + [self.speaker_emb, self.head_w, self.head_b])
 
 
-def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
-    """Run the interaction rounds and the linear head; returns raw logits [S, T]."""
-    s, t, _ = f_av.shape
+@dataclass
+class RoundState:
+    """One interaction round's [S, T, 2C] streams: entering it (``x_*``),
+    after the self-attention streams (``f_*``) and leaving it (``out_*``)."""
+
+    x_time: Tensor
+    x_sub: Tensor
+    f_time: Tensor
+    f_sub: Tensor
+    out_time: Tensor
+    out_sub: Tensor
+
+
+# the ``before`` of a round no earlier pass ran: no input is one of its streams
+_NO_STATE = RoundState(None, None, None, None, None, None)
+
+
+def dual_round(x_time: Tensor, x_sub: Tensor, rnd: InteractionRound,
+               stack: DualStreamStack, before: RoundState = _NO_STATE,
+               moved=None) -> RoundState:
+    """One interaction round: the temporal stream self-attends over T (S
+    folded into the batch), the speaker stream over S, then each queries the
+    other over T (mutual cross-attention, speakers in the batch).
+
+    ``before`` is this round's state in an earlier pass, and ``moved`` the
+    one block, or ``stack.speaker_emb``, whose parameters changed since.  A
+    step whose inputs are ``before``'s own streams (the same objects) and
+    whose parameters did not move takes ``before``'s output instead of
+    running again.
+    """
     cfg = stack.cfg
-    x_time, x_sub = f_av, f_av
-    for rnd in stack.rounds:
-        # the temporal stream: self-attention over T, S folded into the batch
+    if x_time is before.x_time and moved is not rnd.sal_time:
+        f_time = before.f_time
+    else:
         f_time = x_time if cfg.ablate_temporal else sal_forward(x_time, rnd.sal_time)
+    if (x_sub is before.x_sub and moved is not rnd.sal_speaker
+            and moved is not stack.speaker_emb):
+        f_sub = before.f_sub
+    else:
         f_sub = x_sub if cfg.ablate_speaker else speaker_stream(
             x_sub, stack.speaker_emb, rnd.sal_speaker)
-        x_time, x_sub = cross_interact(f_time, f_sub, rnd.cal_time, rnd.cal_speaker)
+    same = f_time is before.f_time and f_sub is before.f_sub
+    out_time = (before.out_time if same and moved is not rnd.cal_time
+                else cal_forward(f_time, f_sub, rnd.cal_time))
+    out_sub = (before.out_sub if same and moved is not rnd.cal_speaker
+               else cal_forward(f_sub, f_time, rnd.cal_speaker))
+    return RoundState(x_time, x_sub, f_time, f_sub, out_time, out_sub)
+
+
+def dual_forward(f_av: Tensor, stack: DualStreamStack, states=None,
+                 before=None, moved=None) -> Tensor:
+    """Run the interaction rounds and the linear head; returns raw logits [S, T].
+
+    Each round's ``RoundState`` is appended to the list ``states``, if
+    given.  ``before``, the states of an earlier pass over the same
+    ``f_av``, and ``moved`` resume that pass: each round re-runs only the
+    steps ``dual_round`` finds changed, and the head always runs.
+    """
+    s, t, _ = f_av.shape
+    x_time, x_sub = f_av, f_av
+    for r, rnd in enumerate(stack.rounds):
+        state = dual_round(x_time, x_sub, rnd, stack,
+                           _NO_STATE if before is None else before[r], moved)
+        if states is not None:
+            states.append(state)
+        x_time, x_sub = state.out_time, state.out_sub
     f_dual = add(x_time, x_sub)
     return reshape(linear(f_dual, stack.head_w, stack.head_b), (s, t))
 
@@ -139,7 +188,8 @@ class ModelOutput:
     audio_logits: Tensor    # [T] auxiliary any-speech logits
     audio_frames: Tensor    # [T, C] pre-fusion audio embedding
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
-    fused: Tensor           # [S, T, 2C] fused features, the input of dual_forward
+    rounds: list            # dual_forward's RoundState per round; the
+                            # first's x_time is the [S, T, 2C] fused features
 
 
 class ActiveSpeakerModel:
@@ -181,7 +231,8 @@ class ActiveSpeakerModel:
         f_a = broadcast_to(reshape(audio_frames, (1, t, c)), (s, t, c))
         f_av = fuse(f_v, f_a, self.cal_av, self.cal_va)
 
-        scores = dual_forward(f_av, self.stack)
+        rounds = []
+        scores = dual_forward(f_av, self.stack, states=rounds)
 
         # channel halves of f_av: [0, C) is the cross-attended audio stream,
         # [C, 2C) the visual stream
@@ -197,5 +248,5 @@ class ActiveSpeakerModel:
             audio_logits=audio_logits,
             audio_frames=audio_frames,
             visual_frames=f_v,
-            fused=f_av,
+            rounds=rounds,
         )

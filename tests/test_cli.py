@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream import cli
+from dualstream import attention, cli, losses
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
 from dualstream.config import RunConfig, load_config
 from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
@@ -261,12 +261,14 @@ class TestEval:
 class TestGradcheckCommand:
     def test_passes_and_deterministic(self, capsys):
         assert run("gradcheck") == 0
-        first = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith("overall")]
+        first = capsys.readouterr().out.splitlines()
+        report = [l for l in first if not l.startswith("#")]
+        assert len(report) > 2
+        assert report[-2].startswith("overall") and report[-1] == "PASS"
+        assert all(l.startswith("module ") and " worst_rel_err=" in l
+                   for l in report[:-2])
         assert run("gradcheck") == 0
-        second = [l for l in capsys.readouterr().out.splitlines()
-                  if l.startswith("overall")]
-        assert first == second
+        assert capsys.readouterr().out.splitlines() == first
 
 
 def audit(scene, model, gate_net, resumed, max_coords=8):
@@ -299,6 +301,68 @@ class TestResumedGradcheck:
         resumed = audit(scene, model, gate_net, True, max_coords=2)
         assert list(resumed.items()) == list(
             audit(scene, model, gate_net, False, max_coords=2).items())
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_same_worst_errors_at_other_depths(self, rounds):
+        # 3 rounds have a middle round; in 1 no round follows the first
+        scene, _model, gate_net = gradcheck_inputs(0)
+        model = ActiveSpeakerModel(
+            RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
+        assert len(model.stack.rounds) == rounds
+        resumed = audit(scene, model, gate_net, True, max_coords=2)
+        assert list(resumed.items()) == list(
+            audit(scene, model, gate_net, False, max_coords=2).items())
+
+    def test_runs_only_the_blocks_a_parameter_feeds(self, monkeypatch, capsys):
+        """``dualstream gradcheck`` runs as many attention blocks and
+        contrastive terms as the stack's dataflow needs, and no more."""
+        _scene, model, gate_net = gradcheck_inputs(0)
+        stack, n = model.stack, len(model.stack.rounds)
+
+        def passes(params):  # a +step and a -step pass per probed coordinate
+            return sum(2 * min(p.data.size, 8) for p in params)
+
+        # the blocks a pass re-runs when a round block's parameter moves
+        reruns = {}
+        for r, rnd in enumerate(stack.rounds):
+            later = 4 * (n - 1 - r)  # every block of every later round
+            # a self-attention stream: itself, both CALs, the later rounds
+            reruns[rnd.sal_time] = reruns[rnd.sal_speaker] = 3 + later
+            # a CAL: itself; its stream then moves the next round's SAL of
+            # that stream, both its CALs and every round after it
+            cal = 1 + (3 + 4 * (n - 2 - r) if r + 1 < n else 0)
+            reruns[rnd.cal_time] = reruns[rnd.cal_speaker] = cal
+        stack_blocks = sum(passes(block.parameters()) * runs
+                           for block, runs in reruns.items())
+        # the speaker table enters at round 0's speaker stream; the head
+        # parameters re-run no block
+        stack_blocks += (passes([stack.speaker_emb])
+                         * reruns[stack.rounds[0].sal_speaker])
+        # the analytic and the unperturbed pass, then the passes of every
+        # parameter outside the stack and the gate run the model forward:
+        # the two fusion CALs and every round's four blocks
+        resumed = {id(p) for p in stack.parameters() + gate_net.parameters()}
+        forwards = 2 + passes(p for p in model.parameters()
+                              if id(p) not in resumed)
+        expected_blocks = forwards * (2 + 4 * n) + stack_blocks
+        assert (forwards, expected_blocks) == (678, 14_572)
+
+        calls = {"block": 0, "contrastive": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(attention, "_block",
+                            counted("block", attention._block))
+        monkeypatch.setattr(losses, "contrastive_av",
+                            counted("contrastive", losses.contrastive_av))
+        assert run("gradcheck") == 0
+        capsys.readouterr()
+        # a stack pass scores l_av alone: contrastive_av runs once a forward
+        assert calls == {"block": expected_blocks, "contrastive": forwards}
 
 
 class TestCorpusShapes:

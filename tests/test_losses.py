@@ -1,13 +1,15 @@
 """Masked cross-entropy and the frame-aligned contrastive objective."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.losses import (LossWeights, contrastive_av, masked_bce,
-                               total_loss)
+from dualstream.losses import (LossWeights, contrastive_av, loss_terms,
+                               masked_bce, total_loss, weighted_total)
 from dualstream.model import ModelOutput
 from dualstream.tensor import (Parameter, Tensor, add, backward, mul, tmean,
                                transpose, tsum, zero_grads)
@@ -145,7 +147,7 @@ def make_output(rng, s=3, t=5, c=4):
         audio_logits=Tensor(rng.normal(size=t)),
         audio_frames=Tensor(rng.normal(size=(t, c))),
         visual_frames=Tensor(rng.normal(size=(s, t, c))),
-        fused=Tensor(rng.normal(size=(s, t, 2 * c))),
+        rounds=[],
     )
     return out, labels, mask
 
@@ -169,6 +171,20 @@ class TestTotalLoss:
         t2, _ = total_loss(out, labels, mask, w2)
         assert t2.item() == 2.0 * t1.item()
 
+    def test_terms_of_a_like_output_give_the_same_total(self):
+        # an output that differs in scores alone, scored from the first's
+        # other terms, totals bit for bit what scoring it afresh gives
+        rng = np.random.default_rng(10)
+        out, labels, mask = make_output(rng)
+        w = LossWeights()
+        terms = loss_terms(out, labels, mask, w)
+        moved = replace(out, scores=Tensor(rng.normal(size=out.scores.shape)))
+        resumed = loss_terms(moved, labels, mask, w, like=terms)
+        assert list(resumed) == ["l_av", "l_v", "l_a", "l_con"]
+        assert resumed["l_con"] is terms["l_con"]
+        total, _ = total_loss(moved, labels, mask, w)
+        assert weighted_total(resumed, w).item() == total.item()
+
     def test_weights_validated(self):
         with pytest.raises(ContractError):
             LossWeights(w_av=-0.1)
@@ -189,8 +205,7 @@ class TestTotalLoss:
         def build():
             out = ModelOutput(scores=fused, visual_logits=visual,
                               audio_logits=audio, audio_frames=fa,
-                              visual_frames=fv,
-                              fused=Tensor(np.zeros((s, t, 2 * c))))
+                              visual_frames=fv, rounds=[])
             total, _ = total_loss(out, labels, mask, LossWeights())
             return total
 

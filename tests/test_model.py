@@ -7,7 +7,7 @@ from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, generate_scene
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
-                              cross_interact, dual_forward, speaker_stream)
+                              dual_forward, dual_round, speaker_stream)
 from dualstream.tensor import Parameter, Tensor, init_uniform, mul, tsum
 
 from test_attention import block_oracle
@@ -99,14 +99,26 @@ class TestTemporalStream:
         npt.assert_allclose(out, base[perm], atol=1e-12, rtol=0)
 
 
+def cross_interact(f_time, f_sub, stack):
+    """The mutual cross-attention of ``dual_round``, alone: both streams
+    ablated, so the round's self-attention steps are the identity."""
+    assert stack.cfg.ablate_speaker and stack.cfg.ablate_temporal
+    state = dual_round(f_time, f_sub, stack.rounds[0], stack)
+    assert state.f_time is f_time and state.f_sub is f_sub
+    return state.out_time, state.out_sub
+
+
 class TestCrossInteract:
+    def make_stack(self, rng):
+        return make_stack(rounds=1, rng=rng, ablate_speaker=True,
+                          ablate_temporal=True)
+
     def test_identical_inputs_degenerate_to_self_attention(self):
         rng = np.random.default_rng(8)
-        stack = make_stack(rounds=1, rng=rng)
+        stack = self.make_stack(rng)
         rnd = stack.rounds[0]
         f = rng.normal(size=(2, 4, DIM))
-        out_t, out_s = cross_interact(Tensor(f), Tensor(f),
-                                      rnd.cal_time, rnd.cal_speaker)
+        out_t, out_s = cross_interact(Tensor(f), Tensor(f), stack)
         npt.assert_allclose(out_t.data, block_oracle(f, f, rnd.cal_time),
                             atol=1e-10)
         npt.assert_allclose(out_s.data, block_oracle(f, f, rnd.cal_speaker),
@@ -114,26 +126,22 @@ class TestCrossInteract:
 
     def test_shapes(self):
         rng = np.random.default_rng(9)
-        stack = make_stack(rounds=1, rng=rng)
-        rnd = stack.rounds[0]
+        stack = self.make_stack(rng)
         a = Tensor(rng.normal(size=(3, 5, DIM)))
         b = Tensor(rng.normal(size=(3, 5, DIM)))
-        out_t, out_s = cross_interact(a, b, rnd.cal_time, rnd.cal_speaker)
+        out_t, out_s = cross_interact(a, b, stack)
         assert out_t.shape == (3, 5, DIM) and out_s.shape == (3, 5, DIM)
 
     def test_per_speaker_locality(self):
         rng = np.random.default_rng(10)
-        stack = make_stack(rounds=1, rng=rng)
-        rnd = stack.rounds[0]
+        stack = self.make_stack(rng)
         a = rng.normal(size=(3, 5, DIM))
         b = rng.normal(size=(3, 5, DIM))
-        base_t, base_s = cross_interact(Tensor(a), Tensor(b),
-                                        rnd.cal_time, rnd.cal_speaker)
+        base_t, base_s = cross_interact(Tensor(a), Tensor(b), stack)
         a2, b2 = a.copy(), b.copy()
         a2[1:] = 0.0
         b2[1:] = 0.0
-        out_t, out_s = cross_interact(Tensor(a2), Tensor(b2),
-                                      rnd.cal_time, rnd.cal_speaker)
+        out_t, out_s = cross_interact(Tensor(a2), Tensor(b2), stack)
         npt.assert_allclose(out_t.data[0], base_t.data[0], atol=1e-12, rtol=0)
         npt.assert_allclose(out_s.data[0], base_s.data[0], atol=1e-12, rtol=0)
 
@@ -178,14 +186,39 @@ class TestDualForward:
         out = dual_forward(Tensor(rng.normal(size=(4, 6, DIM)) * 10.0), stack)
         assert np.isfinite(out.data).all()
 
+    def test_resumed_pass_matches_a_fresh_pass(self):
+        """Resumed from an earlier pass's round states with one block, the
+        speaker table or the head moved, ``dual_forward`` gives a fresh
+        pass's logits bit for bit, at 1 to 3 rounds."""
+        for rounds in (1, 2, 3):
+            rng = np.random.default_rng([17, rounds])
+            stack = make_stack(rounds=rounds, rng=rng)
+            f_av = Tensor(rng.normal(size=(3, 4, DIM)))
+            states = []
+            base = dual_forward(f_av, stack, states=states).data
+            assert len(states) == rounds and states[0].x_time is f_av
+            for moved in ([b for rnd in stack.rounds for b in rnd.blocks()]
+                          + [stack.speaker_emb, stack.head_w]):
+                p = moved if isinstance(moved, Parameter) else moved.wq
+                saved = p.data.copy()
+                p.data += 0.1
+                try:
+                    resumed = dual_forward(f_av, stack, before=states,
+                                           moved=moved).data
+                    fresh = dual_forward(f_av, stack).data
+                finally:
+                    p.data[...] = saved
+                npt.assert_array_equal(resumed, fresh)
+                assert not np.array_equal(resumed, base)
+
     def test_ablation_flags_are_identity(self):
         rng = np.random.default_rng(16)
         stack = make_stack(rng=rng, ablate_speaker=True, ablate_temporal=True)
         f_av = rng.normal(size=(2, 3, DIM))
         x_t = x_s = Tensor(f_av)
         for rnd in stack.rounds:
-            nt, ns = cross_interact(x_t, x_s, rnd.cal_time, rnd.cal_speaker)
-            x_t, x_s = nt, ns
+            x_t, x_s = (cal_forward(x_t, x_s, rnd.cal_time),
+                        cal_forward(x_s, x_t, rnd.cal_speaker))
         expected = ((x_t.data + x_s.data) @ stack.head_w.data
                     + stack.head_b.data).squeeze(-1)
         npt.assert_allclose(dual_forward(Tensor(f_av), stack).data, expected,
