@@ -18,8 +18,7 @@ from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
 from .gate import ConfidenceNet, GateParams, gate_batch, voice_confidence
 from .losses import LossWeights, contrastive_av, masked_bce, total_loss
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
-                    ModelOutput, RoundState, dual_forward, dual_round,
-                    speaker_stream)
+                    ModelOutput, dual_forward, speaker_stream)
 from .tensor import Parameter, Tensor, backward, linear, no_grad, zero_grads
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ def cmd_train(args) -> int:
     model = ActiveSpeakerModel(cfg.model_config())
 
     log_path = args.out + ".log"
-    with open(log_path, "w") as log:
+    with open(log_path, "w", encoding="utf-8") as log:
         log.write("epoch,total,l_av,l_v,l_a,l_con\n")
 
         def log_fn(row):
@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
     metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
 
     report = metrics_report(metrics)
-    with open(args.metrics, "w") as fh:
+    with open(args.metrics, "w", encoding="utf-8") as fh:
         fh.write(report)
     print(report, end="")
     print(f"wrote {args.predictions} and {args.metrics}")
@@ -221,10 +221,10 @@ def gradcheck_losses(scene, model, gate_net, weights):
     model's training loss on ``scene`` plus the gate's, and builders that
     re-run only what a perturbed parameter feeds.  Those take the rest of
     the loss from one unperturbed pass: a gate parameter re-runs the gate
-    loss; a ``model.stack`` parameter re-runs, from that pass's round
-    states, its own block and the blocks that read what it changes
-    (``model.dual_round``), then the head and ``l_av``; any other
-    parameter re-runs the model forward."""
+    loss; a ``model.stack`` parameter re-runs, from that pass's block
+    runs, the blocks that read what it changes (``model.dual_forward``),
+    then the head and ``l_av``; any other parameter re-runs the model
+    forward."""
     labels, mask = scene.labels, scene.mask
 
     def main_loss(out):
@@ -244,8 +244,8 @@ def gradcheck_losses(scene, model, gate_net, weights):
 
         def stack_pass(moved):
             def loss():
-                scores = dual_forward(out.rounds[0].x_time, model.stack,
-                                      before=out.rounds, moved=moved)
+                scores = dual_forward(out.fused, model.stack,
+                                      before=out.runs, moved=moved)
                 resumed = loss_terms(replace(out, scores=scores), labels,
                                      mask, weights, like=terms)
                 return add(weighted_total(resumed, weights), gate)

@@ -173,6 +173,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Defaults <- file <- overrides, validated as a whole."""
     values = {}
     if path is not None:
-        with open(path, "r") as fh:
-            values = parse_config_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                values = parse_config_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path}: not UTF-8 at byte "
+                              f"{exc.start}") from None
     return RunConfig({**values, **(overrides or {})})

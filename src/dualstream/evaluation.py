@@ -13,6 +13,7 @@ precision, recall, and F1 are all 0 when undefined.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import NamedTuple
 
@@ -93,7 +94,7 @@ def false_positive_count(records, threshold: float, distractor_cells=None) -> in
 
 def write_predictions(records, path) -> None:
     """CSV with fixed 9-decimal score serialization."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
@@ -105,8 +106,14 @@ def read_predictions(path) -> list:
     """Records of a ``write_predictions`` CSV.  Raises FormatError, naming
     the line, on a malformed row, a label other than 0 or 1, a non-finite
     score or p_voice, a negative speaker or frame index, or a cell that
-    appears twice."""
-    with open(path, "r", newline="") as fh:
+    appears twice, and naming the file on one that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"prediction file {path}: not UTF-8 at byte "
+                          f"{exc.start}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -82,72 +82,46 @@ class DualStreamStack:
                 + [self.speaker_emb, self.head_w, self.head_b])
 
 
-@dataclass
-class RoundState:
-    """One interaction round's [S, T, 2C] streams: entering it (``x_*``),
-    after the self-attention streams (``f_*``) and leaving it (``out_*``)."""
-
-    x_time: Tensor
-    x_sub: Tensor
-    f_time: Tensor
-    f_sub: Tensor
-    out_time: Tensor
-    out_sub: Tensor
-
-
-# the ``before`` of a round no earlier pass ran: no input is one of its streams
-_NO_STATE = RoundState(None, None, None, None, None, None)
-
-
-def dual_round(x_time: Tensor, x_sub: Tensor, rnd: InteractionRound,
-               stack: DualStreamStack, before: RoundState = _NO_STATE,
-               moved=None) -> RoundState:
-    """One interaction round: the temporal stream self-attends over T (S
-    folded into the batch), the speaker stream over S, then each queries the
-    other over T (mutual cross-attention, speakers in the batch).
-
-    ``before`` is this round's state in an earlier pass, and ``moved`` the
-    one block, or ``stack.speaker_emb``, whose parameters changed since.  A
-    step whose inputs are ``before``'s own streams (the same objects) and
-    whose parameters did not move takes ``before``'s output instead of
-    running again.
-    """
-    cfg = stack.cfg
-    if x_time is before.x_time and moved is not rnd.sal_time:
-        f_time = before.f_time
-    else:
-        f_time = x_time if cfg.ablate_temporal else sal_forward(x_time, rnd.sal_time)
-    if (x_sub is before.x_sub and moved is not rnd.sal_speaker
-            and moved is not stack.speaker_emb):
-        f_sub = before.f_sub
-    else:
-        f_sub = x_sub if cfg.ablate_speaker else speaker_stream(
-            x_sub, stack.speaker_emb, rnd.sal_speaker)
-    same = f_time is before.f_time and f_sub is before.f_sub
-    out_time = (before.out_time if same and moved is not rnd.cal_time
-                else cal_forward(f_time, f_sub, rnd.cal_time))
-    out_sub = (before.out_sub if same and moved is not rnd.cal_speaker
-               else cal_forward(f_sub, f_time, rnd.cal_speaker))
-    return RoundState(x_time, x_sub, f_time, f_sub, out_time, out_sub)
-
-
-def dual_forward(f_av: Tensor, stack: DualStreamStack, states=None,
-                 before=None, moved=None) -> Tensor:
+def dual_forward(f_av: Tensor, stack: DualStreamStack, runs=None, before=(),
+                 moved=None) -> Tensor:
     """Run the interaction rounds and the linear head; returns raw logits [S, T].
 
-    Each round's ``RoundState`` is appended to the list ``states``, if
-    given.  ``before``, the states of an earlier pass over the same
-    ``f_av``, and ``moved`` resume that pass: each round re-runs only the
-    steps ``dual_round`` finds changed, and the head always runs.
+    Each round: the temporal stream self-attends over T (S folded into the
+    batch), the speaker stream over S, then each queries the other over T
+    (mutual cross-attention, speakers in the batch).  Every block run is
+    appended to the list ``runs``, if given, as ``(inputs, output)``.
+
+    ``before``, the runs of an earlier pass, and ``moved``, the one block
+    or stack Parameter outside the blocks that changed since, resume that
+    pass: a block takes that pass's output when its inputs are that pass's
+    own objects and nothing it reads moved, neither the block nor an input
+    (the speaker table is an input of each speaker stream).  The head always
+    runs.
     """
+    cfg = stack.cfg
+    earlier = iter(before)
+
+    def run(fn, block, *inputs):
+        prior = next(earlier, None)
+        # Tensors compare by identity: != asks for a new input object
+        if (prior is None or prior[0] != inputs or moved is block
+                or moved in inputs):
+            out = fn(*inputs, block)
+        else:
+            out = prior[1]
+        if runs is not None:
+            runs.append((inputs, out))
+        return out
+
     s, t, _ = f_av.shape
-    x_time, x_sub = f_av, f_av
-    for r, rnd in enumerate(stack.rounds):
-        state = dual_round(x_time, x_sub, rnd, stack,
-                           _NO_STATE if before is None else before[r], moved)
-        if states is not None:
-            states.append(state)
-        x_time, x_sub = state.out_time, state.out_sub
+    x_time = x_sub = f_av
+    for rnd in stack.rounds:
+        f_time = (x_time if cfg.ablate_temporal
+                  else run(sal_forward, rnd.sal_time, x_time))
+        f_sub = (x_sub if cfg.ablate_speaker else run(
+            speaker_stream, rnd.sal_speaker, x_sub, stack.speaker_emb))
+        x_time, x_sub = (run(cal_forward, rnd.cal_time, f_time, f_sub),
+                         run(cal_forward, rnd.cal_speaker, f_sub, f_time))
     f_dual = add(x_time, x_sub)
     return reshape(linear(f_dual, stack.head_w, stack.head_b), (s, t))
 
@@ -188,8 +162,8 @@ class ModelOutput:
     audio_logits: Tensor    # [T] auxiliary any-speech logits
     audio_frames: Tensor    # [T, C] pre-fusion audio embedding
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
-    rounds: list            # dual_forward's RoundState per round; the
-                            # first's x_time is the [S, T, 2C] fused features
+    fused: Tensor           # [S, T, 2C] fused features, the stack's input
+    runs: list              # dual_forward's (inputs, output) per block run
 
 
 class ActiveSpeakerModel:
@@ -228,11 +202,11 @@ class ActiveSpeakerModel:
         f_v = self.visual_enc.forward(visual)
         audio_frames = self.audio_enc.frame_embedding(audio)
         # the scene audio repeated over the S speaker slots
-        f_a = broadcast_to(reshape(audio_frames, (1, t, c)), (s, t, c))
+        f_a = broadcast_to(audio_frames, (s, t, c))
         f_av = fuse(f_v, f_a, self.cal_av, self.cal_va)
 
-        rounds = []
-        scores = dual_forward(f_av, self.stack, states=rounds)
+        runs = []
+        scores = dual_forward(f_av, self.stack, runs=runs)
 
         # channel halves of f_av: [0, C) is the cross-attended audio stream,
         # [C, 2C) the visual stream
@@ -248,5 +222,6 @@ class ActiveSpeakerModel:
             audio_logits=audio_logits,
             audio_frames=audio_frames,
             visual_frames=f_v,
-            rounds=rounds,
+            fused=f_av,
+            runs=runs,
         )

@@ -16,7 +16,7 @@ from dualstream.evaluation import read_predictions
 from dualstream.gate import ConfidenceNet
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import ActiveSpeakerModel, ModelConfig
-from dualstream.tensor import Parameter
+from dualstream.tensor import Parameter, no_grad
 from dualstream.train import (CKPT_MAGIC, apply_checkpoint, load_checkpoint,
                               save_checkpoint)
 
@@ -88,6 +88,14 @@ class TestGenData:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert run("--set", "bogus.key=1", "gen-data", "--scenes", "2",
                    "--out", str(tmp_path / "x.bin")) == 1
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"model.rounds = 2\n\xff\xfe = 3\n")
+        assert run("--config", str(path), "gradcheck") == 1
+        err = capsys.readouterr().err
+        assert f"error: config {path}: not UTF-8 at byte 17" in err
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -313,6 +321,28 @@ class TestResumedGradcheck:
         assert list(resumed.items()) == list(
             audit(scene, model, gate_net, False, max_coords=2).items())
 
+    @staticmethod
+    def reruns(stack):
+        """The blocks a resumed pass re-runs when a stack Parameter moves,
+        by Parameter id: a round block's Parameters move that block, the
+        speaker table enters at round 0's speaker stream, and the head
+        Parameters re-run no block."""
+        n = len(stack.rounds)
+        blocks = {}
+        for r, rnd in enumerate(stack.rounds):
+            later = 4 * (n - 1 - r)  # every block of every later round
+            # a self-attention stream: itself, both CALs, the later rounds
+            blocks[rnd.sal_time] = blocks[rnd.sal_speaker] = 3 + later
+            # a CAL: itself; its stream then moves the next round's SAL of
+            # that stream, both its CALs and every round after it
+            cal = 1 + (3 + 4 * (n - 2 - r) if r + 1 < n else 0)
+            blocks[rnd.cal_time] = blocks[rnd.cal_speaker] = cal
+        reruns = {id(p): runs for block, runs in blocks.items()
+                  for p in block.parameters()}
+        reruns[id(stack.speaker_emb)] = blocks[stack.rounds[0].sal_speaker]
+        reruns[id(stack.head_w)] = reruns[id(stack.head_b)] = 0
+        return reruns
+
     def test_runs_only_the_blocks_a_parameter_feeds(self, monkeypatch, capsys):
         """``dualstream gradcheck`` runs as many attention blocks and
         contrastive terms as the stack's dataflow needs, and no more."""
@@ -322,22 +352,9 @@ class TestResumedGradcheck:
         def passes(params):  # a +step and a -step pass per probed coordinate
             return sum(2 * min(p.data.size, 8) for p in params)
 
-        # the blocks a pass re-runs when a round block's parameter moves
-        reruns = {}
-        for r, rnd in enumerate(stack.rounds):
-            later = 4 * (n - 1 - r)  # every block of every later round
-            # a self-attention stream: itself, both CALs, the later rounds
-            reruns[rnd.sal_time] = reruns[rnd.sal_speaker] = 3 + later
-            # a CAL: itself; its stream then moves the next round's SAL of
-            # that stream, both its CALs and every round after it
-            cal = 1 + (3 + 4 * (n - 2 - r) if r + 1 < n else 0)
-            reruns[rnd.cal_time] = reruns[rnd.cal_speaker] = cal
-        stack_blocks = sum(passes(block.parameters()) * runs
-                           for block, runs in reruns.items())
-        # the speaker table enters at round 0's speaker stream; the head
-        # parameters re-run no block
-        stack_blocks += (passes([stack.speaker_emb])
-                         * reruns[stack.rounds[0].sal_speaker])
+        reruns = self.reruns(stack)
+        stack_blocks = sum(passes([p]) * reruns[id(p)]
+                           for p in stack.parameters())
         # the analytic and the unperturbed pass, then the passes of every
         # parameter outside the stack and the gate run the model forward:
         # the two fusion CALs and every round's four blocks
@@ -363,6 +380,39 @@ class TestResumedGradcheck:
         capsys.readouterr()
         # a stack pass scores l_av alone: contrastive_av runs once a forward
         assert calls == {"block": expected_blocks, "contrastive": forwards}
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_each_stack_parameter_reruns_its_own_blocks(self, rounds,
+                                                        monkeypatch):
+        """One resumed pass per stack Parameter runs the blocks ``reruns``
+        gives it, so errors that cancel in the audit's total still show."""
+        scene, _model, gate_net = gradcheck_inputs(0)
+        model = ActiveSpeakerModel(
+            RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
+        _build, resume = cli.gradcheck_losses(
+            scene, model, gate_net, RunConfig(cli.TINY).loss_weights())
+        stack, reruns = model.stack, self.reruns(model.stack)
+        runs = []
+        block = attention._block
+
+        def counted(*args, **kwargs):
+            runs[-1] += 1
+            return block(*args, **kwargs)
+
+        with no_grad():
+            loss_of = resume()
+            monkeypatch.setattr(attention, "_block", counted)
+            for p in stack.parameters():
+                runs.append(0)
+                flat, orig = p.data.reshape(-1), p.data.flat[0]
+                flat[0] = orig + 1e-4
+                try:
+                    loss_of(p)()
+                finally:
+                    flat[0] = orig
+        # every Parameter of both SALs and both CALs of each round, the
+        # speaker table and the head, each against its own count
+        assert runs == [reruns[id(p)] for p in stack.parameters()]
 
 
 class TestCorpusShapes:

@@ -217,6 +217,14 @@ class TestPredictionsIO:
                                               r"repeats line 2"):
             read_predictions(path)
 
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xffscene_id,speaker_idx,frame_idx,score,p_voice,"
+                         b"label\n")
+        with pytest.raises(FormatError, match=f"prediction file {path}: "
+                                              "not UTF-8 at byte 0"):
+            read_predictions(path)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("scene_id,speaker_idx,frame_idx,score,p_voice,label\n"

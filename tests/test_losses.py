@@ -147,7 +147,8 @@ def make_output(rng, s=3, t=5, c=4):
         audio_logits=Tensor(rng.normal(size=t)),
         audio_frames=Tensor(rng.normal(size=(t, c))),
         visual_frames=Tensor(rng.normal(size=(s, t, c))),
-        rounds=[],
+        fused=None,
+        runs=[],
     )
     return out, labels, mask
 
@@ -205,7 +206,7 @@ class TestTotalLoss:
         def build():
             out = ModelOutput(scores=fused, visual_logits=visual,
                               audio_logits=audio, audio_frames=fa,
-                              visual_frames=fv, rounds=[])
+                              visual_frames=fv, fused=None, runs=[])
             total, _ = total_loss(out, labels, mask, LossWeights())
             return total
 

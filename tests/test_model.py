@@ -7,7 +7,7 @@ from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, generate_scene
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
-                              dual_forward, dual_round, speaker_stream)
+                              dual_forward, speaker_stream)
 from dualstream.tensor import Parameter, Tensor, init_uniform, mul, tsum
 
 from test_attention import block_oracle
@@ -100,18 +100,23 @@ class TestTemporalStream:
 
 
 def cross_interact(f_time, f_sub, stack):
-    """The mutual cross-attention of ``dual_round``, alone: both streams
-    ablated, so the round's self-attention steps are the identity."""
-    assert stack.cfg.ablate_speaker and stack.cfg.ablate_temporal
-    state = dual_round(f_time, f_sub, stack.rounds[0], stack)
-    assert state.f_time is f_time and state.f_sub is f_sub
-    return state.out_time, state.out_sub
+    """The mutual cross-attention of a ``dual_forward`` round, alone: an
+    earlier pass's runs hand the one round's self-attention streams
+    ``f_time`` and ``f_sub`` to its two CALs."""
+    assert len(stack.rounds) == 1
+    f_av = Tensor(np.zeros(f_time.shape))
+    runs = []
+    dual_forward(f_av, stack, runs=runs, before=[
+        ((f_av,), f_time), ((f_av, stack.speaker_emb), f_sub)])
+    (time_in, out_time), (sub_in, out_sub) = runs[2:]
+    assert time_in[0] is f_time and time_in[1] is f_sub
+    assert sub_in[0] is f_sub and sub_in[1] is f_time
+    return out_time, out_sub
 
 
 class TestCrossInteract:
     def make_stack(self, rng):
-        return make_stack(rounds=1, rng=rng, ablate_speaker=True,
-                          ablate_temporal=True)
+        return make_stack(rounds=1, rng=rng)
 
     def test_identical_inputs_degenerate_to_self_attention(self):
         rng = np.random.default_rng(8)
@@ -187,23 +192,23 @@ class TestDualForward:
         assert np.isfinite(out.data).all()
 
     def test_resumed_pass_matches_a_fresh_pass(self):
-        """Resumed from an earlier pass's round states with one block, the
+        """Resumed from an earlier pass's block runs with one block, the
         speaker table or the head moved, ``dual_forward`` gives a fresh
         pass's logits bit for bit, at 1 to 3 rounds."""
         for rounds in (1, 2, 3):
             rng = np.random.default_rng([17, rounds])
             stack = make_stack(rounds=rounds, rng=rng)
             f_av = Tensor(rng.normal(size=(3, 4, DIM)))
-            states = []
-            base = dual_forward(f_av, stack, states=states).data
-            assert len(states) == rounds and states[0].x_time is f_av
+            runs = []
+            base = dual_forward(f_av, stack, runs=runs).data
+            assert len(runs) == 4 * rounds and runs[0][0][0] is f_av
             for moved in ([b for rnd in stack.rounds for b in rnd.blocks()]
                           + [stack.speaker_emb, stack.head_w]):
                 p = moved if isinstance(moved, Parameter) else moved.wq
                 saved = p.data.copy()
                 p.data += 0.1
                 try:
-                    resumed = dual_forward(f_av, stack, before=states,
+                    resumed = dual_forward(f_av, stack, before=runs,
                                            moved=moved).data
                     fresh = dual_forward(f_av, stack).data
                 finally:

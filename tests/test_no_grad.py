@@ -100,10 +100,10 @@ def test_model_and_gate_outputs_bit_identical(which):
     npt.assert_array_equal(free_gate.data, taped_gate.data)
     assert taped_out.scores.parents and taped_gate.parents
     for name, value in vars(free_out).items():
-        if name == "rounds":  # each round's streams
-            for r, state in enumerate(value):
-                for stream, tensor in vars(state).items():
-                    assert tensor.parents == (), (r, stream)
+        if name == "runs":  # each block run's inputs and output
+            for k, (inputs, output) in enumerate(value):
+                for tensor in inputs + (output,):
+                    assert tensor.parents == (), k
         else:
             assert value.parents == (), name
     assert free_gate.parents == ()

@@ -8,13 +8,15 @@
 # one BLAS thread and in a directory of its own, the script runs
 #   * default sizes: gen-data of 48 training and 16 held-out scenes, train
 #     for 4 model and 4 gate epochs, eval with the gate on and off;
+#   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
 #   * gradcheck at model.init_seed 0 and 3.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared.  Exit 0: every pair is byte-identical.
+# command's stdout are compared: 41 files, 13 per train and eval set plus
+# the two gradcheck reports.  Exit 0: every pair is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
-# Exit 2: a command failed.  About 20 s per tree on a 2-core x86 host.
+# Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -55,6 +57,7 @@ run_set() {  # run_set TREE OUT_DIR
             done
         }
         pipeline default 48 4
+        pipeline speaker 48 4 --set model.ablate_speaker=true
         pipeline long 24 2 --set data.frames=48 --set data.speakers=4 \
             --set model.ablate_temporal=true
         for seed in 0 3; do
