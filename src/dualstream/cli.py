@@ -172,7 +172,6 @@ def cmd_eval(args) -> int:
     gate_on = args.gate == "on"
     records, raw_records = collect_predictions(
         model, gate_net, scenes, cfg.gate_params(), gate_on)
-    write_predictions(records, args.predictions)
 
     cells = distractor_cells(scenes)
     threshold = cfg["eval.threshold"]
@@ -192,6 +191,9 @@ def cmd_eval(args) -> int:
     metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
 
     report = metrics_report(metrics)
+    # written once every metric is computed: a metric that cannot be
+    # computed leaves neither file behind
+    write_predictions(records, args.predictions)
     with open(args.metrics, "w", encoding="utf-8") as fh:
         fh.write(report)
     print(report, end="")

@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .gate import GateParams
 from .losses import LossWeights
 from .model import ModelConfig
-from .ranges import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Range
+from .ranges import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, Range
 
 # the dataclass behind each view and the namespace of its keys
 _VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
@@ -34,7 +34,7 @@ _OWN_KEYS = {
     "gate.rnn_hidden": (int, 16, AT_LEAST_1),
     "gate.epochs": (int, 20, AT_LEAST_1),
     "gate.lr": (float, 0.03, POSITIVE),
-    "eval.threshold": (float, 0.0, None),
+    "eval.threshold": (float, 0.0, FINITE),
 }
 
 _NAMESPACES = ("data", "model", "train", "gate", "loss", "eval")
@@ -175,8 +175,12 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                values = parse_config_text(fh.read())
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"config {path}: cannot read: "
+                              f"{exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {path}: not UTF-8 at byte "
                               f"{exc.start}") from None
+        values = parse_config_text(text)
     return RunConfig({**values, **(overrides or {})})

@@ -8,9 +8,13 @@ the audio; speaking OR distractor frames add a lip-motion oscillation to
 the crop.  Distractor frames are the false-positive bait: full visual
 motion, zero audio contribution.
 
-Slot identities (voice signatures, face patterns, lip phases) are fixed
-constants of the generator, independent of the corpus seed, so models
-trained on one corpus transfer to any other.
+The slot -> voice-signature mapping is a fixed constant of the generator,
+independent of the corpus seed, so models trained on one corpus transfer
+to any other; faces and lip phases are drawn per scene.
+
+Draw-in-order rule: a scene draws all its random numbers in one fixed
+order, then applies each cue to them as an array mask, so a cue added
+later, drawing after the others, leaves corpora without it byte-identical.
 
 Corpus container (little-endian, magic "D2SYN1"):
     u32 scene count, then per scene:
@@ -153,34 +157,28 @@ def _lip_mask(height: int, width: int) -> np.ndarray:
 
 def _markov_chain(rng, frames, p_on_on, p_off_on):
     p_stationary = p_off_on / max(p_off_on + (1.0 - p_on_on), 1e-12)
-    state = 1 if rng.random() < p_stationary else 0
-    out = np.zeros(frames, dtype=np.uint8)
-    for t in range(frames):
-        stay = p_on_on if state else p_off_on
-        state = 1 if rng.random() < stay else 0
-        out[t] = state
-    return out
+    draws = rng.random(frames + 1).tolist()
+    state = draws[0] < p_stationary
+    out = []
+    for u in draws[1:]:
+        state = u < (p_on_on if state else p_off_on)
+        out.append(state)
+    return np.array(out, dtype=np.uint8)
 
 
 def _trim_concurrency(rng, proposals, max_concurrent, overlap_rate):
     """Enforce the hard cap, preferring a single continuing speaker; with
     probability overlap_rate a multi-speaker frame keeps up to the cap."""
-    s, frames = proposals.shape
     labels = np.zeros_like(proposals)
-    for t in range(frames):
+    for t in range(proposals.shape[1]):
         active = np.flatnonzero(proposals[:, t])
-        if active.size == 0:
-            continue
-        if active.size == 1:
-            labels[active, t] = 1
-            continue
-        cap = max_concurrent if rng.random() < overlap_rate else 1
-        cap = min(cap, max_concurrent)
-        prev = set(np.flatnonzero(labels[:, t - 1])) if t > 0 else set()
-        continuing = [x for x in active if x in prev]
-        fresh = [x for x in active if x not in prev]
-        order = list(rng.permutation(continuing)) + list(rng.permutation(fresh))
-        labels[[int(x) for x in order[:cap]], t] = 1
+        if active.size > 1:
+            cap = max_concurrent if rng.random() < overlap_rate else 1
+            # at t = 0 column t - 1 is the last one, still all zero
+            going = labels[active, t - 1] == 1
+            active = np.concatenate([rng.permutation(active[going]),
+                                     rng.permutation(active[~going])])[:cap]
+        labels[active, t] = 1
     return labels
 
 
@@ -191,10 +189,7 @@ def generate_scene(cfg: GenConfig, index: int) -> Scenario:
     h, w, m = cfg.height, cfg.width, cfg.mel_bins
 
     # valid slots: usually all, sometimes fewer, to exercise masking
-    if s > 1 and rng.random() < 0.3:
-        valid = int(rng.integers(1, s + 1))
-    else:
-        valid = s
+    valid = int(rng.integers(1, s + 1)) if s > 1 and rng.random() < 0.3 else s
     mask = np.zeros((s, t_frames), dtype=np.uint8)
     mask[:valid] = 1
 
@@ -206,34 +201,27 @@ def generate_scene(cfg: GenConfig, index: int) -> Scenario:
 
     distractor = np.zeros((s, t_frames), dtype=np.uint8)
     for spk in range(valid):
-        chain = _markov_chain(rng, t_frames, _DISTRACTOR_STAY,
-                              cfg.distractor_rate)
-        distractor[spk] = chain & (1 - labels[spk])
+        distractor[spk] = _markov_chain(rng, t_frames, _DISTRACTOR_STAY,
+                                        cfg.distractor_rate)
+    distractor &= 1 - labels
 
-    lip = _lip_mask(h, w)
-    visual = np.zeros((s, t_frames, h, w, 1))
+    # a padded slot draws a phase but no face
+    faces = np.zeros((s, h, w))
+    phases = np.zeros((s, 1))
     for spk in range(s):
         if spk < valid:
-            face = rng.uniform(-1.0, 1.0, size=(h, w)) * _FACE_SCALE
-        else:
-            face = np.zeros((h, w))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        moving = labels[spk] | distractor[spk]
-        for t in range(t_frames):
-            frame = face.copy()
-            if moving[t]:
-                osc = _LIP_AMPLITUDE * np.sin(2.0 * np.pi * _LIP_RATE * t + phase)
-                frame = frame + osc * lip
-            visual[spk, t, :, :, 0] = frame
+            faces[spk] = rng.uniform(-1.0, 1.0, size=(h, w)) * _FACE_SCALE
+        phases[spk] = rng.uniform(0.0, 2.0 * np.pi)
+    lips = (_LIP_AMPLITUDE
+            * np.sin(2.0 * np.pi * _LIP_RATE * np.arange(t_frames) + phases)
+            * (labels | distractor))[..., None, None] * _lip_mask(h, w)
+    visual = (faces[:, None] + lips)[..., None]
     visual += rng.normal(0.0, cfg.noise_std, size=visual.shape)
 
     audio = np.zeros((STEPS_PER_FRAME * t_frames, m))
     by_frame = frame_steps(audio)
     for spk in range(valid):
-        sig = slot_signature(spk, m)
-        for t in range(t_frames):
-            if labels[spk, t]:
-                by_frame[t] += sig
+        by_frame[labels[spk] == 1] += slot_signature(spk, m)
     # speech-mimicking bursts: a signature's spectrum on 1-2 of a frame's
     # steps, scaled so the frame mean looks like sustained speech
     if cfg.noise_std > 0 and cfg.burst_rate > 0:

@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .data import frame_steps
 from .errors import ContractError, DimensionError
-from .ranges import POSITIVE, UNIT, Range, check_ranges, knob
+from .ranges import FINITE, POSITIVE, UNIT, Range, check_ranges, knob
 from .tensor import (Parameter, Tensor, conv1d_same, gelu, init_uniform,
                      linear, reshape, tanh_birnn)
 
@@ -40,7 +40,7 @@ _SQUASH_MARGIN = 1e-9
 class GateParams:
     """Thresholds and blend weight for the score-correction rule."""
 
-    t_main: float = 0.0
+    t_main: float = knob(0.0, FINITE)
     t_veto: float = knob(0.06, Range(0, 1, open_lo=True, open_hi=True))
     gamma: float = knob(0.8, UNIT)
     eps: float = knob(1e-6, POSITIVE)

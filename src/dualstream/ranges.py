@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, fields
 
 @dataclass(frozen=True)
 class Range:
-    """lo <= v <= hi, either end optionally open."""
+    """lo <= v <= hi, either end optionally open; ``check`` also refuses a
+    non-finite v, so a range with no ends admits any finite value."""
 
     lo: float = -math.inf
     hi: float = math.inf
@@ -26,10 +27,14 @@ class Range:
                 f"{self.hi:g}{')' if self.open_hi else ']'}")
 
     def check(self, name, value, error):
+        # unlike math.isfinite, the comparison takes ints of any size
+        if not -math.inf < value < math.inf:
+            raise error(f"{name}: value {value} must be finite")
         if value not in self:
             raise error(f"{name}: value {value} out of range {self}")
 
 
+FINITE = Range()
 AT_LEAST_1 = Range(lo=1)
 NON_NEGATIVE = Range(lo=0)
 POSITIVE = Range(lo=0, open_lo=True)

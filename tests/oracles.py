@@ -10,11 +10,20 @@ record their tape nodes through ``tensor.record``, so they honour
 ``no_grad``.  ``layer_norm`` and ``attention_core`` wrap the package's numpy
 kernels as stand-alone tape nodes, so that each kernel is checked on its
 own, as the fused block's former ops were.
+
+``generate_scene`` is the scene generator in its former loop form: lip
+motion and speech audio built one (slot, frame) cell at a time.
+``data.generate_scene`` draws the same random numbers in the same order and
+builds its arrays with array math; the tests require the two to give the
+same bytes for every array.
 """
 
 import numpy as np
 from scipy.special import expit
 
+from dualstream.data import (_DISTRACTOR_STAY, _FACE_SCALE, _LIP_AMPLITUDE,
+                             _LIP_RATE, STEPS_PER_FRAME, Scenario, _lip_mask,
+                             frame_steps, slot_signature)
 from dualstream.errors import DimensionError
 from dualstream.tensor import (Tensor, _data, _unbroadcast,
                                attention_backward, attention_forward,
@@ -136,3 +145,114 @@ def attention_core(q, k, v, num_heads):
     out, saved = attention_forward(q.data, k.data, v.data, num_heads)
     return record(out, (q, k, v),
                   lambda g, need: attention_backward(g, saved))
+
+
+def _markov_chain(rng, frames, p_on_on, p_off_on):
+    p_stationary = p_off_on / max(p_off_on + (1.0 - p_on_on), 1e-12)
+    state = 1 if rng.random() < p_stationary else 0
+    out = np.zeros(frames, dtype=np.uint8)
+    for t in range(frames):
+        stay = p_on_on if state else p_off_on
+        state = 1 if rng.random() < stay else 0
+        out[t] = state
+    return out
+
+
+def _trim_concurrency(rng, proposals, max_concurrent, overlap_rate):
+    """Enforce the hard cap, preferring a single continuing speaker; with
+    probability overlap_rate a multi-speaker frame keeps up to the cap."""
+    s, frames = proposals.shape
+    labels = np.zeros_like(proposals)
+    for t in range(frames):
+        active = np.flatnonzero(proposals[:, t])
+        if active.size == 0:
+            continue
+        if active.size == 1:
+            labels[active, t] = 1
+            continue
+        cap = max_concurrent if rng.random() < overlap_rate else 1
+        cap = min(cap, max_concurrent)
+        prev = set(np.flatnonzero(labels[:, t - 1])) if t > 0 else set()
+        continuing = [x for x in active if x in prev]
+        fresh = [x for x in active if x not in prev]
+        order = list(rng.permutation(continuing)) + list(rng.permutation(fresh))
+        labels[[int(x) for x in order[:cap]], t] = 1
+    return labels
+
+
+def generate_scene(cfg, index):
+    """Build one scenario; fully determined by (cfg.seed, index)."""
+    rng = np.random.default_rng([cfg.seed, index])
+    s, t_frames = cfg.speakers, cfg.frames
+    h, w, m = cfg.height, cfg.width, cfg.mel_bins
+
+    # valid slots: usually all, sometimes fewer, to exercise masking
+    if s > 1 and rng.random() < 0.3:
+        valid = int(rng.integers(1, s + 1))
+    else:
+        valid = s
+    mask = np.zeros((s, t_frames), dtype=np.uint8)
+    mask[:valid] = 1
+
+    proposals = np.zeros((s, t_frames), dtype=np.uint8)
+    for spk in range(valid):
+        proposals[spk] = _markov_chain(rng, t_frames, cfg.p_on_on, cfg.p_off_on)
+    labels = _trim_concurrency(rng, proposals, cfg.max_concurrent,
+                               cfg.overlap_rate)
+
+    distractor = np.zeros((s, t_frames), dtype=np.uint8)
+    for spk in range(valid):
+        chain = _markov_chain(rng, t_frames, _DISTRACTOR_STAY,
+                              cfg.distractor_rate)
+        distractor[spk] = chain & (1 - labels[spk])
+
+    lip = _lip_mask(h, w)
+    visual = np.zeros((s, t_frames, h, w, 1))
+    for spk in range(s):
+        if spk < valid:
+            face = rng.uniform(-1.0, 1.0, size=(h, w)) * _FACE_SCALE
+        else:
+            face = np.zeros((h, w))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        moving = labels[spk] | distractor[spk]
+        for t in range(t_frames):
+            frame = face.copy()
+            if moving[t]:
+                osc = _LIP_AMPLITUDE * np.sin(2.0 * np.pi * _LIP_RATE * t + phase)
+                frame = frame + osc * lip
+            visual[spk, t, :, :, 0] = frame
+    visual += rng.normal(0.0, cfg.noise_std, size=visual.shape)
+
+    audio = np.zeros((STEPS_PER_FRAME * t_frames, m))
+    by_frame = frame_steps(audio)
+    for spk in range(valid):
+        sig = slot_signature(spk, m)
+        for t in range(t_frames):
+            if labels[spk, t]:
+                by_frame[t] += sig
+    # speech-mimicking bursts: a signature's spectrum on 1-2 of a frame's
+    # steps, scaled so the frame mean looks like sustained speech
+    if cfg.noise_std > 0 and cfg.burst_rate > 0:
+        event = None
+        for t in range(t_frames):
+            if event is not None and rng.random() < 0.5:
+                event = None
+            if event is None and rng.random() < cfg.burst_rate:
+                sig = slot_signature(int(rng.integers(0, s)), m)
+                hits = int(rng.integers(1, 3))
+                scale = cfg.burst_amp * rng.uniform(0.8, 1.3)
+                event = (sig * scale * (STEPS_PER_FRAME / hits), hits)
+            if event is not None:
+                shape, hits = event
+                steps = rng.choice(STEPS_PER_FRAME, size=hits, replace=False)
+                by_frame[t, steps] += shape
+    audio += rng.normal(0.0, cfg.noise_std, size=audio.shape)
+
+    return Scenario(
+        scene_id=f"scene{index:05d}",
+        visual=visual,
+        audio=audio,
+        labels=labels,
+        mask=mask,
+        distractor=distractor,
+    )

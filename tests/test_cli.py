@@ -97,6 +97,24 @@ class TestGenData:
         assert f"error: config {path}: not UTF-8 at byte 17" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        assert run("--config", str(path), "gradcheck") == 1
+        err = capsys.readouterr().err
+        assert f"error: config {path}: cannot read: " in err
+        assert "Traceback" not in err
+
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.bin"
+        assert run("--set", "data.noise_std=inf", "gen-data", "--scenes", "2",
+                   "--out", str(out)) == 1
+        assert ("error: config key data.noise_std: value inf must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_log_and_checkpoint_written(self, pipeline):
@@ -252,6 +270,23 @@ class TestEval:
                    "--predictions", str(tmp_path / "p.csv"),
                    "--metrics", str(tmp_path / "m.txt")) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_undefined_metric_leaves_no_output(self, pipeline, tmp_path,
+                                               capsys):
+        """A held-out corpus with no speech has no average precision: eval
+        exits 2 and writes neither the predictions nor the metrics."""
+        root, corpus, held, ckpt = pipeline
+        silent = tmp_path / "silent.bin"
+        assert run(*TINY, "--set", "data.p_on_on=0", "--set", "data.p_off_on=0",
+                   "gen-data", "--scenes", "2", "--out", str(silent)) == 0
+        assert run(*TINY, "eval", "--corpus", str(silent),
+                   "--model", str(ckpt),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert ("average precision undefined: no positive records"
+                in capsys.readouterr().err)
         assert not (tmp_path / "p.csv").exists()
         assert not (tmp_path / "m.txt").exists()
 

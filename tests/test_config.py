@@ -11,6 +11,7 @@ from dualstream.errors import ConfigError, ContractError
 from dualstream.gate import GateParams
 from dualstream.losses import LossWeights
 from dualstream.model import ModelConfig
+from dualstream.ranges import FINITE
 
 VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
          LossWeights: "loss"}
@@ -37,6 +38,8 @@ def just_outside(rng, typ):
 
 RANGED = [(key, value) for key, (typ, _d, rng) in SCHEMA.items()
           if rng is not None for value in just_outside(rng, typ)]
+NON_FINITE = [(key, text) for key, (typ, _d, _r) in SCHEMA.items()
+              if typ is float for text in ("nan", "inf", "-inf")]
 
 
 class TestSchema:
@@ -113,9 +116,21 @@ class TestSchema:
                         cls(**{f.name: value})
 
     def test_every_range_probed(self):
-        ranged = {k for k, (_t, _d, rng) in SCHEMA.items() if rng is not None}
+        ranged = {k for k, (_t, _d, rng) in SCHEMA.items()
+                  if rng not in (None, FINITE)}
         assert {key for key, _ in RANGED} == ranged
         assert len(ranged) == 40  # all but t_main, threshold, ablations
+
+    @pytest.mark.parametrize("key,text", NON_FINITE)
+    def test_non_finite_value_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"{key}: value .* must be finite"):
+            RunConfig().set(key, text)
+        for cls in VIEWS:
+            for f in fields(cls):
+                if field_key(cls, f) == key:
+                    with pytest.raises((ConfigError, ContractError),
+                                       match="must be finite"):
+                        cls(**{f.name: float(text)})
 
 
 class TestText:

@@ -4,7 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dualstream.data import (STEPS_PER_FRAME, GenConfig, check_scene,
+import oracles
+from dualstream.cli import TINY
+from dualstream.config import RunConfig
+from dualstream.data import (FLAGS, STEPS_PER_FRAME, GenConfig, check_scene,
                              frame_steps, generate, generate_scene, read_corpus,
                              slot_signature, write_corpus)
 from dualstream.errors import ConfigError, ContractError, DimensionError, FormatError
@@ -136,6 +139,53 @@ class TestGenerate:
     def test_zero_scenes_rejected(self):
         with pytest.raises(ConfigError):
             generate(GenConfig(), 0)
+
+
+# regimes in which the generator must give the loop form's bytes: the
+# defaults, the benchmark's shapes, and each branch the defaults rarely or
+# never reach (overlaps kept up to the cap, silent or always-on chains,
+# padded-slot-free and single-frame scenes, the smallest crops and bins)
+ORACLE_REGIMES = {
+    "defaults": GenConfig(),
+    "4x48": GenConfig(speakers=4, frames=48),
+    "cli-tiny": RunConfig(TINY).gen_config(),
+    "overlap-cap2": GenConfig(overlap_rate=1.0),
+    "overlap-cap3-s4": GenConfig(speakers=4, overlap_rate=1.0,
+                                 max_concurrent=3),
+    "cap1": GenConfig(max_concurrent=1),
+    "noiseless": GenConfig(noise_std=0.0),
+    "bursts-always": GenConfig(burst_rate=1.0),
+    "no-distractors": GenConfig(distractor_rate=0.0),
+    "distractors-always": GenConfig(distractor_rate=1.0),
+    "chains-off": GenConfig(p_on_on=0.0, p_off_on=0.0),
+    "chains-on": GenConfig(p_on_on=1.0, p_off_on=1.0),
+    "mel2": GenConfig(mel_bins=2),
+    "mel3": GenConfig(mel_bins=3),
+    "1x1-crops": GenConfig(height=1, width=1),
+    "s1-t1": GenConfig(speakers=1, frames=1),
+    "s4-t1": GenConfig(speakers=4, frames=1),
+}
+
+
+class TestLoopFormOracle:
+    @pytest.mark.parametrize("regime", ORACLE_REGIMES)
+    def test_same_bytes_as_loop_form(self, regime):
+        cfg = ORACLE_REGIMES[regime]
+        for index in range(50):
+            new = generate_scene(cfg, index)
+            old = oracles.generate_scene(cfg, index)
+            assert new.scene_id == old.scene_id
+            for name in ("visual", "audio", *FLAGS):
+                a, b = getattr(new, name), getattr(old, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), (index, name)
+
+    @pytest.mark.parametrize("regime,cap", [("overlap-cap2", 2),
+                                            ("overlap-cap3-s4", 3),
+                                            ("cap1", 1)])
+    def test_overlap_regimes_reach_their_cap(self, regime, cap):
+        scenes = generate(ORACLE_REGIMES[regime], 50)
+        assert max(int(sc.labels.sum(axis=0).max()) for sc in scenes) == cap
 
 
 class TestCorpusIO:

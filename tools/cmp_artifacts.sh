@@ -11,10 +11,14 @@
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
-#   * gradcheck at model.init_seed 0 and 3.
+#   * gradcheck at model.init_seed 0 and 3;
+#   * gen-data only, of the same two corpora at 4 speakers with every
+#     multi-speaker frame kept up to a cap of 3 and no noise, where the
+#     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared: 41 files, 13 per train and eval set plus
-# the two gradcheck reports.  Exit 0: every pair is byte-identical.
+# command's stdout are compared: 45 files, 13 per train and eval set, the
+# two gradcheck reports and 4 from the gen-data pair.  Exit 0: every pair
+# is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
 # Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
 set -euo pipefail
@@ -41,13 +45,18 @@ run_set() {  # run_set TREE OUT_DIR
                 exit 2
             }
         }
-        pipeline() {  # pipeline TAG TRAIN_SCENES EPOCHS [--set KEY=VALUE]...
-            local tag=$1 scenes=$2 epochs=$3
-            shift 3
+        gen_pair() {  # gen_pair TAG TRAIN_SCENES [--set KEY=VALUE]...
+            local tag=$1 scenes=$2
+            shift 2
             ds "$@" gen-data --seed 7 --scenes "$scenes" \
                 --out "$tag.train.bin" > "$tag.gen-train.out"
             ds "$@" gen-data --seed 1000 --scenes 16 \
                 --out "$tag.held.bin" > "$tag.gen-held.out"
+        }
+        pipeline() {  # pipeline TAG TRAIN_SCENES EPOCHS [--set KEY=VALUE]...
+            local tag=$1 scenes=$2 epochs=$3
+            shift 3
+            gen_pair "$tag" "$scenes" "$@"
             ds "$@" --set "gate.epochs=$epochs" train --epochs "$epochs" \
                 --corpus "$tag.train.bin" --out "$tag.ckpt" > "$tag.train.out"
             for gate in on off; do
@@ -63,6 +72,8 @@ run_set() {  # run_set TREE OUT_DIR
         for seed in 0 3; do
             ds --set "model.init_seed=$seed" gradcheck > "gradcheck-$seed.out"
         done
+        gen_pair overlap 48 --set data.speakers=4 --set data.overlap_rate=1 \
+            --set data.max_concurrent=3 --set data.noise_std=0
     )
 }
 
