@@ -20,7 +20,7 @@ from .errors import DimensionError
 from .tensor import (Parameter, Tensor, attention_backward, attention_forward,
                      gelu_backward, gelu_forward, init_uniform,
                      layer_norm_backward, layer_norm_forward, linear_backward,
-                     linear_forward, record)
+                     linear_forward, op, record)
 
 
 class AttentionBlock:
@@ -63,28 +63,28 @@ def _check_tokens(x, model_dim, who):
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
 
 
-def _block(x: Tensor, y: Tensor, layer):
+@op
+def _block(x: Tensor, y: Tensor, params, heads, eps):
     """The post-norm residual block as one tape node.
 
     The forward replays, on arrays and in the same order, the op chain
     q/k/v projections, attention core, output projection, x + attention,
     layer norm, MLP, z + MLP(z), layer norm; so its output is bit-identical
     to that chain's.  The parents are x, y (once when ``x is y``) and the 16
-    block parameters.
+    block parameters ``params``, in ``AttentionBlock.parameters`` order.
     """
-    d = layer.wq.shape[0]
+    d = params[0].shape[0]
     _check_tokens(x, d, "attention query")
     _check_tokens(y, d, "attention key/value")
     if x.shape[0] != y.shape[0]:
         raise DimensionError(
             f"attention batch dims disagree: {x.shape} vs {y.shape}")
-    params = layer.parameters()
     wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, be1, g2, be2 = (
         p.data for p in params)
-    xd, yd, eps = x.data, y.data, layer.ln_eps
+    xd, yd = x.data, y.data
     core, att = attention_forward(linear_forward(xd, wq, bq),
                                   linear_forward(yd, wk, bk),
-                                  linear_forward(yd, wv, bv), layer.heads)
+                                  linear_forward(yd, wv, bv), heads)
     z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1, eps)
     h = linear_forward(z, w1, b1)
     u, phi = gelu_forward(h)
@@ -116,10 +116,10 @@ def _block(x: Tensor, y: Tensor, layer):
 def sal_forward(x, layer: AttentionBlock):
     """Post-norm residual self-attention block:
     z = LN(x + MHSA(x)); out = LN(z + MLP(z))."""
-    return _block(x, x, layer)
+    return _block(x, x, layer.parameters(), layer.heads, layer.ln_eps)
 
 
 def cal_forward(x, y, layer: AttentionBlock):
     """Post-norm residual cross-attention block:
     z = LN(x + MHCA(x, y, y)); out = LN(z + MLP(z))."""
-    return _block(x, y, layer)
+    return _block(x, y, layer.parameters(), layer.heads, layer.ln_eps)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .evaluation import (PredictionRecord, average_precision,
                          metrics_report, write_predictions)
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
-from .losses import loss_terms, total_loss, weighted_total
-from .model import ActiveSpeakerModel, dual_forward
+from .losses import total_loss
+from .model import ActiveSpeakerModel
 from .tensor import add, no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
                     save_checkpoint, train_gate, train_model)
@@ -61,7 +60,7 @@ def _load_cfg(args) -> RunConfig:
 def _build_gate_net(cfg: RunConfig) -> ConfidenceNet:
     rng = np.random.default_rng([cfg["model.init_seed"], 0xA0D10])
     return ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
-                         cfg["gate.rnn_hidden"], rng, "gate")
+                         cfg["gate.rnn_hidden"], rng)
 
 
 def _read_corpus(path, cfg: RunConfig):
@@ -218,70 +217,26 @@ def gradcheck_inputs(init_seed):
     return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
 
 
-def gradcheck_losses(scene, model, gate_net, weights):
-    """``build_loss`` and ``resume`` for ``check_parameter_gradients``: the
-    model's training loss on ``scene`` plus the gate's, and builders that
-    re-run only what a perturbed parameter feeds.  Those take the rest of
-    the loss from one unperturbed pass: a gate parameter re-runs the gate
-    loss; a ``model.stack`` parameter re-runs, from that pass's block
-    runs, the blocks that read what it changes (``model.dual_forward``),
-    then the head and ``l_av``; any other parameter re-runs the model
-    forward."""
-    labels, mask = scene.labels, scene.mask
-
-    def main_loss(out):
-        return total_loss(out, labels, mask, weights)[0]
-
+def gradcheck_loss(scene, model, gate_net, weights):
+    """``build_loss`` for the audit: the model's loss plus the gate's."""
     def build_loss():
         out = model.forward(scene.visual, scene.audio)
-        return add(main_loss(out), gate_loss(gate_net, scene))
-
-    def resume():
-        out = model.forward(scene.visual, scene.audio)
-        terms = loss_terms(out, labels, mask, weights)
-        main, gate = weighted_total(terms, weights), gate_loss(gate_net, scene)
-
-        def gate_pass():
-            return add(main, gate_loss(gate_net, scene))
-
-        def stack_pass(moved):
-            def loss():
-                scores = dual_forward(out.fused, model.stack,
-                                      before=out.runs, moved=moved)
-                resumed = loss_terms(replace(out, scores=scores), labels,
-                                     mask, weights, like=terms)
-                return add(weighted_total(resumed, weights), gate)
-            return loss
-
-        def model_pass():
-            return add(main_loss(model.forward(scene.visual, scene.audio)), gate)
-
-        passes = {id(p): gate_pass for p in gate_net.parameters()}
-        # a round block's parameters move that block; the speaker table and
-        # the head parameters move themselves
-        owner = {id(p): block for rnd in model.stack.rounds
-                 for block in rnd.blocks() for p in block.parameters()}
-        passes.update((id(p), stack_pass(owner.get(id(p), p)))
-                      for p in model.stack.parameters())
-        return lambda p: passes.get(id(p), model_pass)
-
-    return build_loss, resume
+        main = total_loss(out, scene.labels, scene.mask, weights)[0]
+        return add(main, gate_loss(gate_net, scene))
+    return build_loss
 
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
     scene, model, gate_net = gradcheck_inputs(cfg["model.init_seed"])
-    build_loss, resume = gradcheck_losses(scene, model, gate_net,
-                                          cfg.loss_weights())
+    build_loss = gradcheck_loss(scene, model, gate_net, cfg.loss_weights())
     params = model.parameters() + gate_net.parameters()
-    worst = check_parameter_gradients(build_loss, params, step=1e-4,
-                                      max_coords=8, seed=0, resume=resume)
+    worst = check_parameter_gradients(build_loss, params, max_coords=8)
     groups = worst_by_group(worst)
-    overall = 0.0
     for module in sorted(groups):
         print(f"module {module}: worst_rel_err={groups[module]:.3e}")
-        overall = max(overall, groups[module])
+    overall = max(groups.values())
     print(f"overall worst_rel_err={overall:.3e} over {len(params)} parameters")
     if overall > GRADCHECK_LIMIT:
         print(f"FAIL: worst relative error exceeds {GRADCHECK_LIMIT}")

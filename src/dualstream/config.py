@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .gate import GateParams
 from .losses import LossWeights
 from .model import ModelConfig
-from .ranges import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, Range
+from .ranges import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, SIZE, Range
 
 # the dataclass behind each view and the namespace of its keys
 _VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
@@ -25,13 +25,13 @@ _VIEWS = {GenConfig: "data", ModelConfig: "model", GateParams: "gate",
 
 # keys no dataclass holds: key -> (type, default, range or None)
 _OWN_KEYS = {
-    "data.scenes": (int, 200, AT_LEAST_1),
+    "data.scenes": (int, 200, SIZE),
     "train.epochs": (int, 16, AT_LEAST_1),
     "train.lr": (float, 0.03, POSITIVE),
     "train.momentum": (float, 0.9, Range(0, 1, open_hi=True)),
     "train.seed": (int, 0, NON_NEGATIVE),
-    "gate.conv_hidden": (int, 16, AT_LEAST_1),
-    "gate.rnn_hidden": (int, 16, AT_LEAST_1),
+    "gate.conv_hidden": (int, 16, SIZE),
+    "gate.rnn_hidden": (int, 16, SIZE),
     "gate.epochs": (int, 20, AT_LEAST_1),
     "gate.lr": (float, 0.03, POSITIVE),
     "eval.threshold": (float, 0.0, FINITE),

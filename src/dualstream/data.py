@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError
-from .ranges import AT_LEAST_1, NON_NEGATIVE, UNIT, Range, check_ranges, knob
+from .ranges import (AT_LEAST_1, NON_NEGATIVE, SIZE, UNIT, Range,
+                     check_ranges, knob)
 
 MAGIC = b"D2SYN1"
 
@@ -66,12 +67,12 @@ class GenConfig:
     """
 
     seed: int = knob(0, NON_NEGATIVE)
-    speakers: int = knob(3, AT_LEAST_1)
-    frames: int = knob(12, AT_LEAST_1)
-    height: int = knob(8, AT_LEAST_1)
-    width: int = knob(8, AT_LEAST_1)
+    speakers: int = knob(3, SIZE)
+    frames: int = knob(12, SIZE)
+    height: int = knob(8, SIZE)
+    width: int = knob(8, SIZE)
     # slot_signature needs at least one bin above its base bin
-    mel_bins: int = knob(13, Range(lo=2))
+    mel_bins: int = knob(13, Range(2, SIZE.hi))
     p_on_on: float = knob(0.9, UNIT)
     p_off_on: float = knob(0.08, UNIT)
     distractor_rate: float = knob(0.12, UNIT)

@@ -24,12 +24,12 @@ from .tensor import Parameter, Tensor, concat, gelu, init_uniform, linear
 class VisualEncoder:
     """Two-layer pointwise network on flattened crops: HW -> hidden -> C."""
 
-    def __init__(self, height, width, channels, hidden, rng, name="visual_enc"):
+    def __init__(self, height, width, channels, hidden, rng):
         d_in = height * width
-        self.w1 = Parameter(init_uniform(rng, d_in, (d_in, hidden)), f"{name}.w1")
-        self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
-        self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), f"{name}.w2")
-        self.b2 = Parameter(np.zeros(channels), f"{name}.b2")
+        self.w1 = Parameter(init_uniform(rng, d_in, (d_in, hidden)), "visual_enc.w1")
+        self.b1 = Parameter(np.zeros(hidden), "visual_enc.b1")
+        self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), "visual_enc.w2")
+        self.b2 = Parameter(np.zeros(channels), "visual_enc.b2")
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -44,11 +44,11 @@ class VisualEncoder:
 class AudioEncoder:
     """Mean-pool each frame's audio steps, then embed M -> hidden -> C."""
 
-    def __init__(self, mel_bins, channels, hidden, rng, name="audio_enc"):
-        self.w1 = Parameter(init_uniform(rng, mel_bins, (mel_bins, hidden)), f"{name}.w1")
-        self.b1 = Parameter(np.zeros(hidden), f"{name}.b1")
-        self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), f"{name}.w2")
-        self.b2 = Parameter(np.zeros(channels), f"{name}.b2")
+    def __init__(self, mel_bins, channels, hidden, rng):
+        self.w1 = Parameter(init_uniform(rng, mel_bins, (mel_bins, hidden)), "audio_enc.w1")
+        self.b1 = Parameter(np.zeros(hidden), "audio_enc.b1")
+        self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), "audio_enc.w2")
+        self.b2 = Parameter(np.zeros(channels), "audio_enc.b2")
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]

@@ -77,17 +77,17 @@ def gate_audio_features(audio: np.ndarray) -> np.ndarray:
 class ConfidenceNet:
     """Conv-conv-biRNN-linear speech detector over ``gate_audio_features``."""
 
-    def __init__(self, mel_bins, conv_hidden, rnn_hidden, rng, name="gate"):
+    def __init__(self, mel_bins, conv_hidden, rnn_hidden, rng):
         def conv(tag, cin, cout, k=3):
             w = Parameter(init_uniform(rng, k * cin, (k, cin, cout)),
-                          f"{name}.{tag}_w")
-            b = Parameter(np.zeros(cout), f"{name}.{tag}_b")
+                          f"gate.{tag}_w")
+            b = Parameter(np.zeros(cout), f"gate.{tag}_b")
             return w, b
 
         def rnn(tag, cin, h):
-            wx = Parameter(init_uniform(rng, cin, (cin, h)), f"{name}.{tag}_wx")
-            wh = Parameter(init_uniform(rng, h, (h, h)), f"{name}.{tag}_wh")
-            b = Parameter(np.zeros(h), f"{name}.{tag}_b")
+            wx = Parameter(init_uniform(rng, cin, (cin, h)), f"gate.{tag}_wx")
+            wh = Parameter(init_uniform(rng, h, (h, h)), f"gate.{tag}_wh")
+            b = Parameter(np.zeros(h), f"gate.{tag}_b")
             return wx, wh, b
 
         self.c1_w, self.c1_b = conv("conv1", 2 * mel_bins, conv_hidden)
@@ -95,8 +95,8 @@ class ConfidenceNet:
         self.fwd = rnn("rnn_fwd", conv_hidden, rnn_hidden)
         self.bwd = rnn("rnn_bwd", conv_hidden, rnn_hidden)
         self.out_w = Parameter(init_uniform(rng, 2 * rnn_hidden,
-                                            (2 * rnn_hidden, 1)), f"{name}.out_w")
-        self.out_b = Parameter(np.zeros(1), f"{name}.out_b")
+                                            (2 * rnn_hidden, 1)), "gate.out_w")
+        self.out_b = Parameter(np.zeros(1), "gate.out_b")
 
     def parameters(self):
         return [self.c1_w, self.c1_b, self.c2_w, self.c2_b,

@@ -1,12 +1,12 @@
 """Central finite-difference verification of the analytic gradients.
 
-Used by the test suite and by the ``gradcheck`` CLI command.  The check
-perturbs individual parameter coordinates by ``+-step``, re-runs the
-forward pass without a tape (``no_grad``), and compares the symmetric
-difference quotient against the gradient produced by ``backward``.  A
-perturbed pass may re-run only the part of the loss the perturbed parameter
-feeds (``resume``).  A perturbed coordinate is put back even when the loss
-raises.
+Used by the test suite and by the ``gradcheck`` CLI command.  A perturbed
+pass moves one parameter coordinate by ``+-STEP`` and re-runs, under
+``no_grad`` and with warnings off, only the op calls (``Tensor.call``) the
+Parameter reaches through their arguments, not the tape's ``parents``;
+the other calls keep their recorded values.  The first perturbed pass of each
+Parameter also runs the whole loss, which must agree bit for bit.  A
+perturbed coordinate is put back even when the loss raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -16,43 +16,92 @@ finite-difference roundoff.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .tensor import backward, no_grad, zero_grads
+from .errors import NumericalError
+from .tensor import Tensor, backward, no_grad, zero_grads
+
+STEP = 1e-4
 
 
 def relative_error(a, b, floor=1e-4):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
-                              seed=0, floor=1e-4, resume=None):
+def _tensors(arg):
+    """The Tensors in an op argument: itself, or those in a list or tuple."""
+    if isinstance(arg, (list, tuple)):
+        return [x for item in arg for x in _tensors(item)]
+    return [arg] if isinstance(arg, Tensor) else []
+
+
+def recorded_calls(loss):
+    """The op outputs on the tape of ``loss``, each after those among its
+    arguments, as ``(t, ids)``: the ids of the Tensors ``t.call`` took."""
+    order, seen, stack = [], set(), [(loss, None)]
+    while stack:
+        t, ids = stack.pop()
+        if ids is not None:
+            order.append((t, ids))
+        elif t.call is not None and id(t) not in seen:
+            seen.add(id(t))
+            inputs = _tensors([*t.call[1], *t.call[2].values()])
+            stack.append((t, {id(x) for x in inputs}))
+            stack.extend((x, None) for x in inputs)
+    return order
+
+
+def reached(calls, p):
+    """The ``recorded_calls`` that ``p`` reaches, in order."""
+    moved, plan = {id(p)}, []
+    for t, ids in calls:
+        if not ids.isdisjoint(moved):
+            moved.add(id(t))
+            plan.append(t)
+    return plan
+
+
+def replay(plan, out):
+    """Run a ``reached`` plan again; returns ``out``'s new value.  Until it
+    ends, each new value stands in its recorded Tensor's ``data``."""
+    recorded = [t.data for t in plan]
+    try:
+        for t in plan:
+            fn, args, kwargs = t.call
+            t.data = fn(*args, **kwargs).data
+        return out.data
+    finally:
+        for t, data in zip(plan, recorded):
+            t.data = data
+
+
+def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
+                              floor=1e-4):
     """Compare analytic vs central-difference gradients for every parameter.
 
-    ``build_loss`` must re-run the full forward pass from the current
+    ``build_loss`` must run the full forward pass from the current
     parameter values and return a scalar Tensor.  For parameters with more
     than ``max_coords`` entries a deterministic random subset of
     coordinates is probed (seeded by ``[seed, index in params]``); smaller
-    parameters are probed exhaustively.
-
-    By default every perturbed pass re-runs ``build_loss``.  ``resume``, if
-    given, is called once under ``no_grad`` before any coordinate moves,
-    and returns ``loss_of``: ``loss_of(p)`` is the zero-argument builder the
-    perturbed passes of Parameter ``p`` call instead.  It may reuse values
-    of that unperturbed pass for whatever ``p`` does not feed, but must
-    return what ``build_loss`` would.
+    parameters are probed exhaustively.  A replayed pass that is not the
+    full one's bits raises ``NumericalError`` naming the Parameter.
 
     Returns ``{param_name: worst_relative_error}``.
     """
     zero_grads(params)
-    backward(build_loss())
+    loss = build_loss()
+    backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
+    calls = recorded_calls(loss)
 
     worst = {}
-    with no_grad():  # the perturbed passes only need the loss value
-        loss_of = resume() if resume is not None else lambda p: build_loss
+    # only loss values count here: the analytic pass gave every warning
+    with no_grad(), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         for k, p in enumerate(params):
-            perturbed_loss = loss_of(p)
+            rerun = reached(calls, p)
             n = p.data.size
             if n <= max_coords:
                 coords = np.arange(n)
@@ -64,23 +113,28 @@ def check_parameter_gradients(build_loss, params, step=1e-4, max_coords=16,
             for i in coords:
                 orig = flat[i]
                 try:
-                    flat[i] = orig + step
-                    up = perturbed_loss().item()
-                    flat[i] = orig - step
-                    down = perturbed_loss().item()
+                    flat[i] = orig + STEP
+                    up = replay(rerun, loss).item()
+                    full = build_loss().item() if i == coords[0] else up
+                    if full.hex() != up.hex():
+                        raise NumericalError(
+                            f"gradcheck: {p.name} reaches the loss outside "
+                            f"the op calls: replayed {up!r}, full {full!r}")
+                    flat[i] = orig - STEP
+                    down = replay(rerun, loss).item()
                 finally:
                     flat[i] = orig
-                numeric = (up - down) / (2.0 * step)
+                numeric = (up - down) / (2.0 * STEP)
                 err = max(err, relative_error(analytic[p.name].reshape(-1)[i],
                                               numeric, floor))
             worst[p.name] = err
     return worst
 
 
-def worst_by_group(worst, split="."):
+def worst_by_group(worst):
     """Collapse per-parameter errors to per-module (name prefix) errors."""
     groups = {}
     for name, err in worst.items():
-        prefix = name.split(split, 1)[0]
+        prefix = name.split(".", 1)[0]
         groups[prefix] = max(groups.get(prefix, 0.0), err)
     return groups

@@ -19,7 +19,7 @@ from scipy.special import expit as _expit
 
 from .errors import ContractError, DimensionError
 from .ranges import NON_NEGATIVE, POSITIVE, check_ranges, knob
-from .tensor import Tensor, add, mul, record, tsum
+from .tensor import Tensor, add, mul, op, record, tsum
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class LossWeights:
             raise ContractError("at least one loss weight must be positive")
 
 
+@op
 def _zero(*inputs):
     """A degenerate term: 0 as a tape node over its Tensor ``inputs`` that
     sends them no gradient, so no constant becomes a leaf of the tape and
@@ -50,6 +51,7 @@ def any_speech(labels) -> np.ndarray:
     return (np.asarray(labels).sum(axis=0) > 0).astype(np.float64)
 
 
+@op
 def masked_bce(logits: Tensor, labels, mask) -> Tensor:
     """Mean binary cross-entropy (with logits) over mask=1 positions, as one
     tape node.
@@ -80,6 +82,7 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
     return record(out, (logits,), vjp)
 
 
+@op
 def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
                    temperature: float) -> Tensor:
     """Symmetric frame-aligned InfoNCE over active-speech frames, as one
@@ -101,7 +104,7 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
     active = np.flatnonzero(np.asarray(active_mask) != 0)
     if active.size < 2:
         warnings.warn("contrastive_av: fewer than 2 active frames, "
-                      "returning zero loss", stacklevel=2)
+                      "returning zero loss", stacklevel=3)
         return _zero(f_a_frames, f_v_frames)
 
     def normalize(rows):
@@ -153,20 +156,16 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
     return tsum(mul(visual_emb, weights[:, :, None]), axis=0)
 
 
-def loss_terms(out, labels, mask, w: LossWeights, like=None):
-    """The branch losses of one forward's ``ModelOutput`` against a scene's
-    {0,1} [S, T] ``labels`` and ``mask``, by name: ``l_av``, ``l_v``,
-    ``l_a``, ``l_con``.
+def total_loss(out, labels, mask, w: LossWeights):
+    """Weighted sum of the branch losses of one forward's ``ModelOutput``
+    against a scene's {0,1} [S, T] ``labels`` and ``mask``; returns (total,
+    parts dict of each term's value).
 
     ``labels`` are read where ``mask`` is 1 by the per-cell terms; padded
     speaker slots carry all-zero mask rows.  The contrastive term pairs the
-    audio frames with ``active_visual_frames``.  ``like``, the terms of an
-    earlier output that differs from ``out`` in ``scores`` alone, gives all
-    but ``l_av``, which alone reads ``scores``.
+    audio frames with ``active_visual_frames``.
     """
     l_av = masked_bce(out.scores, labels, mask)
-    if like is not None:
-        return {**like, "l_av": l_av}
     visual_frames = active_visual_frames(out.visual_frames, labels)
     speech = any_speech(labels)
     any_valid = (np.asarray(mask).sum(axis=0) > 0).astype(np.float64)
@@ -177,17 +176,9 @@ def loss_terms(out, labels, mask, w: LossWeights, like=None):
         warnings.simplefilter("ignore")
         l_con = contrastive_av(out.audio_frames, visual_frames, speech,
                                w.temperature)
-    return {"l_av": l_av, "l_v": l_v, "l_a": l_a, "l_con": l_con}
 
-
-def weighted_total(terms, w: LossWeights) -> Tensor:
-    """The weighted sum of ``loss_terms``, always added in this order."""
-    return add(add(mul(terms["l_av"], w.w_av), mul(terms["l_v"], w.w_v)),
-               add(mul(terms["l_a"], w.w_a), mul(terms["l_con"], w.w_con)))
-
-
-def total_loss(out, labels, mask, w: LossWeights):
-    """``weighted_total`` of ``loss_terms``; returns (total, parts dict of
-    each term's value)."""
-    terms = loss_terms(out, labels, mask, w)
-    return weighted_total(terms, w), {name: t.item() for name, t in terms.items()}
+    total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
+                add(mul(l_a, w.w_a), mul(l_con, w.w_con)))
+    parts = {"l_av": l_av.item(), "l_v": l_v.item(),
+             "l_a": l_a.item(), "l_con": l_con.item()}
+    return total, parts

@@ -19,8 +19,7 @@ import numpy as np
 from .attention import AttentionBlock, cal_forward, sal_forward
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError
-from .ranges import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, Range, check_ranges,
-                     knob)
+from .ranges import NON_NEGATIVE, POSITIVE, SIZE, Range, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
@@ -42,11 +41,9 @@ class InteractionRound:
     cal_time: AttentionBlock
     cal_speaker: AttentionBlock
 
-    def blocks(self):
-        return (self.sal_time, self.sal_speaker, self.cal_time, self.cal_speaker)
-
     def parameters(self):
-        return [p for block in self.blocks() for p in block.parameters()]
+        return (self.sal_time.parameters() + self.sal_speaker.parameters()
+                + self.cal_time.parameters() + self.cal_speaker.parameters())
 
 
 class DualStreamStack:
@@ -82,46 +79,23 @@ class DualStreamStack:
                 + [self.speaker_emb, self.head_w, self.head_b])
 
 
-def dual_forward(f_av: Tensor, stack: DualStreamStack, runs=None, before=(),
-                 moved=None) -> Tensor:
+def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
     """Run the interaction rounds and the linear head; returns raw logits [S, T].
 
     Each round: the temporal stream self-attends over T (S folded into the
     batch), the speaker stream over S, then each queries the other over T
-    (mutual cross-attention, speakers in the batch).  Every block run is
-    appended to the list ``runs``, if given, as ``(inputs, output)``.
-
-    ``before``, the runs of an earlier pass, and ``moved``, the one block
-    or stack Parameter outside the blocks that changed since, resume that
-    pass: a block takes that pass's output when its inputs are that pass's
-    own objects and nothing it reads moved, neither the block nor an input
-    (the speaker table is an input of each speaker stream).  The head always
-    runs.
+    (mutual cross-attention, speakers in the batch).
     """
     cfg = stack.cfg
-    earlier = iter(before)
-
-    def run(fn, block, *inputs):
-        prior = next(earlier, None)
-        # Tensors compare by identity: != asks for a new input object
-        if (prior is None or prior[0] != inputs or moved is block
-                or moved in inputs):
-            out = fn(*inputs, block)
-        else:
-            out = prior[1]
-        if runs is not None:
-            runs.append((inputs, out))
-        return out
-
     s, t, _ = f_av.shape
     x_time = x_sub = f_av
     for rnd in stack.rounds:
         f_time = (x_time if cfg.ablate_temporal
-                  else run(sal_forward, rnd.sal_time, x_time))
-        f_sub = (x_sub if cfg.ablate_speaker else run(
-            speaker_stream, rnd.sal_speaker, x_sub, stack.speaker_emb))
-        x_time, x_sub = (run(cal_forward, rnd.cal_time, f_time, f_sub),
-                         run(cal_forward, rnd.cal_speaker, f_sub, f_time))
+                  else sal_forward(x_time, rnd.sal_time))
+        f_sub = (x_sub if cfg.ablate_speaker else speaker_stream(
+            x_sub, stack.speaker_emb, rnd.sal_speaker))
+        x_time, x_sub = (cal_forward(f_time, f_sub, rnd.cal_time),
+                         cal_forward(f_sub, f_time, rnd.cal_speaker))
     f_dual = add(x_time, x_sub)
     return reshape(linear(f_dual, stack.head_w, stack.head_b), (s, t))
 
@@ -130,17 +104,17 @@ def dual_forward(f_av: Tensor, stack: DualStreamStack, runs=None, before=(),
 class ModelConfig:
     """Architecture hyperparameters (widths, depth, capacity, init seed)."""
 
-    channels: int = knob(16, AT_LEAST_1)
-    heads: int = knob(4, AT_LEAST_1)
-    mlp_ratio: int = knob(4, AT_LEAST_1)
-    rounds: int = knob(2, AT_LEAST_1)
-    s_max: int = knob(4, AT_LEAST_1)
-    vis_hidden: int = knob(32, AT_LEAST_1)
-    audio_hidden: int = knob(32, AT_LEAST_1)
+    channels: int = knob(16, SIZE)
+    heads: int = knob(4, SIZE)
+    mlp_ratio: int = knob(4, SIZE)
+    rounds: int = knob(2, SIZE)
+    s_max: int = knob(4, SIZE)
+    vis_hidden: int = knob(32, SIZE)
+    audio_hidden: int = knob(32, SIZE)
     # input sizes: the corpus's, so they read the data.* keys
-    height: int = knob(8, AT_LEAST_1, key="data.height")
-    width: int = knob(8, AT_LEAST_1, key="data.width")
-    mel_bins: int = knob(13, Range(lo=2), key="data.mel_bins")
+    height: int = knob(8, SIZE, key="data.height")
+    width: int = knob(8, SIZE, key="data.width")
+    mel_bins: int = knob(13, Range(2, SIZE.hi), key="data.mel_bins")
     ln_eps: float = knob(1e-5, POSITIVE)
     init_seed: int = knob(0, NON_NEGATIVE)
     ablate_speaker: bool = False
@@ -162,8 +136,6 @@ class ModelOutput:
     audio_logits: Tensor    # [T] auxiliary any-speech logits
     audio_frames: Tensor    # [T, C] pre-fusion audio embedding
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
-    fused: Tensor           # [S, T, 2C] fused features, the stack's input
-    runs: list              # dual_forward's (inputs, output) per block run
 
 
 class ActiveSpeakerModel:
@@ -174,9 +146,8 @@ class ActiveSpeakerModel:
         rng = np.random.default_rng(cfg.init_seed)
         c = cfg.channels
         self.visual_enc = VisualEncoder(cfg.height, cfg.width, c,
-                                        cfg.vis_hidden, rng, "visual_enc")
-        self.audio_enc = AudioEncoder(cfg.mel_bins, c, cfg.audio_hidden,
-                                      rng, "audio_enc")
+                                        cfg.vis_hidden, rng)
+        self.audio_enc = AudioEncoder(cfg.mel_bins, c, cfg.audio_hidden, rng)
         self.cal_av = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
                                      "fusion.cal_av", cfg.ln_eps)
         self.cal_va = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
@@ -205,8 +176,7 @@ class ActiveSpeakerModel:
         f_a = broadcast_to(audio_frames, (s, t, c))
         f_av = fuse(f_v, f_a, self.cal_av, self.cal_va)
 
-        runs = []
-        scores = dual_forward(f_av, self.stack, runs=runs)
+        scores = dual_forward(f_av, self.stack)
 
         # channel halves of f_av: [0, C) is the cross-attended audio stream,
         # [C, 2C) the visual stream
@@ -222,6 +192,4 @@ class ActiveSpeakerModel:
             audio_logits=audio_logits,
             audio_frames=audio_frames,
             visual_frames=f_v,
-            fused=f_av,
-            runs=runs,
         )

@@ -23,8 +23,8 @@ class Range:
                 and (v < self.hi if self.open_hi else v <= self.hi))
 
     def __str__(self):
-        return (f"{'(' if self.open_lo else '['}{self.lo:g}, "
-                f"{self.hi:g}{')' if self.open_hi else ']'}")
+        return (f"{'(' if self.open_lo else '['}{self.lo}, "
+                f"{self.hi}{')' if self.open_hi else ']'}")
 
     def check(self, name, value, error):
         # unlike math.isfinite, the comparison takes ints of any size
@@ -39,6 +39,8 @@ AT_LEAST_1 = Range(lo=1)
 NON_NEGATIVE = Range(lo=0)
 POSITIVE = Range(lo=0, open_lo=True)
 UNIT = Range(0, 1)
+# an array dimension or a count: the corpus and checkpoint store each as u32
+SIZE = Range(1, 2**32 - 1)
 
 
 def knob(default, rng=None, key=None):

@@ -42,11 +42,16 @@ Design points:
     freed as soon as nothing else holds them.  ``eval``'s scoring and
     ``gradcheck``'s perturbed passes run this way; ``backward`` refuses a
     loss with no tape.
+  * every function that calls ``record`` is an ``op``: a taped call stays
+    on its output as ``Tensor.call``.  ``gradcheck`` re-runs the calls a
+    perturbed Parameter reaches through their arguments, so an op reads a
+    Parameter only as an argument, never through an object or ``.data``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -87,7 +92,7 @@ class Tensor:
     ``no_grad`` or on constants alone have neither.
     """
 
-    __slots__ = ("data", "parents", "vjp")
+    __slots__ = ("data", "parents", "vjp", "call")
     # ops are the module's functions only: Tensor defines no operators, and
     # this makes numpy refuse one too, so ``c - t`` raises TypeError instead
     # of building an object array elementwise
@@ -97,6 +102,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.parents = tuple(parents)
         self.vjp = vjp
+        self.call = None  # (fn, args, kwargs) of the op call that taped it
 
     @property
     def shape(self):
@@ -158,6 +164,17 @@ def record(out, operands, vjp):
     return Tensor(out)
 
 
+def op(fn):
+    """``fn``, which builds its output through ``record``, as a tape op."""
+    @functools.wraps(fn)
+    def taped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if _taping:
+            out.call = (fn, args, kwargs)
+        return out
+    return taped
+
+
 def _unbroadcast(g, shape):
     """Sum ``g`` down to ``shape`` following numpy broadcasting rules."""
     if g.shape == shape:
@@ -175,6 +192,7 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 
+@op
 def add(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -185,6 +203,7 @@ def add(a, b):
     return record(ad + bd, (a, b), vjp)
 
 
+@op
 def mul(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -195,6 +214,7 @@ def mul(a, b):
     return record(ad * bd, (a, b), vjp)
 
 
+@op
 def gelu(a):
     """Gaussian-error-linear activation, exact erf form (smooth everywhere)."""
     ad = _data(a)
@@ -206,6 +226,7 @@ def gelu(a):
 # linear algebra
 
 
+@op
 def linear(x, w, b):
     """Affine map over the last axis: x @ w + b, one tape node.
 
@@ -223,6 +244,7 @@ def linear(x, w, b):
                   lambda g, need: linear_backward(g, xd, wd, need))
 
 
+@op
 def conv1d_same(x, w, b):
     """Same-padded 1-d convolution over the first axis, one tape node.
 
@@ -272,6 +294,7 @@ def _pair(a, b):
     return out
 
 
+@op
 def tanh_birnn(x, fwd, bwd):
     """Bidirectional tanh recurrence, one tape node.
 
@@ -350,6 +373,7 @@ def tanh_birnn(x, fwd, bwd):
 # reductions
 
 
+@op
 def tsum(a, axis=None, keepdims=False):
     ad = _data(a)
 
@@ -371,17 +395,20 @@ def tmean(a, axis=None, keepdims=False):
 # shape surgery
 
 
+@op
 def reshape(a, shape):
     ad = _data(a)
     return record(ad.reshape(shape), (a,), lambda g, need: (g.reshape(ad.shape),))
 
 
+@op
 def transpose(a, axes):
     inv = tuple(np.argsort(axes))
     return record(_data(a).transpose(axes), (a,),
                   lambda g, need: (g.transpose(inv),))
 
 
+@op
 def concat(parts, axis):
     """Join along ``axis``; each Tensor part gets its slice of the gradient."""
     datas = [_data(p) for p in parts]
@@ -393,6 +420,7 @@ def concat(parts, axis):
     return record(np.concatenate(datas, axis=axis), parts, vjp)
 
 
+@op
 def getitem(a, key):
     """Basic (int/slice) indexing; the gradient scatters into zeros."""
     ad = _data(a)
@@ -406,6 +434,7 @@ def getitem(a, key):
     return record(np.array(ad[key]), (a,), vjp)
 
 
+@op
 def broadcast_to(a, shape):
     ad = _data(a)
     out = np.ascontiguousarray(np.broadcast_to(ad, shape))

@@ -9,13 +9,19 @@ rounding.  Their arithmetic is the package's former ops', unchanged; they
 record their tape nodes through ``tensor.record``, so they honour
 ``no_grad``.  ``layer_norm`` and ``attention_core`` wrap the package's numpy
 kernels as stand-alone tape nodes, so that each kernel is checked on its
-own, as the fused block's former ops were.
+own, as the fused block's former ops were.  Each is a ``tensor.op``, so
+``gradcheck`` can replay it.
 
 ``generate_scene`` is the scene generator in its former loop form: lip
 motion and speech audio built one (slot, frame) cell at a time.
 ``data.generate_scene`` draws the same random numbers in the same order and
 builds its arrays with array math; the tests require the two to give the
 same bytes for every array.
+
+``full_recompute_audit`` is the gradient audit in its former form, every
+perturbed pass re-running the whole loss; ``gradcheck`` replays only the
+op calls a perturbed Parameter reaches, and the tests require the two to
+report the same errors.
 """
 
 import numpy as np
@@ -25,15 +31,19 @@ from dualstream.data import (_DISTRACTOR_STAY, _FACE_SCALE, _LIP_AMPLITUDE,
                              _LIP_RATE, STEPS_PER_FRAME, Scenario, _lip_mask,
                              frame_steps, slot_signature)
 from dualstream.errors import DimensionError
+from dualstream.gradcheck import STEP, relative_error
 from dualstream.tensor import (Tensor, _data, _unbroadcast,
                                attention_backward, attention_forward,
-                               layer_norm_backward, layer_norm_forward, record)
+                               backward, layer_norm_backward,
+                               layer_norm_forward, no_grad, op, record,
+                               zero_grads)
 
 
 def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@op
 def sub(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -44,6 +54,7 @@ def sub(a, b):
     return record(ad - bd, (a, b), vjp)
 
 
+@op
 def power(a, p):
     """Raise to a constant real exponent."""
     a, p = _lift(a), float(p)
@@ -51,23 +62,27 @@ def power(a, p):
                   lambda g, need: (g * p * a.data ** (p - 1.0),))
 
 
+@op
 def texp(a):
     a = _lift(a)
     out = np.exp(a.data)
     return record(out, (a,), lambda g, need: (g * out,))
 
 
+@op
 def tlog(a):
     a = _lift(a)
     return record(np.log(a.data), (a,), lambda g, need: (g / a.data,))
 
 
+@op
 def tanh(a):
     a = _lift(a)
     out = np.tanh(a.data)
     return record(out, (a,), lambda g, need: (g * (1.0 - out * out),))
 
 
+@op
 def softplus(a):
     """log(1 + exp(x)) in the overflow-safe split form."""
     a = _lift(a)
@@ -76,6 +91,7 @@ def softplus(a):
     return record(out, (a,), lambda g, need: (g * expit(x),))
 
 
+@op
 def matmul(a, b):
     """Batched matrix product over the last two axes.
 
@@ -102,6 +118,7 @@ def matmul(a, b):
     return record(a.data @ b.data, (a, b), vjp)
 
 
+@op
 def softmax(a, axis):
     """Max-shifted exp-normalize along ``axis``; rows sum to one."""
     a = _lift(a)
@@ -118,6 +135,7 @@ def softmax(a, axis):
     return record(out, (a,), vjp)
 
 
+@op
 def take_rows(a, idx):
     """Gather rows along axis 0 by an integer index array."""
     a = _lift(a)
@@ -131,6 +149,7 @@ def take_rows(a, idx):
     return record(a.data[idx], (a,), vjp)
 
 
+@op
 def layer_norm(x, gamma, beta, eps=1e-5):
     """``tensor.layer_norm_forward`` / ``_backward`` as one tape node."""
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
@@ -139,6 +158,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                   lambda g, need: layer_norm_backward(g, gamma.data, saved))
 
 
+@op
 def attention_core(q, k, v, num_heads):
     """``tensor.attention_forward`` / ``_backward`` as one tape node."""
     q, k, v = _lift(q), _lift(k), _lift(v)
@@ -256,3 +276,39 @@ def generate_scene(cfg, index):
         mask=mask,
         distractor=distractor,
     )
+
+
+def full_recompute_audit(build_loss, params, max_coords=16, seed=0,
+                         floor=1e-4):
+    """``gradcheck.check_parameter_gradients`` with every perturbed pass a
+    full ``build_loss`` run under ``no_grad``: the same coordinates, steps
+    and error measure; returns ``{param_name: worst_relative_error}``."""
+    zero_grads(params)
+    backward(build_loss())
+    analytic = {p.name: p.grad.copy() for p in params}
+
+    worst = {}
+    with no_grad():
+        for k, p in enumerate(params):
+            n = p.data.size
+            if n <= max_coords:
+                coords = np.arange(n)
+            else:
+                rng = np.random.default_rng([seed, k])
+                coords = np.sort(rng.choice(n, size=max_coords, replace=False))
+            flat = p.data.reshape(-1)
+            err = 0.0
+            for i in coords:
+                orig = flat[i]
+                try:
+                    flat[i] = orig + STEP
+                    up = build_loss().item()
+                    flat[i] = orig - STEP
+                    down = build_loss().item()
+                finally:
+                    flat[i] = orig
+                numeric = (up - down) / (2.0 * STEP)
+                err = max(err, relative_error(analytic[p.name].reshape(-1)[i],
+                                              numeric, floor))
+            worst[p.name] = err
+    return worst

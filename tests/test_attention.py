@@ -261,8 +261,7 @@ def test_block_gradients_match_finite_differences():
         return tsum(mul(b, proj))
 
     params = sal.parameters() + cal.parameters()
-    worst = check_parameter_gradients(build, params, step=1e-4, max_coords=4,
-                                      seed=1)
+    worst = check_parameter_gradients(build, params, max_coords=4, seed=1)
     assert max(worst.values()) <= 1e-4, worst
 
 

@@ -7,18 +7,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream import attention, cli, losses
+from dualstream import attention, cli, losses, tensor
+from dualstream import model as model_module
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
-from dualstream.config import RunConfig, load_config
+from dualstream.config import SCHEMA, RunConfig, load_config
 from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
 from dualstream.errors import ContractError, DimensionError, FormatError
 from dualstream.evaluation import read_predictions
 from dualstream.gate import ConfidenceNet
-from dualstream.gradcheck import check_parameter_gradients
+from dualstream.gradcheck import (check_parameter_gradients, reached,
+                                  recorded_calls, replay)
 from dualstream.model import ActiveSpeakerModel, ModelConfig
-from dualstream.tensor import Parameter, no_grad
+from dualstream.tensor import Parameter, no_grad, op
 from dualstream.train import (CKPT_MAGIC, apply_checkpoint, load_checkpoint,
                               save_checkpoint)
+
+from oracles import full_recompute_audit
 
 # small-but-real sizes so the whole pipeline runs in well under a minute
 TINY = [
@@ -314,35 +318,46 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out.splitlines() == first
 
 
-def audit(scene, model, gate_net, resumed, max_coords=8):
+def audit(scene, model, gate_net, replayed, max_coords=8):
     """``{name: worst}`` of the audit ``cmd_gradcheck`` runs, with its
-    perturbed passes resumed or each re-running the whole loss."""
-    build_loss, resume = cli.gradcheck_losses(
+    perturbed passes replayed or each re-running the whole loss
+    (``oracles.full_recompute_audit``)."""
+    build_loss = cli.gradcheck_loss(
         scene, model, gate_net, RunConfig(cli.TINY).loss_weights())
-    return check_parameter_gradients(
-        build_loss, model.parameters() + gate_net.parameters(), step=1e-4,
-        max_coords=max_coords, seed=0, resume=resume if resumed else None)
+    check = check_parameter_gradients if replayed else full_recompute_audit
+    return check(build_loss, model.parameters() + gate_net.parameters(),
+                 max_coords=max_coords, seed=0)
+
+
+def counted(calls, key, fn):
+    """``fn``, an op, as an op that counts its runs, replayed ones too."""
+    def counting(*args, **kwargs):
+        calls[key] += 1
+        return fn.__wrapped__(*args, **kwargs)
+    return op(counting)
 
 
 class TestResumedGradcheck:
-    """Resumed perturbed passes give the full recompute's report, value for
-    value and in its key order."""
+    """Perturbed passes replayed from the analytic pass's op calls give the
+    full recompute's report, value for value and in its key order."""
 
     @pytest.mark.parametrize("init_seed", [0, 3])
     def test_same_worst_errors_as_full_recompute(self, init_seed):
         scene, model, gate_net = gradcheck_inputs(init_seed)
-        resumed = audit(scene, model, gate_net, True)
-        assert list(resumed.items()) == list(
+        replayed = audit(scene, model, gate_net, True)
+        assert list(replayed.items()) == list(
             audit(scene, model, gate_net, False).items())
 
     @pytest.mark.parametrize("ablate", ["ablate_speaker", "ablate_temporal"])
     def test_same_worst_errors_with_a_stream_ablated(self, ablate):
+        # the ablated stream's Parameters feed nothing: their passes replay
+        # no call
         scene, _model, gate_net = gradcheck_inputs(0)
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, f"model.{ablate}": True}).model_config())
         assert getattr(model.stack.cfg, ablate)
-        resumed = audit(scene, model, gate_net, True, max_coords=2)
-        assert list(resumed.items()) == list(
+        replayed = audit(scene, model, gate_net, True, max_coords=2)
+        assert list(replayed.items()) == list(
             audit(scene, model, gate_net, False, max_coords=2).items())
 
     @pytest.mark.parametrize("rounds", [1, 3])
@@ -352,13 +367,13 @@ class TestResumedGradcheck:
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
         assert len(model.stack.rounds) == rounds
-        resumed = audit(scene, model, gate_net, True, max_coords=2)
-        assert list(resumed.items()) == list(
+        replayed = audit(scene, model, gate_net, True, max_coords=2)
+        assert list(replayed.items()) == list(
             audit(scene, model, gate_net, False, max_coords=2).items())
 
     @staticmethod
     def reruns(stack):
-        """The blocks a resumed pass re-runs when a stack Parameter moves,
+        """The blocks a replayed pass re-runs when a stack Parameter moves,
         by Parameter id: a round block's Parameters move that block, the
         speaker table enters at round 0's speaker stream, and the head
         Parameters re-run no block."""
@@ -379,75 +394,137 @@ class TestResumedGradcheck:
         return reruns
 
     def test_runs_only_the_blocks_a_parameter_feeds(self, monkeypatch, capsys):
-        """``dualstream gradcheck`` runs as many attention blocks and
-        contrastive terms as the stack's dataflow needs, and no more."""
+        """``dualstream gradcheck`` runs one model forward per Parameter
+        besides the analytic one, and as many attention blocks and
+        contrastive terms as the dataflow needs, and no more."""
         _scene, model, gate_net = gradcheck_inputs(0)
         stack, n = model.stack, len(model.stack.rounds)
+        params = model.parameters() + gate_net.parameters()
+        encoders = model.visual_enc.parameters() + model.audio_enc.parameters()
 
-        def passes(params):  # a +step and a -step pass per probed coordinate
-            return sum(2 * min(p.data.size, 8) for p in params)
+        def passes(p):  # a +step and a -step pass per probed coordinate
+            return 2 * min(p.data.size, 8)
 
+        # a forward runs the two fusion CALs and every round's four blocks
+        per_forward = 2 + 4 * n
         reruns = self.reruns(stack)
-        stack_blocks = sum(passes([p]) * reruns[id(p)]
-                           for p in stack.parameters())
-        # the analytic and the unperturbed pass, then the passes of every
-        # parameter outside the stack and the gate run the model forward:
-        # the two fusion CALs and every round's four blocks
-        resumed = {id(p) for p in stack.parameters() + gate_net.parameters()}
-        forwards = 2 + passes(p for p in model.parameters()
-                              if id(p) not in resumed)
-        expected_blocks = forwards * (2 + 4 * n) + stack_blocks
-        assert (forwards, expected_blocks) == (678, 14_572)
+        # a fusion CAL's Parameters re-run it and the whole stack; both
+        # fusion CALs read both encoders; the heads and the gate run none
+        reruns.update((id(p), 1 + 4 * n) for block in (model.cal_av,
+                                                       model.cal_va)
+                      for p in block.parameters())
+        reruns.update((id(p), per_forward) for p in encoders)
+        # the analytic pass, then one full pass per Parameter beside the
+        # replays: its first perturbed pass's check
+        forwards = 1 + len(params)
+        blocks = forwards * per_forward + sum(
+            passes(p) * reruns.get(id(p), 0) for p in params)
+        # only the encoders feed the contrastive term's inputs
+        contrastive = forwards + sum(passes(p) for p in encoders)
+        assert (forwards, blocks, contrastive) == (188, 15_560, 316)
 
         calls = {"block": 0, "contrastive": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(attention, "_block",
-                            counted("block", attention._block))
+                            counted(calls, "block", attention._block))
         monkeypatch.setattr(losses, "contrastive_av",
-                            counted("contrastive", losses.contrastive_av))
+                            counted(calls, "contrastive", losses.contrastive_av))
         assert run("gradcheck") == 0
         capsys.readouterr()
-        # a stack pass scores l_av alone: contrastive_av runs once a forward
-        assert calls == {"block": expected_blocks, "contrastive": forwards}
+        assert calls == {"block": blocks, "contrastive": contrastive}
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     def test_each_stack_parameter_reruns_its_own_blocks(self, rounds,
                                                         monkeypatch):
-        """One resumed pass per stack Parameter runs the blocks ``reruns``
+        """One replayed pass per stack Parameter runs the blocks ``reruns``
         gives it, so errors that cancel in the audit's total still show."""
         scene, _model, gate_net = gradcheck_inputs(0)
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
-        _build, resume = cli.gradcheck_losses(
-            scene, model, gate_net, RunConfig(cli.TINY).loss_weights())
+        calls = {"block": 0}
+        monkeypatch.setattr(attention, "_block",
+                            counted(calls, "block", attention._block))
+        loss = cli.gradcheck_loss(scene, model, gate_net,
+                                  RunConfig(cli.TINY).loss_weights())()
+        recorded = recorded_calls(loss)
         stack, reruns = model.stack, self.reruns(model.stack)
         runs = []
-        block = attention._block
-
-        def counted(*args, **kwargs):
-            runs[-1] += 1
-            return block(*args, **kwargs)
-
         with no_grad():
-            loss_of = resume()
-            monkeypatch.setattr(attention, "_block", counted)
             for p in stack.parameters():
-                runs.append(0)
+                calls["block"] = 0
                 flat, orig = p.data.reshape(-1), p.data.flat[0]
                 flat[0] = orig + 1e-4
                 try:
-                    loss_of(p)()
+                    replay(reached(recorded, p), loss)
                 finally:
                     flat[0] = orig
+                runs.append(calls["block"])
         # every Parameter of both SALs and both CALs of each round, the
         # speaker table and the head, each against its own count
         assert runs == [reruns[id(p)] for p in stack.parameters()]
+
+
+class TestGradcheckFaults:
+    """A Parameter that reaches the loss past the tape fails the audit."""
+
+    def test_parameter_left_off_the_tape_fails(self, monkeypatch, capsys):
+        # the audio head's node leaves its weight out of its parents: the
+        # weight gets no analytic gradient, but the replay still moves it
+        @op
+        def linear(x, w, b):
+            if getattr(w, "name", None) == "heads.audio_w":
+                return tensor.linear(x, w.data, b)
+            return tensor.linear(x, w, b)
+
+        monkeypatch.setattr(model_module, "linear", linear)
+        assert run("gradcheck") == 3
+        out = capsys.readouterr().out
+        assert "module heads: worst_rel_err=1.000e+00" in out
+        assert out.endswith("FAIL: worst relative error exceeds 0.001\n")
+
+    def test_parameter_data_passed_as_a_constant_fails(self, monkeypatch,
+                                                      capsys):
+        # the audio head reads its weight's array, so no recorded call
+        # holds the Parameter and no replay moves it: the full pass does
+        def linear(x, w, b):
+            if getattr(w, "name", None) == "heads.audio_w":
+                w = w.data
+            return tensor.linear(x, w, b)
+
+        monkeypatch.setattr(model_module, "linear", linear)
+        assert run("gradcheck") == 3
+        assert capsys.readouterr().err.startswith(
+            "error: gradcheck: heads.audio_w reaches the loss outside the op "
+            "calls: replayed ")
+
+
+# every int key that sizes an array or counts what a corpus or checkpoint
+# stores: both store such numbers as u32
+SIZE_KEYS = ["data.speakers", "data.frames", "data.height", "data.width",
+             "data.mel_bins", "data.scenes", "model.channels", "model.heads",
+             "model.mlp_ratio", "model.rounds", "model.s_max",
+             "model.vis_hidden", "model.audio_hidden", "gate.conv_hidden",
+             "gate.rnn_hidden"]
+
+
+def test_size_keys_are_the_u32_bounded_keys():
+    assert {key for key, (_t, _d, rng) in SCHEMA.items()
+            if rng is not None and rng.hi == 2**32 - 1} == set(SIZE_KEYS)
+
+
+@pytest.mark.parametrize("value", [10**30, 2**32])
+@pytest.mark.parametrize("key", SIZE_KEYS)
+def test_size_past_u32_is_usage_error(key, value, pipeline, tmp_path, capsys):
+    """Refused before any work: no traceback, no file."""
+    _root, corpus, _held, _ckpt = pipeline
+    for command in (["gen-data", "--scenes", "1", "--out",
+                     str(tmp_path / "c.bin")],
+                    ["train", "--corpus", str(corpus), "--out",
+                     str(tmp_path / "m.ckpt")]):
+        assert run(*TINY, "--set", f"{key}={value}", *command) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key}: value {value} out of range "
+            f"[{2 if key == 'data.mel_bins' else 1}, 4294967295]\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCorpusShapes:
@@ -624,7 +701,7 @@ class TestGradcheckModel:
             audio_hidden=8, height=4, width=4, mel_bins=8,
             init_seed=init_seed))
         ref_gate = ConfidenceNet(8, 4, 4, np.random.default_rng(
-            [init_seed, 0xA0D10]), "gate")
+            [init_seed, 0xA0D10]))
         got = model.parameters() + gate_net.parameters()
         want = ref.parameters() + ref_gate.parameters()
         assert [p.name for p in got] == [p.name for p in want]

@@ -2,13 +2,17 @@
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
+from dualstream import model as model_module
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, generate_scene
-from dualstream.gradcheck import check_parameter_gradients
+from dualstream.gradcheck import (check_parameter_gradients, reached,
+                                  recorded_calls, replay)
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
                               dual_forward, speaker_stream)
-from dualstream.tensor import Parameter, Tensor, init_uniform, mul, tsum
+from dualstream.tensor import (Parameter, Tensor, init_uniform, mul, no_grad,
+                               tsum)
 
 from test_attention import block_oracle
 
@@ -100,15 +104,23 @@ class TestTemporalStream:
 
 
 def cross_interact(f_time, f_sub, stack):
-    """The mutual cross-attention of a ``dual_forward`` round, alone: an
-    earlier pass's runs hand the one round's self-attention streams
-    ``f_time`` and ``f_sub`` to its two CALs."""
+    """The mutual cross-attention of a one-round ``dual_forward``, alone:
+    its self-attention streams return ``f_time`` and ``f_sub``, which it
+    must hand to its two CALs; returns the CALs' outputs."""
     assert len(stack.rounds) == 1
-    f_av = Tensor(np.zeros(f_time.shape))
     runs = []
-    dual_forward(f_av, stack, runs=runs, before=[
-        ((f_av,), f_time), ((f_av, stack.speaker_emb), f_sub)])
-    (time_in, out_time), (sub_in, out_sub) = runs[2:]
+
+    def cal(x, y, layer):
+        runs.append(((x, y), cal_forward(x, y, layer)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "sal_forward", lambda x, layer: f_time)
+        patch.setattr(model_module, "speaker_stream",
+                      lambda x, table, layer: f_sub)
+        patch.setattr(model_module, "cal_forward", cal)
+        dual_forward(Tensor(np.zeros(f_time.shape)), stack)
+    (time_in, out_time), (sub_in, out_sub) = runs
     assert time_in[0] is f_time and time_in[1] is f_sub
     assert sub_in[0] is f_sub and sub_in[1] is f_time
     return out_time, out_sub
@@ -192,29 +204,30 @@ class TestDualForward:
         assert np.isfinite(out.data).all()
 
     def test_resumed_pass_matches_a_fresh_pass(self):
-        """Resumed from an earlier pass's block runs with one block, the
-        speaker table or the head moved, ``dual_forward`` gives a fresh
-        pass's logits bit for bit, at 1 to 3 rounds."""
+        """Replayed from a taped pass's op calls (``gradcheck.replay``) with
+        one block, the speaker table or the head moved, ``dual_forward``
+        gives a fresh pass's logits bit for bit, at 1 to 3 rounds."""
         for rounds in (1, 2, 3):
             rng = np.random.default_rng([17, rounds])
             stack = make_stack(rounds=rounds, rng=rng)
             f_av = Tensor(rng.normal(size=(3, 4, DIM)))
-            runs = []
-            base = dual_forward(f_av, stack, runs=runs).data
-            assert len(runs) == 4 * rounds and runs[0][0][0] is f_av
-            for moved in ([b for rnd in stack.rounds for b in rnd.blocks()]
-                          + [stack.speaker_emb, stack.head_w]):
-                p = moved if isinstance(moved, Parameter) else moved.wq
+            taped = dual_forward(f_av, stack)
+            calls = recorded_calls(taped)
+            for p in ([b.wq for rnd in stack.rounds
+                       for b in (rnd.sal_time, rnd.sal_speaker, rnd.cal_time,
+                                 rnd.cal_speaker)]
+                      + [stack.speaker_emb, stack.head_w]):
+                plan = reached(calls, p)
                 saved = p.data.copy()
                 p.data += 0.1
                 try:
-                    resumed = dual_forward(f_av, stack, before=runs,
-                                           moved=moved).data
-                    fresh = dual_forward(f_av, stack).data
+                    with no_grad():
+                        resumed = replay(plan, taped)
+                        fresh = dual_forward(f_av, stack).data
                 finally:
                     p.data[...] = saved
                 npt.assert_array_equal(resumed, fresh)
-                assert not np.array_equal(resumed, base)
+                assert not np.array_equal(resumed, taped.data)
 
     def test_ablation_flags_are_identity(self):
         rng = np.random.default_rng(16)
@@ -244,6 +257,6 @@ def test_full_model_gradients_match_finite_differences():
         out = model.forward(scene.visual, scene.audio)
         return tsum(mul(out.scores, proj))
 
-    worst = check_parameter_gradients(build, model.parameters(), step=1e-4,
+    worst = check_parameter_gradients(build, model.parameters(),
                                       max_coords=3, seed=2)
     assert max(worst.values()) <= 1e-4, max(worst.items(), key=lambda kv: kv[1])

@@ -399,9 +399,8 @@ def test_primitive_gradients_match_finite_differences(name):
         def build():
             return tsum(mul(op(p, c), proj))
 
-        worst = check_parameter_gradients(build, [p], step=1e-4,
-                                          max_coords=6, seed=trial,
-                                          floor=1e-3)
+        worst = check_parameter_gradients(build, [p], max_coords=6,
+                                          seed=trial, floor=1e-3)
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 
 
@@ -416,8 +415,8 @@ def check_every_parent(op, shapes, trials=5):
         def build():
             return tsum(mul(op(*params), proj))
 
-        worst = check_parameter_gradients(build, params, step=1e-4,
-                                          max_coords=8, seed=trial, floor=1e-3)
+        worst = check_parameter_gradients(build, params, max_coords=8,
+                                          seed=trial, floor=1e-3)
         assert max(worst.values()) <= 1e-5, f"trial {trial}: {worst}"
 
 
@@ -501,7 +500,7 @@ def test_constant_operand_paths(name):
         def build():
             return tsum(mul(op(p, c), proj))
 
-        worst = check_parameter_gradients(build, [p], step=1e-4, max_coords=8,
+        worst = check_parameter_gradients(build, [p], max_coords=8,
                                           seed=trial, floor=1e-3)
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 

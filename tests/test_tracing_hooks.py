@@ -101,13 +101,8 @@ def test_eval_ticks_one_forward_per_scene(tracing, tmp_path):
 
 def test_gradcheck_ticks_one_forward_per_full_model_pass(tracing):
     _scene, model, gate_net = gradcheck_inputs(0)
-    # gate and stack parameters' perturbed passes resume from the
-    # unperturbed pass; every other parameter's re-run the model forward
-    resumed = {id(p) for p in model.stack.parameters() + gate_net.parameters()}
-    full = sum(min(p.data.size, 8) for p in model.parameters()
-               if id(p) not in resumed)
-    # the analytic pass, the unperturbed pass, then a +step and a -step
-    # pass per probed coordinate of the other parameters
-    expected = 1 + 1 + 2 * full
-    assert expected == 678
+    # the analytic pass, then per Parameter the full pass that checks its
+    # first replayed pass; the replays run no model forward
+    expected = 1 + len(model.parameters() + gate_net.parameters())
+    assert expected == 188
     assert forward_ticks(tracing, ["gradcheck"]) == expected

@@ -11,16 +11,18 @@
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
-#   * gradcheck at model.init_seed 0 and 3;
+#   * gradcheck at model.init_seed 0 and 3, and under
+#     model.ablate_speaker=true and model.ablate_temporal=true, where the
+#     ablated stream's Parameters feed nothing;
 #   * gen-data only, of the same two corpora at 4 speakers with every
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared: 45 files, 13 per train and eval set, the
-# two gradcheck reports and 4 from the gen-data pair.  Exit 0: every pair
+# command's stdout are compared: 47 files, 13 per train and eval set, the
+# four gradcheck reports and 4 from the gen-data pair.  Exit 0: every pair
 # is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
-# Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
+# Exit 2: a command failed.  About 28 s per tree on a 2-core x86 host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -71,6 +73,10 @@ run_set() {  # run_set TREE OUT_DIR
             --set model.ablate_temporal=true
         for seed in 0 3; do
             ds --set "model.init_seed=$seed" gradcheck > "gradcheck-$seed.out"
+        done
+        for stream in speaker temporal; do
+            ds --set "model.ablate_$stream=true" gradcheck \
+                > "gradcheck-ablate-$stream.out"
         done
         gen_pair overlap 48 --set data.speakers=4 --set data.overlap_rate=1 \
             --set data.max_concurrent=3 --set data.noise_std=0
