@@ -20,7 +20,7 @@ from .errors import DimensionError
 from .tensor import (Parameter, Tensor, attention_backward, attention_forward,
                      gelu_backward, gelu_forward, init_uniform,
                      layer_norm_backward, layer_norm_forward, linear_backward,
-                     linear_forward, op, record)
+                     linear_forward, op)
 
 
 class AttentionBlock:
@@ -110,7 +110,7 @@ def _block(x: Tensor, y: Tensor, params, heads, eps):
         return inputs + [gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo, gw1, gb1,
                          gw2, gb2, gg1, gbe1, gg2, gbe2]
 
-    return record(out, ((x,) if self_attention else (x, y)) + tuple(params), vjp)
+    return out, ((x,) if self_attention else (x, y)) + tuple(params), vjp
 
 
 def sal_forward(x, layer: AttentionBlock):

@@ -210,9 +210,11 @@ TINY = {
 }
 
 
-def gradcheck_inputs(init_seed):
+def gradcheck_inputs(init_seed, ablate_speaker=False, ablate_temporal=False):
     """The scene, model and voice gate that ``gradcheck`` audits."""
-    tiny = RunConfig({**TINY, "model.init_seed": init_seed})
+    tiny = RunConfig({**TINY, "model.init_seed": init_seed,
+                      "model.ablate_speaker": ablate_speaker,
+                      "model.ablate_temporal": ablate_temporal})
     scene = generate_scene(tiny.gen_config(), 0)
     return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
 
@@ -229,7 +231,9 @@ def gradcheck_loss(scene, model, gate_net, weights):
 def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    scene, model, gate_net = gradcheck_inputs(cfg["model.init_seed"])
+    scene, model, gate_net = gradcheck_inputs(
+        cfg["model.init_seed"], cfg["model.ablate_speaker"],
+        cfg["model.ablate_temporal"])
     build_loss = gradcheck_loss(scene, model, gate_net, cfg.loss_weights())
     params = model.parameters() + gate_net.parameters()
     worst = check_parameter_gradients(build_loss, params, max_coords=8)

@@ -10,9 +10,12 @@ command runs so any run can be reproduced from its log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
-from .data import GenConfig
+import numpy as np
+
+from .data import STEPS_PER_FRAME, GenConfig
 from .errors import ConfigError, ContractError
 from .gate import GateParams
 from .losses import LossWeights
@@ -38,6 +41,25 @@ _OWN_KEYS = {
 }
 
 _NAMESPACES = ("data", "model", "train", "gate", "loss", "eval")
+
+# the float64 arrays the config alone sizes, as (factor, keys): each holds
+# factor times the product of the keys' values.  A scene's crops and audio,
+# then the weights of the encoders, the stack's MLP and slot table, and the
+# voice gate's convolutions and recurrence
+_ARRAYS = (
+    (1, ("data.speakers", "data.frames", "data.height", "data.width")),
+    (STEPS_PER_FRAME, ("data.frames", "data.mel_bins")),
+    (1, ("data.height", "data.width", "model.vis_hidden")),
+    (1, ("model.vis_hidden", "model.channels")),
+    (1, ("data.mel_bins", "model.audio_hidden")),
+    (1, ("model.audio_hidden", "model.channels")),
+    (4, ("model.channels", "model.mlp_ratio", "model.channels")),
+    (2, ("model.s_max", "model.channels")),
+    (6, ("data.mel_bins", "gate.conv_hidden")),
+    (3, ("gate.conv_hidden", "gate.conv_hidden")),
+    (1, ("gate.conv_hidden", "gate.rnn_hidden")),
+    (1, ("gate.rnn_hidden", "gate.rnn_hidden")),
+)
 
 
 def _key(cls, f):
@@ -107,7 +129,9 @@ class RunConfig:
         self.values[key] = value
 
     def validate(self):
-        """Cross-field checks: every view builds; speakers fit the slots."""
+        """Cross-field checks: every view builds; speakers fit the slots;
+        numpy can index every array the config alone sizes (larger ones it
+        refuses before allocating)."""
         try:
             for cls in _VIEWS:
                 self._view(cls)
@@ -117,6 +141,12 @@ class RunConfig:
             raise ConfigError(
                 f"data.speakers {self['data.speakers']} exceeds "
                 f"model.s_max {self['model.s_max']}")
+        limit = np.iinfo(np.intp).max
+        for factor, keys in _ARRAYS:
+            if 8 * factor * math.prod(self[k] for k in keys) > limit:
+                sizes = ", ".join(f"{k} {self[k]}" for k in dict.fromkeys(keys))
+                raise ConfigError(f"{sizes} size an array of more than "
+                                  f"{limit} bytes, which numpy refuses")
 
     def dump(self) -> str:
         lines = [f"{k} = {self._fmt(self.values[k])}" for k in SCHEMA]

@@ -1,12 +1,13 @@
 """Central finite-difference verification of the analytic gradients.
 
 Used by the test suite and by the ``gradcheck`` CLI command.  A perturbed
-pass moves one parameter coordinate by ``+-STEP`` and re-runs, under
-``no_grad`` and with warnings off, only the op calls (``Tensor.call``) the
-Parameter reaches through their arguments, not the tape's ``parents``;
-the other calls keep their recorded values.  The first perturbed pass of each
-Parameter also runs the whole loss, which must agree bit for bit.  A
-perturbed coordinate is put back even when the loss raises.
+pass moves one parameter coordinate by ``+-STEP`` and re-runs, with
+warnings off, only the op calls (``Tensor.call``) the Parameter reaches
+through their arguments, not the tape's ``parents``; each runs as its op's
+body, which makes no tape node, and the other calls keep their recorded
+values.  The first perturbed pass of each Parameter also runs the whole
+loss under ``no_grad``, which must agree bit for bit.  A perturbed
+coordinate is put back even when the loss raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -64,13 +65,14 @@ def reached(calls, p):
 
 
 def replay(plan, out):
-    """Run a ``reached`` plan again; returns ``out``'s new value.  Until it
-    ends, each new value stands in its recorded Tensor's ``data``."""
+    """Run a ``reached`` plan again, each call through the op's own body, so
+    no tape node is made; returns ``out``'s new value.  Until it ends, each
+    new value stands in its recorded Tensor's ``data``."""
     recorded = [t.data for t in plan]
     try:
         for t in plan:
             fn, args, kwargs = t.call
-            t.data = fn(*args, **kwargs).data
+            t.data = np.asarray(fn(*args, **kwargs)[0], dtype=np.float64)
         return out.data
     finally:
         for t, data in zip(plan, recorded):

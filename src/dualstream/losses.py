@@ -11,7 +11,6 @@ temperature.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.special import expit as _expit
 
 from .errors import ContractError, DimensionError
 from .ranges import NON_NEGATIVE, POSITIVE, check_ranges, knob
-from .tensor import Tensor, add, mul, op, record, tsum
+from .tensor import Tensor, add, mul, op, tsum
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,11 @@ class LossWeights:
             raise ContractError("at least one loss weight must be positive")
 
 
-@op
 def _zero(*inputs):
-    """A degenerate term: 0 as a tape node over its Tensor ``inputs`` that
+    """The op result of a degenerate term: 0 over its Tensor ``inputs`` that
     sends them no gradient, so no constant becomes a leaf of the tape and
     an all-degenerate loss still has a tape to walk."""
-    return record(np.zeros(()), inputs, lambda g, need: [None] * len(inputs))
+    return np.zeros(()), inputs, lambda g, need: [None] * len(inputs)
 
 
 def any_speech(labels) -> np.ndarray:
@@ -79,7 +77,7 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
         gm = np.broadcast_to(g * scale, x.shape) * mask
         return (gm * _expit(x) + (-gm) * labels,)
 
-    return record(out, (logits,), vjp)
+    return out, (logits,), vjp
 
 
 @op
@@ -91,9 +89,9 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
     Aligned (audio_t, visual_t) pairs are positives; every other active
     frame in the clip is a negative.  Similarity is cosine scaled by
     ``temperature``.  Fewer than two active frames make the objective
-    degenerate, so it returns 0 (with a warning).  The forward replays the
-    arithmetic of the row-gather / normalize / matmul / log-sum-exp op
-    chain in its order, so the loss is bit-identical to that chain's.
+    degenerate, so it returns 0.  The forward replays the arithmetic of the
+    row-gather / normalize / matmul / log-sum-exp op chain in its order, so
+    the loss is bit-identical to that chain's.
     """
     if temperature <= 0:
         raise ContractError(f"temperature must be > 0, got {temperature}")
@@ -103,8 +101,6 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
             f"{f_a_frames.shape} vs {f_v_frames.shape}")
     active = np.flatnonzero(np.asarray(active_mask) != 0)
     if active.size < 2:
-        warnings.warn("contrastive_av: fewer than 2 active frames, "
-                      "returning zero loss", stacklevel=3)
         return _zero(f_a_frames, f_v_frames)
 
     def normalize(rows):
@@ -143,7 +139,7 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
             grads.append(full)
         return grads
 
-    return record(out, (f_a_frames, f_v_frames), vjp)
+    return out, (f_a_frames, f_v_frames), vjp
 
 
 def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
@@ -172,10 +168,8 @@ def total_loss(out, labels, mask, w: LossWeights):
 
     l_v = masked_bce(out.visual_logits, labels, mask)
     l_a = masked_bce(out.audio_logits, speech, any_valid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        l_con = contrastive_av(out.audio_frames, visual_frames, speech,
-                               w.temperature)
+    l_con = contrastive_av(out.audio_frames, visual_frames, speech,
+                           w.temperature)
 
     total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
                 add(mul(l_a, w.w_a), mul(l_con, w.w_con)))

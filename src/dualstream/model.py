@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBlock, cal_forward, sal_forward
+from .data import GenConfig
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError
-from .ranges import NON_NEGATIVE, POSITIVE, SIZE, Range, check_ranges, knob
+from .ranges import NON_NEGATIVE, POSITIVE, SIZE, check_ranges, knob
 from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
@@ -100,6 +101,13 @@ def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
     return reshape(linear(f_dual, stack.head_w, stack.head_b), (s, t))
 
 
+def _input_size(name):
+    """``GenConfig``'s size field ``name`` as a model knob: the same data.*
+    key, default and range, declared once."""
+    f = GenConfig.__dataclass_fields__[name]
+    return knob(f.default, f.metadata["range"], key=f"data.{name}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters (widths, depth, capacity, init seed)."""
@@ -111,10 +119,10 @@ class ModelConfig:
     s_max: int = knob(4, SIZE)
     vis_hidden: int = knob(32, SIZE)
     audio_hidden: int = knob(32, SIZE)
-    # input sizes: the corpus's, so they read the data.* keys
-    height: int = knob(8, SIZE, key="data.height")
-    width: int = knob(8, SIZE, key="data.width")
-    mel_bins: int = knob(13, Range(2, SIZE.hi), key="data.mel_bins")
+    # input sizes: the corpus's
+    height: int = _input_size("height")
+    width: int = _input_size("width")
+    mel_bins: int = _input_size("mel_bins")
     ln_eps: float = knob(1e-5, POSITIVE)
     init_seed: int = knob(0, NON_NEGATIVE)
     ablate_speaker: bool = False

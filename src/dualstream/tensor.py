@@ -29,23 +29,23 @@ Design points:
     ``masked_bce`` also replay the order in which the chain's tape
     accumulated its gradient terms, so their gradients are bit-identical
     too; ``contrastive_av``'s agree to rounding.
-  * one recording path: every op, glue and fused alike, builds its node
-    through ``record``, which is also the only reader of the ``no_grad``
-    switch.  Constants (Python scalars, numpy arrays) never become tape
-    nodes: every op, ``concat`` included, takes only its Tensor operands as
-    parents, and ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute
-    no gradient for a constant operand; ``tanh_birnn`` computes none for a
-    constant x.
+  * one node maker: every op, glue and fused alike, is a function
+    decorated with ``op`` whose body computes on arrays and returns
+    ``(out, operands, vjp)``.  ``op`` alone makes the tape node, keeps the
+    taped call on it as ``Tensor.call`` and, besides ``no_grad`` itself,
+    reads the ``no_grad`` switch.  ``gradcheck`` re-runs the calls a
+    perturbed Parameter reaches through their arguments, so an op reads a
+    Parameter only as an argument, never through an object or ``.data``.
+    Constants (Python scalars, numpy arrays) never become tape nodes: every
+    op, ``concat`` included, takes only its Tensor operands as parents, and
+    ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute no gradient for
+    a constant operand; ``tanh_birnn`` computes none for a constant x.
   * forward-only work records no tape.  Inside ``with no_grad():`` every op
     runs the same forward code and returns a parentless Tensor with no VJP,
     so outputs are bit-identical to the taped ones and each op's inputs are
     freed as soon as nothing else holds them.  ``eval``'s scoring and
-    ``gradcheck``'s perturbed passes run this way; ``backward`` refuses a
-    loss with no tape.
-  * every function that calls ``record`` is an ``op``: a taped call stays
-    on its output as ``Tensor.call``.  ``gradcheck`` re-runs the calls a
-    perturbed Parameter reaches through their arguments, so an op reads a
-    Parameter only as an argument, never through an object or ``.data``.
+    ``gradcheck``'s full perturbed passes run this way; ``backward``
+    refuses a loss with no tape.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# False inside ``no_grad``: ``record`` then gives op outputs no parents or VJP.
-# Process-wide, like the rest of the package's single-threaded state.
+# False inside ``no_grad``, where ``op`` gives its outputs no parents, VJP
+# or call.  Process-wide, like the package's other single-threaded state.
 _taping = True
 
 
@@ -86,10 +86,10 @@ def no_grad():
 class Tensor:
     """Dense float64 array plus a grad tape.
 
-    ``parents`` and ``vjp`` describe how this tensor was produced: ``vjp``
-    maps the incoming gradient to one contribution per parent.  Leaf
-    tensors (constants, parameters) and the outputs of ops run under
-    ``no_grad`` or on constants alone have neither.
+    ``parents`` and ``vjp``, which only ``op`` sets, describe how this
+    tensor was produced: ``vjp`` maps the incoming gradient to one
+    contribution per parent.  Leaf tensors (constants, parameters) and the
+    outputs of ops run under ``no_grad`` or on constants alone have neither.
     """
 
     __slots__ = ("data", "parents", "vjp", "call")
@@ -98,10 +98,10 @@ class Tensor:
     # of building an object array elementwise
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), vjp=None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.parents = tuple(parents)
-        self.vjp = vjp
+        self.parents = ()
+        self.vjp = None
         self.call = None  # (fn, args, kwargs) of the op call that taped it
 
     @property
@@ -142,36 +142,31 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def record(out, operands, vjp):
-    """Tensor for ``out`` whose parents are the Tensor members of ``operands``.
-
-    This is the only constructor of a tape node: every op computes its
-    forward on plain arrays and hands the result here with its VJP.
-    ``vjp(g, need)`` returns one gradient per operand; those whose ``need``
-    flag is unset are dropped, may be None and need not be computed, so a
-    constant operand costs no tape node and, where the op skips it, no
-    gradient.  Under ``no_grad``, or when no operand is a Tensor, the
-    Tensor has no parents.
-    """
-    if _taping:
-        need = [isinstance(o, Tensor) for o in operands]
-        if all(need):
-            return Tensor(out, operands, lambda g: vjp(g, need))
-        if any(need):
-            parents = [o for o, n in zip(operands, need) if n]
-            return Tensor(out, parents,
-                          lambda g: [c for c, n in zip(vjp(g, need), need) if n])
-    return Tensor(out)
-
-
 def op(fn):
-    """``fn``, which builds its output through ``record``, as a tape op."""
+    """``fn`` as a tape op, the only maker of a tape node.
+
+    ``fn`` computes its forward on plain arrays and returns ``(out,
+    operands, vjp)``; the op returns the Tensor for ``out`` whose parents
+    are the Tensor members of ``operands``.  ``vjp(g, need)`` returns one
+    gradient per operand; those whose ``need`` flag is unset are dropped,
+    may be None and need not be computed, so a constant operand costs no
+    tape node and, where ``fn`` skips it, no gradient.  Under ``no_grad``,
+    or when no operand is a Tensor, the Tensor has no parents.  A taped
+    call stays on its output as ``Tensor.call``: ``(fn, args, kwargs)``.
+    """
     @functools.wraps(fn)
     def taped(*args, **kwargs):
-        out = fn(*args, **kwargs)
+        out, operands, vjp = fn(*args, **kwargs)
+        t = Tensor(out)
         if _taping:
-            out.call = (fn, args, kwargs)
-        return out
+            need = [isinstance(o, Tensor) for o in operands]
+            if all(need):
+                t.parents, t.vjp = tuple(operands), lambda g: vjp(g, need)
+            elif any(need):
+                t.parents = tuple(o for o, n in zip(operands, need) if n)
+                t.vjp = lambda g: [c for c, n in zip(vjp(g, need), need) if n]
+            t.call = (fn, args, kwargs)
+        return t
     return taped
 
 
@@ -200,7 +195,7 @@ def add(a, b):
         return (_unbroadcast(g, ad.shape) if need[0] else None,
                 _unbroadcast(g, bd.shape) if need[1] else None)
 
-    return record(ad + bd, (a, b), vjp)
+    return ad + bd, (a, b), vjp
 
 
 @op
@@ -211,7 +206,7 @@ def mul(a, b):
         return (_unbroadcast(g * bd, ad.shape) if need[0] else None,
                 _unbroadcast(g * ad, bd.shape) if need[1] else None)
 
-    return record(ad * bd, (a, b), vjp)
+    return ad * bd, (a, b), vjp
 
 
 @op
@@ -219,7 +214,7 @@ def gelu(a):
     """Gaussian-error-linear activation, exact erf form (smooth everywhere)."""
     ad = _data(a)
     out, phi = gelu_forward(ad)
-    return record(out, (a,), lambda g, need: (gelu_backward(g, ad, phi),))
+    return out, (a,), lambda g, need: (gelu_backward(g, ad, phi),)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +235,8 @@ def linear(x, w, b):
     if bd.shape != (wd.shape[1],):
         raise DimensionError(
             f"linear: bias {bd.shape} incompatible with weight {wd.shape}")
-    return record(linear_forward(xd, wd, bd), (x, w, b),
-                  lambda g, need: linear_backward(g, xd, wd, need))
+    return (linear_forward(xd, wd, bd), (x, w, b),
+            lambda g, need: linear_backward(g, xd, wd, need))
 
 
 @op
@@ -283,7 +278,7 @@ def conv1d_same(x, w, b):
             gw = np.stack([xp[j:j + t].T @ g for j in range(k)])
         return gx, gw, g.sum(axis=0) if need[2] else None
 
-    return record(out, (x, w, b), vjp)
+    return out, (x, w, b), vjp
 
 
 def _pair(a, b):
@@ -366,7 +361,7 @@ def tanh_birnn(x, fwd, bwd):
             gx = (gxs[:, 0, 0] + gxs[:, 1, 0])[::-1]
         return gx, gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1]
 
-    return record(states, (x, *fwd, *bwd), vjp)
+    return states, (x, *fwd, *bwd), vjp
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ def tsum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, ad.shape).copy(),)
 
-    return record(ad.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return ad.sum(axis=axis, keepdims=keepdims), (a,), vjp
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -398,14 +393,13 @@ def tmean(a, axis=None, keepdims=False):
 @op
 def reshape(a, shape):
     ad = _data(a)
-    return record(ad.reshape(shape), (a,), lambda g, need: (g.reshape(ad.shape),))
+    return ad.reshape(shape), (a,), lambda g, need: (g.reshape(ad.shape),)
 
 
 @op
 def transpose(a, axes):
     inv = tuple(np.argsort(axes))
-    return record(_data(a).transpose(axes), (a,),
-                  lambda g, need: (g.transpose(inv),))
+    return _data(a).transpose(axes), (a,), lambda g, need: (g.transpose(inv),)
 
 
 @op
@@ -417,7 +411,7 @@ def concat(parts, axis):
         cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
         return np.split(g, cuts, axis=axis)
 
-    return record(np.concatenate(datas, axis=axis), parts, vjp)
+    return np.concatenate(datas, axis=axis), parts, vjp
 
 
 @op
@@ -431,14 +425,14 @@ def getitem(a, key):
         return (z,)
 
     # np.array detaches the result from the parent's buffer
-    return record(np.array(ad[key]), (a,), vjp)
+    return np.array(ad[key]), (a,), vjp
 
 
 @op
 def broadcast_to(a, shape):
     ad = _data(a)
     out = np.ascontiguousarray(np.broadcast_to(ad, shape))
-    return record(out, (a,), lambda g, need: (_unbroadcast(g, ad.shape),))
+    return out, (a,), lambda g, need: (_unbroadcast(g, ad.shape),)
 
 
 # ---------------------------------------------------------------------------

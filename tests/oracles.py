@@ -5,12 +5,11 @@ must match.
 each replace a chain of these primitive ops with one tape node; the tests
 rebuild those chains from the ops here and require the fused nodes to give
 the chains' values bit for bit and their gradients bit for bit or to
-rounding.  Their arithmetic is the package's former ops', unchanged; they
-record their tape nodes through ``tensor.record``, so they honour
-``no_grad``.  ``layer_norm`` and ``attention_core`` wrap the package's numpy
-kernels as stand-alone tape nodes, so that each kernel is checked on its
-own, as the fused block's former ops were.  Each is a ``tensor.op``, so
-``gradcheck`` can replay it.
+rounding.  Their arithmetic is the package's former ops', unchanged.  Each
+is a ``tensor.op``, so it honours ``no_grad`` and ``gradcheck`` can replay
+it.  ``layer_norm`` and ``attention_core`` wrap the package's numpy kernels
+as stand-alone tape nodes, so that each kernel is checked on its own, as
+the fused block's former ops were.
 
 ``generate_scene`` is the scene generator in its former loop form: lip
 motion and speech audio built one (slot, frame) cell at a time.
@@ -35,8 +34,7 @@ from dualstream.gradcheck import STEP, relative_error
 from dualstream.tensor import (Tensor, _data, _unbroadcast,
                                attention_backward, attention_forward,
                                backward, layer_norm_backward,
-                               layer_norm_forward, no_grad, op, record,
-                               zero_grads)
+                               layer_norm_forward, no_grad, op, zero_grads)
 
 
 def _lift(x):
@@ -51,35 +49,34 @@ def sub(a, b):
         return (_unbroadcast(g, ad.shape) if need[0] else None,
                 _unbroadcast(-g, bd.shape) if need[1] else None)
 
-    return record(ad - bd, (a, b), vjp)
+    return ad - bd, (a, b), vjp
 
 
 @op
 def power(a, p):
     """Raise to a constant real exponent."""
     a, p = _lift(a), float(p)
-    return record(a.data ** p, (a,),
-                  lambda g, need: (g * p * a.data ** (p - 1.0),))
+    return a.data ** p, (a,), lambda g, need: (g * p * a.data ** (p - 1.0),)
 
 
 @op
 def texp(a):
     a = _lift(a)
     out = np.exp(a.data)
-    return record(out, (a,), lambda g, need: (g * out,))
+    return out, (a,), lambda g, need: (g * out,)
 
 
 @op
 def tlog(a):
     a = _lift(a)
-    return record(np.log(a.data), (a,), lambda g, need: (g / a.data,))
+    return np.log(a.data), (a,), lambda g, need: (g / a.data,)
 
 
 @op
 def tanh(a):
     a = _lift(a)
     out = np.tanh(a.data)
-    return record(out, (a,), lambda g, need: (g * (1.0 - out * out),))
+    return out, (a,), lambda g, need: (g * (1.0 - out * out),)
 
 
 @op
@@ -88,7 +85,7 @@ def softplus(a):
     a = _lift(a)
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return record(out, (a,), lambda g, need: (g * expit(x),))
+    return out, (a,), lambda g, need: (g * expit(x),)
 
 
 @op
@@ -115,7 +112,7 @@ def matmul(a, b):
         gb = np.swapaxes(a.data, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return record(a.data @ b.data, (a, b), vjp)
+    return a.data @ b.data, (a, b), vjp
 
 
 @op
@@ -132,7 +129,7 @@ def softmax(a, axis):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return record(out, (a,), vjp)
+    return out, (a,), vjp
 
 
 @op
@@ -146,7 +143,7 @@ def take_rows(a, idx):
         np.add.at(z, idx, g)
         return (z,)
 
-    return record(a.data[idx], (a,), vjp)
+    return a.data[idx], (a,), vjp
 
 
 @op
@@ -154,8 +151,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     """``tensor.layer_norm_forward`` / ``_backward`` as one tape node."""
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     out, saved = layer_norm_forward(x.data, gamma.data, beta.data, eps)
-    return record(out, (x, gamma, beta),
-                  lambda g, need: layer_norm_backward(g, gamma.data, saved))
+    return (out, (x, gamma, beta),
+            lambda g, need: layer_norm_backward(g, gamma.data, saved))
 
 
 @op
@@ -163,8 +160,7 @@ def attention_core(q, k, v, num_heads):
     """``tensor.attention_forward`` / ``_backward`` as one tape node."""
     q, k, v = _lift(q), _lift(k), _lift(v)
     out, saved = attention_forward(q.data, k.data, v.data, num_heads)
-    return record(out, (q, k, v),
-                  lambda g, need: attention_backward(g, saved))
+    return out, (q, k, v), lambda g, need: attention_backward(g, saved)
 
 
 def _markov_chain(rng, frames, p_on_on, p_off_on):

@@ -317,6 +317,18 @@ class TestGradcheckCommand:
         assert run("gradcheck") == 0
         assert capsys.readouterr().out.splitlines() == first
 
+    @pytest.mark.parametrize("stream", ["speaker", "temporal"])
+    def test_audits_the_ablated_model(self, stream, capsys):
+        # the ablated stream's Parameters feed nothing, so the report moves
+        def report(*args):
+            assert run(*args, "gradcheck") == 0
+            return [l for l in capsys.readouterr().out.splitlines()
+                    if not l.startswith("#")]
+
+        ablated = report("--set", f"model.ablate_{stream}=true")
+        assert ablated[-1] == "PASS"
+        assert ablated != report()
+
 
 def audit(scene, model, gate_net, replayed, max_coords=8):
     """``{name: worst}`` of the audit ``cmd_gradcheck`` runs, with its
@@ -472,8 +484,8 @@ class TestGradcheckFaults:
         @op
         def linear(x, w, b):
             if getattr(w, "name", None) == "heads.audio_w":
-                return tensor.linear(x, w.data, b)
-            return tensor.linear(x, w, b)
+                return tensor.linear.__wrapped__(x, w.data, b)
+            return tensor.linear.__wrapped__(x, w, b)
 
         monkeypatch.setattr(model_module, "linear", linear)
         assert run("gradcheck") == 3
@@ -524,6 +536,25 @@ def test_size_past_u32_is_usage_error(key, value, pipeline, tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: config key {key}: value {value} out of range "
             f"[{2 if key == 'data.mel_bins' else 1}, 4294967295]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_array_numpy_refuses_is_usage_error(tmp_path, capsys):
+    """Sizes inside their u32 ranges whose crop array numpy would refuse
+    are refused before any work, naming the keys.  numpy refuses such a
+    shape without allocating; the train corpus does not exist, so a train
+    that got past the config would stop before building a model."""
+    big = ["--set", "data.speakers=4294967295", "--set",
+           "data.frames=4294967295", "--set", "model.s_max=4294967295"]
+    for command in (["gen-data", "--scenes", "1", "--out",
+                     str(tmp_path / "c.bin")],
+                    ["train", "--corpus", str(tmp_path / "none.bin"),
+                     "--out", str(tmp_path / "m.ckpt")]):
+        assert run(*big, *command) == 1
+        assert capsys.readouterr().err == (
+            "error: data.speakers 4294967295, data.frames 4294967295, "
+            "data.height 8, data.width 8 size an array of more than "
+            f"{np.iinfo(np.intp).max} bytes, which numpy refuses\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,9 +3,11 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from dualstream.config import SCHEMA, RunConfig, load_config, parse_config_text
+from dualstream.config import (_ARRAYS, SCHEMA, RunConfig, load_config,
+                               parse_config_text)
 from dualstream.data import GenConfig
 from dualstream.errors import ConfigError, ContractError
 from dualstream.gate import GateParams
@@ -103,6 +105,36 @@ class TestSchema:
                 typ, default, rng = SCHEMA[field_key(cls, f)]
                 assert (typ, default) == (type(f.default), f.default), f.name
                 assert rng == f.metadata.get("range"), f.name
+
+    def test_a_key_two_views_hold_is_declared_once(self):
+        declared = {}
+        for cls in VIEWS:
+            for f in fields(cls):
+                declared.setdefault(field_key(cls, f), []).append(
+                    (type(f.default), f.default, f.metadata.get("range")))
+        shared = {k: set(d) for k, d in declared.items() if len(d) > 1}
+        assert set(shared) == {"data.height", "data.width", "data.mel_bins"}
+        for key, declarations in shared.items():
+            assert len(declarations) == 1, key
+
+    @pytest.mark.parametrize("factor,keys", _ARRAYS)
+    def test_array_numpy_refuses_rejected(self, factor, keys):
+        # validation allocates nothing; with every key at its u32 end an
+        # array of at least two of them exceeds what numpy can index
+        values = {"model.heads": 1, "model.s_max": 2**32 - 1}
+        values.update((k, 2**32 - 1) for k in keys)
+        with pytest.raises(ConfigError, match="which numpy refuses"):
+            RunConfig(values)
+
+    def test_array_numpy_can_index_accepted(self):
+        # 2**60 float64s are 2**63 bytes, one more than an index holds
+        sizes = {"data.speakers": 1, "data.frames": 2**30, "data.width": 1}
+        RunConfig({**sizes, "data.height": 2**30 - 1})
+        with pytest.raises(ConfigError, match=r"^data.speakers 1, "
+                           r"data.frames 1073741824, data.height 1073741824, "
+                           r"data.width 1 size an array of more than "
+                           f"{np.iinfo(np.intp).max} bytes"):
+            RunConfig({**sizes, "data.height": 2**30})
 
     @pytest.mark.parametrize("key,value", RANGED)
     def test_value_just_outside_range_rejected(self, key, value):

@@ -11,16 +11,17 @@
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
-#   * gradcheck at model.init_seed 0 and 3, and under
-#     model.ablate_speaker=true and model.ablate_temporal=true, where the
+#   * gradcheck at model.init_seed 0 and 3, and of the model ablated by
+#     model.ablate_speaker=true and by model.ablate_temporal=true, whose
 #     ablated stream's Parameters feed nothing;
 #   * gen-data only, of the same two corpora at 4 speakers with every
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
 # command's stdout are compared: 47 files, 13 per train and eval set, the
-# four gradcheck reports and 4 from the gen-data pair.  Exit 0: every pair
-# is byte-identical.
+# four gradcheck reports and 4 from the gen-data pair.  Last, it prints each
+# tree's line total of src/dualstream/*.py.  Exit 0: every pair is
+# byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
 # Exit 2: a command failed.  About 28 s per tree on a 2-core x86 host.
 set -euo pipefail
@@ -101,4 +102,7 @@ else
     keep=1
     echo "runs kept in $work"
 fi
+for tree in "$1" "$2"; do
+    echo "$(cat "$tree"/src/dualstream/*.py | wc -l) lines in $tree/src/dualstream/*.py"
+done
 exit "$status"
