@@ -17,13 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Parameter, Tensor, attention_backward, attention_forward,
-                     gelu_backward, gelu_forward, init_uniform,
-                     layer_norm_backward, layer_norm_forward, linear_backward,
-                     linear_forward, op)
+from .tensor import (Module, Parameter, Tensor, attention_backward,
+                     attention_forward, gelu_backward, gelu_forward,
+                     init_uniform, layer_norm_backward, layer_norm_forward,
+                     linear_backward, linear_forward, op)
 
 
-class AttentionBlock:
+class AttentionBlock(Module):
     """Projection, MLP and norm parameters of one block of width ``dim``
     (``ModelConfig`` checks that ``heads`` divides it); it serves as SAL or
     as CAL, depending only on its key/value input."""
@@ -48,11 +48,6 @@ class AttentionBlock:
         self.ln1_b = Parameter(np.zeros(d), f"{name}.ln1_b")
         self.ln2_g = Parameter(np.ones(d), f"{name}.ln2_g")
         self.ln2_b = Parameter(np.zeros(d), f"{name}.ln2_b")
-
-    def parameters(self):
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-                self.wo, self.bo, self.w1, self.b1, self.w2, self.b2,
-                self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b]
 
 
 def _check_tokens(x, model_dim, who):

@@ -2,7 +2,7 @@
 
 Every command echoes its effective merged configuration before running, so
 any output file can be reproduced from the invocation log.  Exit codes:
-0 success, 1 usage/config, 2 data/format, 3 numerical failure.
+0 success, 1 usage/config/out of memory, 2 data/format, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# the tiny model the gradient check audits; other keys keep their defaults
+# the gradient check's sizes, scene seed and noise; other keys are the user's
 TINY = {
     "data.seed": 5, "data.speakers": 2, "data.frames": 3, "data.height": 4,
     "data.width": 4, "data.mel_bins": 8, "data.noise_std": 0.2,
@@ -210,11 +210,10 @@ TINY = {
 }
 
 
-def gradcheck_inputs(init_seed, ablate_speaker=False, ablate_temporal=False):
-    """The scene, model and voice gate that ``gradcheck`` audits."""
-    tiny = RunConfig({**TINY, "model.init_seed": init_seed,
-                      "model.ablate_speaker": ablate_speaker,
-                      "model.ablate_temporal": ablate_temporal})
+def gradcheck_inputs(cfg: RunConfig):
+    """The scene, model and voice gate that ``gradcheck`` audits: those of
+    ``cfg`` with ``TINY`` set over it."""
+    tiny = RunConfig({**cfg.values, **TINY})
     scene = generate_scene(tiny.gen_config(), 0)
     return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
 
@@ -231,9 +230,7 @@ def gradcheck_loss(scene, model, gate_net, weights):
 def cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    scene, model, gate_net = gradcheck_inputs(
-        cfg["model.init_seed"], cfg["model.ablate_speaker"],
-        cfg["model.ablate_temporal"])
+    scene, model, gate_net = gradcheck_inputs(cfg)
     build_loss = gradcheck_loss(scene, model, gate_net, cfg.loss_weights())
     params = model.parameters() + gate_net.parameters()
     worst = check_parameter_gradients(build_loss, params, max_coords=8)
@@ -291,6 +288,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FormatError, ContractError, DimensionError, MetricError,
             OSError) as exc:

@@ -118,9 +118,12 @@ class RunConfig:
         expected, _default, rng = SCHEMA[key]
         if isinstance(value, str):
             value = _parse_value(key, value)
-        if expected is float and isinstance(value, int):
+        if expected is float and type(value) is int:
             value = float(value)
-        if not isinstance(value, expected):
+        # a bool is an int to Python, but it echoes as true / false, which
+        # no int or float key loads back
+        if not isinstance(value, expected) or (
+                isinstance(value, bool) and expected is not bool):
             raise ConfigError(
                 f"config key {key}: expected {expected.__name__}, "
                 f"got {type(value).__name__}")

@@ -18,10 +18,10 @@ import numpy as np
 
 from .attention import AttentionBlock, cal_forward
 from .data import frame_steps
-from .tensor import Parameter, Tensor, concat, gelu, init_uniform, linear
+from .tensor import Module, Parameter, Tensor, concat, gelu, init_uniform, linear
 
 
-class VisualEncoder:
+class VisualEncoder(Module):
     """Two-layer pointwise network on flattened crops: HW -> hidden -> C."""
 
     def __init__(self, height, width, channels, hidden, rng):
@@ -31,9 +31,6 @@ class VisualEncoder:
         self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), "visual_enc.w2")
         self.b2 = Parameter(np.zeros(channels), "visual_enc.b2")
 
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def forward(self, visual: np.ndarray) -> Tensor:
         """[S, T, H, W, 1] crops to [S, T, C] embeddings."""
         s, t, h, w, _ = visual.shape
@@ -41,7 +38,7 @@ class VisualEncoder:
         return linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
-class AudioEncoder:
+class AudioEncoder(Module):
     """Mean-pool each frame's audio steps, then embed M -> hidden -> C."""
 
     def __init__(self, mel_bins, channels, hidden, rng):
@@ -49,9 +46,6 @@ class AudioEncoder:
         self.b1 = Parameter(np.zeros(hidden), "audio_enc.b1")
         self.w2 = Parameter(init_uniform(rng, hidden, (hidden, channels)), "audio_enc.w2")
         self.b2 = Parameter(np.zeros(channels), "audio_enc.b2")
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def frame_embedding(self, audio: np.ndarray) -> Tensor:
         """Scene-level per-frame embedding, shape [T, C], from [4T, M] audio."""

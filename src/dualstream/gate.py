@@ -28,8 +28,8 @@ from scipy.special import expit
 from .data import frame_steps
 from .errors import ContractError, DimensionError
 from .ranges import FINITE, POSITIVE, UNIT, Range, check_ranges, knob
-from .tensor import (Parameter, Tensor, conv1d_same, gelu, init_uniform,
-                     linear, reshape, tanh_birnn)
+from .tensor import (Module, Parameter, Tensor, conv1d_same, gelu,
+                     init_uniform, linear, reshape, tanh_birnn)
 
 # keeps voice_confidence strictly inside (0, 1) even when the trained head
 # saturates the float64 sigmoid
@@ -74,7 +74,7 @@ def gate_audio_features(audio: np.ndarray) -> np.ndarray:
     return np.concatenate([grouped.mean(axis=1), grouped.std(axis=1)], axis=1)
 
 
-class ConfidenceNet:
+class ConfidenceNet(Module):
     """Conv-conv-biRNN-linear speech detector over ``gate_audio_features``."""
 
     def __init__(self, mel_bins, conv_hidden, rnn_hidden, rng):
@@ -97,10 +97,6 @@ class ConfidenceNet:
         self.out_w = Parameter(init_uniform(rng, 2 * rnn_hidden,
                                             (2 * rnn_hidden, 1)), "gate.out_w")
         self.out_b = Parameter(np.zeros(1), "gate.out_b")
-
-    def parameters(self):
-        return [self.c1_w, self.c1_b, self.c2_w, self.c2_b,
-                *self.fwd, *self.bwd, self.out_w, self.out_b]
 
     def logits(self, audio) -> Tensor:
         """Per-frame speech logits, shape [T], from a scene's [4T, M] audio

@@ -21,7 +21,7 @@ from .data import GenConfig
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError
 from .ranges import NON_NEGATIVE, POSITIVE, SIZE, check_ranges, knob
-from .tensor import (Parameter, Tensor, add, broadcast_to, getitem,
+from .tensor import (Module, Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
 
@@ -36,18 +36,14 @@ def speaker_stream(f_av: Tensor, table: Tensor, sal: AttentionBlock) -> Tensor:
 
 
 @dataclass
-class InteractionRound:
+class InteractionRound(Module):
     sal_time: AttentionBlock
     sal_speaker: AttentionBlock
     cal_time: AttentionBlock
     cal_speaker: AttentionBlock
 
-    def parameters(self):
-        return (self.sal_time.parameters() + self.sal_speaker.parameters()
-                + self.cal_time.parameters() + self.cal_speaker.parameters())
 
-
-class DualStreamStack:
+class DualStreamStack(Module):
     """The interaction rounds, the speaker-slot embedding and the output
     head, all at the fused width 2C.
 
@@ -74,10 +70,6 @@ class DualStreamStack:
                                      "dual.speaker_emb.table")
         self.head_w = Parameter(init_uniform(rng, d, (d, 1)), "dual.head_w")
         self.head_b = Parameter(np.zeros(1), "dual.head_b")
-
-    def parameters(self):
-        return ([p for rnd in self.rounds for p in rnd.parameters()]
-                + [self.speaker_emb, self.head_w, self.head_b])
 
 
 def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
@@ -146,7 +138,7 @@ class ModelOutput:
     visual_frames: Tensor   # [S, T, C] pre-fusion visual embedding
 
 
-class ActiveSpeakerModel:
+class ActiveSpeakerModel(Module):
     """Encoders, cross-modal fusion, dual-stream stack and output heads."""
 
     def __init__(self, cfg: ModelConfig):
@@ -165,12 +157,6 @@ class ActiveSpeakerModel:
         self.head_v_b = Parameter(np.zeros(1), "heads.visual_b")
         self.head_a_w = Parameter(init_uniform(rng, c, (c, 1)), "heads.audio_w")
         self.head_a_b = Parameter(np.zeros(1), "heads.audio_b")
-
-    def parameters(self):
-        return (self.visual_enc.parameters() + self.audio_enc.parameters()
-                + self.cal_av.parameters() + self.cal_va.parameters()
-                + self.stack.parameters()
-                + [self.head_v_w, self.head_v_b, self.head_a_w, self.head_a_b])
 
     def forward(self, visual: np.ndarray, audio: np.ndarray) -> ModelOutput:
         """One scene's [S, T, H, W, 1] crops and [4T, M] audio, which meet

@@ -46,6 +46,8 @@ Design points:
     freed as soon as nothing else holds them.  ``eval``'s scoring and
     ``gradcheck``'s full perturbed passes run this way; ``backward``
     refuses a loss with no tape.
+  * nothing is registered by hand: a layer is a ``Module``, whose
+    Parameters are the Tensors its attributes hold, in assignment order.
 """
 
 from __future__ import annotations
@@ -135,6 +137,26 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+class Module:
+    """A layer whose Parameters are the Tensors it holds."""
+
+    def parameters(self):
+        """The Tensors this layer's attributes hold, in the order the
+        attributes were first assigned, through Modules, lists and tuples."""
+        return _held(vars(self).values(), [])
+
+
+def _held(values, found):
+    for v in values:
+        if isinstance(v, Tensor):
+            found.append(v)
+        elif isinstance(v, Module):
+            _held(vars(v).values(), found)
+        elif isinstance(v, (list, tuple)):
+            _held(v, found)
+    return found
 
 
 def _data(x):

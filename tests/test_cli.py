@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualstream import attention, cli, losses, tensor
+from dualstream import data as data_module
 from dualstream import model as model_module
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
 from dualstream.config import SCHEMA, RunConfig, load_config
@@ -329,6 +330,21 @@ class TestGradcheckCommand:
         assert ablated[-1] == "PASS"
         assert ablated != report()
 
+    def test_audits_every_model_key_tiny_leaves(self, capsys):
+        # cli.TINY sets no model.mlp_ratio: the audited MLPs take the user's
+        _scene, model, _gate = gradcheck_inputs(
+            RunConfig({"model.mlp_ratio": 2}))
+        assert model.cal_av.w1.shape == (8, 16)
+
+        def report(*args):
+            assert run(*args, "gradcheck") == 0
+            return [l for l in capsys.readouterr().out.splitlines()
+                    if not l.startswith("#")]
+
+        ratio_2 = report("--set", "model.mlp_ratio=2")
+        assert ratio_2[-1] == "PASS"
+        assert ratio_2 != report()
+
 
 def audit(scene, model, gate_net, replayed, max_coords=8):
     """``{name: worst}`` of the audit ``cmd_gradcheck`` runs, with its
@@ -355,7 +371,7 @@ class TestResumedGradcheck:
 
     @pytest.mark.parametrize("init_seed", [0, 3])
     def test_same_worst_errors_as_full_recompute(self, init_seed):
-        scene, model, gate_net = gradcheck_inputs(init_seed)
+        scene, model, gate_net = gradcheck_inputs(RunConfig({"model.init_seed": init_seed}))
         replayed = audit(scene, model, gate_net, True)
         assert list(replayed.items()) == list(
             audit(scene, model, gate_net, False).items())
@@ -364,7 +380,7 @@ class TestResumedGradcheck:
     def test_same_worst_errors_with_a_stream_ablated(self, ablate):
         # the ablated stream's Parameters feed nothing: their passes replay
         # no call
-        scene, _model, gate_net = gradcheck_inputs(0)
+        scene, _model, gate_net = gradcheck_inputs(RunConfig())
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, f"model.{ablate}": True}).model_config())
         assert getattr(model.stack.cfg, ablate)
@@ -375,7 +391,7 @@ class TestResumedGradcheck:
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_same_worst_errors_at_other_depths(self, rounds):
         # 3 rounds have a middle round; in 1 no round follows the first
-        scene, _model, gate_net = gradcheck_inputs(0)
+        scene, _model, gate_net = gradcheck_inputs(RunConfig())
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
         assert len(model.stack.rounds) == rounds
@@ -409,7 +425,7 @@ class TestResumedGradcheck:
         """``dualstream gradcheck`` runs one model forward per Parameter
         besides the analytic one, and as many attention blocks and
         contrastive terms as the dataflow needs, and no more."""
-        _scene, model, gate_net = gradcheck_inputs(0)
+        _scene, model, gate_net = gradcheck_inputs(RunConfig())
         stack, n = model.stack, len(model.stack.rounds)
         params = model.parameters() + gate_net.parameters()
         encoders = model.visual_enc.parameters() + model.audio_enc.parameters()
@@ -449,7 +465,7 @@ class TestResumedGradcheck:
                                                         monkeypatch):
         """One replayed pass per stack Parameter runs the blocks ``reruns``
         gives it, so errors that cancel in the audit's total still show."""
-        scene, _model, gate_net = gradcheck_inputs(0)
+        scene, _model, gate_net = gradcheck_inputs(RunConfig())
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
         calls = {"block": 0}
@@ -555,6 +571,28 @@ def test_array_numpy_refuses_is_usage_error(tmp_path, capsys):
             "error: data.speakers 4294967295, data.frames 4294967295, "
             "data.height 8, data.width 8 size an array of more than "
             f"{np.iinfo(np.intp).max} bytes, which numpy refuses\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_is_usage_error(pipeline, tmp_path, monkeypatch,
+                                      capsys):
+    """An array the config sizes past what memory holds stops the command
+    with exit 1 and numpy's message, writing nothing.  The allocations are
+    faked: a real one that large could take the host's memory."""
+    message = "Unable to allocate 6.00 TiB for an array"
+
+    def refuse(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(data_module, "generate_scene", refuse)
+    monkeypatch.setattr(cli, "ActiveSpeakerModel", refuse)
+    _root, corpus, _held, _ckpt = pipeline
+    for command in (["gen-data", "--scenes", "1", "--out",
+                     str(tmp_path / "c.bin")],
+                    ["train", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]):
+        assert run(*TINY, *command) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -673,7 +711,7 @@ class TestGradcheckModel:
     """The model, gate and scene `gradcheck` audits, pinned."""
 
     def test_parameters_pinned(self):
-        scene, model, gate_net = gradcheck_inputs(0)
+        scene, model, gate_net = gradcheck_inputs(RunConfig())
         params = model.parameters() + gate_net.parameters()
         assert len(params) == 187
         assert sum(p.data.size for p in params) == 28732
@@ -710,7 +748,7 @@ class TestGradcheckModel:
         }
 
     def test_scene_pinned(self):
-        scene, _model, _gate = gradcheck_inputs(0)
+        scene, _model, _gate = gradcheck_inputs(RunConfig())
         assert scene.scene_id == "scene00000"
         assert scene.visual.shape == (2, 3, 4, 4, 1)
         assert scene.audio.shape == (12, 8)
@@ -720,7 +758,7 @@ class TestGradcheckModel:
     def test_same_as_model_built_from_dataclasses(self, init_seed):
         """Built directly from GenConfig / ModelConfig values, the audited
         scene and parameters come out bit for bit the same."""
-        scene, model, gate_net = gradcheck_inputs(init_seed)
+        scene, model, gate_net = gradcheck_inputs(RunConfig({"model.init_seed": init_seed}))
         gen = GenConfig(seed=5, speakers=2, frames=3, height=4, width=4,
                         mel_bins=8, noise_std=0.2)
         ref_scene = generate_scene(gen, 0)

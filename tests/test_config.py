@@ -42,6 +42,8 @@ RANGED = [(key, value) for key, (typ, _d, rng) in SCHEMA.items()
           if rng is not None for value in just_outside(rng, typ)]
 NON_FINITE = [(key, text) for key, (typ, _d, _r) in SCHEMA.items()
               if typ is float for text in ("nan", "inf", "-inf")]
+NUMBER_KEYS = [key for key, (typ, _d, _r) in SCHEMA.items()
+               if typ in (int, float)]
 
 
 class TestSchema:
@@ -82,6 +84,13 @@ class TestSchema:
         assert cfg["model.ablate_speaker"] is False
         with pytest.raises(ConfigError):
             cfg.set("model.ablate_speaker", "maybe")
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_bool_for_number_key_rejected(self, key, value):
+        # it would echo as true / false, which the key cannot load back
+        with pytest.raises(ConfigError, match=f"{key}: expected"):
+            RunConfig({key: value})
 
     def test_cross_key_validation(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -194,6 +203,14 @@ class TestText:
         loaded = load_config(path)
         assert loaded.values == cfg.values
         assert loaded.dump() == cfg.dump()
+
+    def test_dump_of_ints_given_for_float_keys_loads_back(self, tmp_path):
+        cfg = RunConfig({"train.lr": 1, "gate.gamma": 0, "eval.threshold": -3,
+                         "model.ablate_temporal": True})
+        assert cfg["train.lr"] == 1.0 and type(cfg["train.lr"]) is float
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg.dump())
+        assert load_config(path).values == cfg.values
 
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from dualstream import model as model_module
+from dualstream.cli import _build_gate_net
+from dualstream.config import RunConfig
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, generate_scene
 from dualstream.gradcheck import (check_parameter_gradients, reached,
@@ -260,3 +262,33 @@ def test_full_model_gradients_match_finite_differences():
     worst = check_parameter_gradients(build, model.parameters(),
                                       max_coords=3, seed=2)
     assert max(worst.values()) <= 1e-4, max(worst.items(), key=lambda kv: kv[1])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model.rounds": 1}, {}, {"model.rounds": 3},
+    {"model.ablate_speaker": True}, {"model.ablate_temporal": True},
+], ids=["rounds1", "rounds2", "rounds3", "ablate_speaker", "ablate_temporal"])
+def test_parameters_are_every_parameter_the_constructors_make(overrides,
+                                                              monkeypatch):
+    """Each Parameter the model's and the gate's constructors create is
+    listed once, in creation order: none is left untrained, unsaved or
+    unaudited, and the checkpoint order is the draw order."""
+    made = []
+    init = Parameter.__init__
+
+    def recording(self, data, name):
+        init(self, data, name)
+        made.append(self)
+
+    monkeypatch.setattr(Parameter, "__init__", recording)
+    cfg = RunConfig(overrides)
+    model = ActiveSpeakerModel(cfg.model_config())
+    n_model = len(made)
+    gate_net = _build_gate_net(cfg)
+    assert n_model > 0 and len(made) > n_model
+
+    def ids(params):
+        return [id(p) for p in params]
+
+    assert ids(model.parameters()) == ids(made[:n_model])
+    assert ids(gate_net.parameters()) == ids(made[n_model:])

@@ -79,7 +79,7 @@ def default_inputs(overrides):
 INPUTS = {
     "default_3x12": lambda: default_inputs({}),
     "long_4x48": lambda: default_inputs({"data.speakers": 4, "data.frames": 48}),
-    "gradcheck_tiny": lambda: gradcheck_inputs(0),
+    "gradcheck_tiny": lambda: gradcheck_inputs(RunConfig()),
 }
 
 

@@ -56,7 +56,7 @@ def gate_step():
 
 
 def gradcheck_loss():
-    scene, model, gate_net = cli.gradcheck_inputs(0)
+    scene, model, gate_net = cli.gradcheck_inputs(RunConfig())
     weights = RunConfig(cli.TINY).loss_weights()
     return cli.gradcheck_loss(scene, model, gate_net, weights)()
 

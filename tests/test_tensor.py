@@ -1,6 +1,7 @@
 """Tensor engine: forward oracles, gradient rules, backward semantics."""
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,7 @@ import pytest
 
 from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.tensor import (Parameter, Tensor, add, backward,
+from dualstream.tensor import (Module, Parameter, Tensor, add, backward,
                                broadcast_to, concat, conv1d_same, gelu,
                                getitem, linear, mul, no_grad, reshape,
                                tanh_birnn, tmean, transpose, tsum, zero_grads)
@@ -550,3 +551,37 @@ def test_values_finite_after_forward_chain():
     y = softmax(linear(x, Tensor(rand(rng, 6, 6)), Tensor(rand(rng, 6))), axis=1)
     z = layer_norm(y, Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-5)
     assert np.isfinite(z.data).all()
+
+
+@dataclass(frozen=True)
+class _Sizes:
+    width: int = 3
+
+
+class _Leaf(Module):
+    def __init__(self, tag):
+        self.b = Parameter(np.zeros(1), f"{tag}.b")
+        self.a = Parameter(np.zeros(1), f"{tag}.a")
+
+
+class _Tree(Module):
+    def __init__(self):
+        self.sizes = _Sizes()
+        self.count = 4
+        self.z = Parameter(np.zeros(1), "z")
+        self.leaf = _Leaf("leaf")
+        self.rounds = [_Leaf("r0"), [_Leaf("r1")]]
+        self.pair = (Parameter(np.zeros(1), "p"), Tensor(np.ones(2)))
+        self.tag = "tree"
+        self.last = Parameter(np.zeros(1), "last")
+
+
+def test_module_parameters_are_held_tensors_in_assignment_order():
+    tree = _Tree()
+    plain = tree.pair[1]
+    # a reassigned attribute keeps the place of its first assignment
+    tree.z = Parameter(np.zeros(1), "z2")
+    assert [getattr(t, "name", t is plain) for t in tree.parameters()] == [
+        "z2", "leaf.b", "leaf.a", "r0.b", "r0.a", "r1.b", "r1.a", "p", True,
+        "last"]
+    assert Module().parameters() == []

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from dualstream.cli import gradcheck_inputs, main  # loads every hooked module
+from dualstream.config import RunConfig
 
 from test_cli import TINY
 
@@ -100,7 +101,7 @@ def test_eval_ticks_one_forward_per_scene(tracing, tmp_path):
 
 
 def test_gradcheck_ticks_one_forward_per_full_model_pass(tracing):
-    _scene, model, gate_net = gradcheck_inputs(0)
+    _scene, model, gate_net = gradcheck_inputs(RunConfig())
     # the analytic pass, then per Parameter the full pass that checks its
     # first replayed pass; the replays run no model forward
     expected = 1 + len(model.parameters() + gate_net.parameters())

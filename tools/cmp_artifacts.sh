@@ -11,15 +11,16 @@
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
-#   * gradcheck at model.init_seed 0 and 3, and of the model ablated by
+#   * gradcheck at model.init_seed 0 and 3, of the model ablated by
 #     model.ablate_speaker=true and by model.ablate_temporal=true, whose
-#     ablated stream's Parameters feed nothing;
+#     ablated stream's Parameters feed nothing, and at model.mlp_ratio=2, a
+#     model key the audit's fixed sizes (cli.TINY) leave to the user;
 #   * gen-data only, of the same two corpora at 4 speakers with every
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared: 47 files, 13 per train and eval set, the
-# four gradcheck reports and 4 from the gen-data pair.  Last, it prints each
+# command's stdout are compared: 48 files, 13 per train and eval set, the
+# five gradcheck reports and 4 from the gen-data pair.  Last, it prints each
 # tree's line total of src/dualstream/*.py.  Exit 0: every pair is
 # byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
@@ -79,6 +80,7 @@ run_set() {  # run_set TREE OUT_DIR
             ds --set "model.ablate_$stream=true" gradcheck \
                 > "gradcheck-ablate-$stream.out"
         done
+        ds --set model.mlp_ratio=2 gradcheck > gradcheck-mlp-ratio-2.out
         gen_pair overlap 48 --set data.speakers=4 --set data.overlap_rate=1 \
             --set data.max_concurrent=3 --set data.noise_std=0
     )
