@@ -12,9 +12,9 @@ evaluators.
 from .attention import AttentionBlock, cal_forward, sal_forward
 from .data import GenConfig, Scenario, generate, read_corpus, write_corpus
 from .encoders import AudioEncoder, VisualEncoder, fuse
-from .evaluation import (PredictionRecord, average_precision, f1_per_speaker,
-                         false_positive_count, read_predictions,
-                         write_predictions)
+from .evaluation import (Cells, PredictionRecord, average_precision,
+                         f1_per_speaker, false_positive_count,
+                         read_predictions, write_predictions)
 from .gate import ConfidenceNet, GateParams, gate_batch, voice_confidence
 from .losses import LossWeights, contrastive_av, masked_bce, total_loss
 from .model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,

@@ -8,6 +8,7 @@ any output file can be reproduced from the invocation log.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,9 +18,7 @@ from .data import (check_scene, generate, generate_scene, read_corpus,
                    write_corpus)
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      MetricError, NumericalError)
-from .evaluation import (PredictionRecord, average_precision,
-                         f1_per_speaker, false_positive_count,
-                         metrics_report, write_predictions)
+from .evaluation import Cells, eval_metrics, metrics_report, write_predictions
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
 from .losses import total_loss
@@ -126,9 +125,8 @@ def cmd_train(args) -> int:
 
 
 def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
-    """Raw and optionally gated records for every mask-valid cell."""
-    records = []
-    raw_records = []
+    """Gated (if ``apply_gate``) and raw ``Cells`` of the mask-valid cells."""
+    parts = []
     for scene in scenes:
         # tape-free: no op keeps its inputs for a backward pass.  Measured on
         # [4, 48] scenes, a fresh ``dualstream eval`` of 64 takes 24k minor
@@ -141,22 +139,13 @@ def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
             p_voice = voice_confidence(scene.audio, gate_net)
         final = gate_batch(raw, p_voice, gate_params) if apply_gate else raw
         spk, frame = np.nonzero(scene.mask)  # row-major: the CSV's order
-        ids = [scene.scene_id] * len(spk)
-        spks, frames = spk.tolist(), frame.tolist()
-        p_cells = p_voice[frame].tolist()
-        labels = scene.labels[spk, frame].tolist()
-        for scores, dest in ((final, records), (raw, raw_records)):
-            dest.extend(map(PredictionRecord, ids, spks, frames,
-                            scores[spk, frame].tolist(), p_cells, labels))
-    return records, raw_records
-
-
-def distractor_cells(scenes) -> set:
-    cells = set()
-    for scene in scenes:
-        for spk, frame in zip(*np.nonzero(scene.distractor)):
-            cells.add((scene.scene_id, int(spk), int(frame)))
-    return cells
+        parts.append((np.full(spk.size, scene.scene_id, dtype=object), spk,
+                      frame, final[spk, frame], p_voice[frame],
+                      scene.labels[spk, frame],
+                      scene.distractor[spk, frame] == 1, raw[spk, frame]))
+    *columns, raw = map(np.concatenate, zip(*parts))
+    cells = Cells(*columns)
+    return cells, dataclasses.replace(cells, score=raw)
 
 
 def cmd_eval(args) -> int:
@@ -168,31 +157,13 @@ def cmd_eval(args) -> int:
     tensors = load_checkpoint(args.model)
     apply_checkpoint(model.parameters() + gate_net.parameters(), tensors)
 
-    gate_on = args.gate == "on"
-    records, raw_records = collect_predictions(
-        model, gate_net, scenes, cfg.gate_params(), gate_on)
-
-    cells = distractor_cells(scenes)
-    threshold = cfg["eval.threshold"]
-    f1 = f1_per_speaker(records, threshold)
-    metrics = {
-        "n_records": len(records),
-        "threshold": float(threshold),
-        "ap": average_precision(records),
-        "ap_nogate": average_precision(raw_records),
-        "fp_total": false_positive_count(records, threshold),
-        "fp_total_nogate": false_positive_count(raw_records, threshold),
-        "fp_distractor": false_positive_count(records, threshold, cells),
-        "fp_distractor_nogate": false_positive_count(raw_records, threshold, cells),
-    }
-    for spk, value in f1.items():
-        metrics[f"f1_speaker_{spk}"] = value
-    metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
-
-    report = metrics_report(metrics)
+    cells, raw_cells = collect_predictions(
+        model, gate_net, scenes, cfg.gate_params(), args.gate == "on")
+    report = metrics_report(eval_metrics(cells, raw_cells,
+                                         cfg["eval.threshold"]))
     # written once every metric is computed: a metric that cannot be
     # computed leaves neither file behind
-    write_predictions(records, args.predictions)
+    write_predictions(cells, args.predictions)
     with open(args.metrics, "w", encoding="utf-8") as fh:
         fh.write(report)
     print(report, end="")

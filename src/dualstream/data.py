@@ -107,9 +107,11 @@ def frame_steps(audio: np.ndarray) -> np.ndarray:
 def check_scene(scene: Scenario, s_max, height, width, mel_bins) -> None:
     """The scene contract: 1 <= S <= s_max speakers, T >= 1 frames,
     height x width crops, mel_bins audio bins, finite visual and audio
-    values, and flags of 0 or 1.  The array shapes agree with each other by
-    construction (``read_corpus``, ``generate_scene``).  Raises
-    DimensionError or ContractError naming the scene."""
+    values, flags of 0 or 1, and no label on a masked-out cell (the losses
+    and the gate's target read labels without the mask).  The array shapes
+    agree with each other by construction (``read_corpus``,
+    ``generate_scene``).  Raises DimensionError or ContractError naming the
+    scene."""
     s, t, h, w, _ = scene.visual.shape
     has = (s, h, w, scene.audio.shape[1])
     fits = (s_max, height, width, mel_bins)
@@ -132,6 +134,11 @@ def check_scene(scene: Scenario, s_max, height, width, mel_bins) -> None:
         if bad.size:
             raise ContractError(
                 f"scene {scene.scene_id}: {name} must be 0 or 1, got {bad[0]}")
+    spk, frame = np.nonzero((scene.labels == 1) & (scene.mask == 0))
+    if spk.size:
+        raise ContractError(
+            f"scene {scene.scene_id}: label on masked-out speaker {spk[0]}, "
+            f"frame {frame[0]}")
 
 
 def slot_signature(slot: int, mel_bins: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Ranking and detection metrics over scored (scene, speaker, frame) triples.
+"""Ranking and detection metrics over ``Cells``, a scored corpus as parallel
+arrays in the prediction CSV's order; ``eval_metrics`` builds eval's report.
 
-Average precision uses the step definition: records are sorted by score
+Average precision uses the step definition: cells are sorted by score
 (descending, ties broken lexicographically by identity for bit-for-bit
-reproducibility) and AP is the mean, over positive records, of the
-precision at each positive's rank.  It therefore depends on the ranking
-only, never on score magnitudes.
+reproducibility) and AP is the mean, over positive cells, of the
+precision at each positive's rank, summed best-first.  It therefore
+depends on the ranking only, never on score magnitudes.
 
 Per-speaker F1 follows the usual conventions for empty denominators:
 precision, recall, and F1 are all 0 when undefined.
@@ -15,15 +16,35 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FormatError, MetricError
 
 CSV_COLUMNS = ("scene_id", "speaker_idx", "frame_idx", "score", "p_voice", "label")
 
 
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """Scored cells as parallel arrays in the CSV's order; each
+    (scene_id, speaker_idx, frame_idx) triple is unique."""
+
+    scene_id: np.ndarray  # str objects: a 'U' array drops trailing NULs
+    speaker_idx: np.ndarray
+    frame_idx: np.ndarray
+    score: np.ndarray
+    p_voice: np.ndarray
+    label: np.ndarray       # 0 or 1
+    distractor: np.ndarray  # bool
+
+    def __len__(self):
+        return len(self.score)
+
+
 class PredictionRecord(NamedTuple):
-    """One scored cell; (scene_id, speaker_idx, frame_idx) is unique."""
+    """One row of a prediction CSV."""
 
     scene_id: str
     speaker_idx: int
@@ -33,44 +54,29 @@ class PredictionRecord(NamedTuple):
     label: int
 
 
-def _ranked(records):
-    return sorted(records, key=lambda r: (-r.score, r.scene_id,
-                                          r.speaker_idx, r.frame_idx))
-
-
-def average_precision(records) -> float:
-    """Mean over positives of precision at that positive's rank.
-
-    Raises MetricError when there are no positive records (the metric is
-    undefined, not zero).
-    """
-    ranked = _ranked(records)
-    positives = sum(r.label for r in ranked)
-    if positives == 0:
+def average_precision(cells: Cells) -> float:
+    """Mean over positives of precision at that positive's rank; raises
+    MetricError when no cell is positive (the metric is undefined, not 0)."""
+    order = np.lexsort((cells.frame_idx, cells.speaker_idx, cells.scene_id,
+                        -cells.score))
+    rank = np.flatnonzero(cells.label[order]) + 1
+    if rank.size == 0:
         raise MetricError("average precision undefined: no positive records")
-    hit = 0
-    total = 0.0
-    for rank, rec in enumerate(ranked, start=1):
-        if rec.label:
-            hit += 1
-            total += hit / rank
-    return total / positives
+    # accumulate adds in rank order, as a running total would; a pairwise
+    # sum would change the last bits
+    precision = np.arange(1, rank.size + 1) / rank
+    return float(np.add.accumulate(precision)[-1]) / rank.size
 
 
-def f1_per_speaker(records, threshold: float) -> dict:
-    """F1 of the decision (score > threshold) grouped by speaker index."""
-    counts = {}
-    for r in records:
-        tp, fp, fn = counts.setdefault(r.speaker_idx, [0, 0, 0])
-        predicted = r.score > threshold
-        if predicted and r.label:
-            counts[r.speaker_idx][0] += 1
-        elif predicted and not r.label:
-            counts[r.speaker_idx][1] += 1
-        elif not predicted and r.label:
-            counts[r.speaker_idx][2] += 1
+def f1_per_speaker(cells: Cells, threshold: float) -> dict:
+    """F1 of the decision (score > threshold) keyed by speaker index."""
+    speakers, speaker = np.unique(cells.speaker_idx, return_inverse=True)
+    predicted, label = cells.score > threshold, cells.label == 1
+    counts = [np.bincount(speaker[where], minlength=speakers.size).tolist()
+              for where in (predicted & label, predicted & ~label,
+                            ~predicted & label)]  # tp, fp, fn
     out = {}
-    for spk, (tp, fp, fn) in sorted(counts.items()):
+    for spk, tp, fp, fn in zip(speakers.tolist(), *counts):
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         denom = precision + recall
@@ -78,28 +84,41 @@ def f1_per_speaker(records, threshold: float) -> dict:
     return out
 
 
-def false_positive_count(records, threshold: float, distractor_cells=None) -> int:
-    """Label-0 records scoring above the threshold; optionally restricted to
-    the given set of distractor-annotated (scene_id, speaker, frame) cells."""
-    count = 0
-    for r in records:
-        if r.label or r.score <= threshold:
-            continue
-        if distractor_cells is not None and (
-                (r.scene_id, r.speaker_idx, r.frame_idx) not in distractor_cells):
-            continue
-        count += 1
-    return count
+def false_positive_count(cells: Cells, threshold: float, where=True) -> int:
+    """Label-0 cells scoring above the threshold, among those the boolean
+    mask ``where`` selects (all by default)."""
+    return int(np.count_nonzero((cells.label == 0) & (cells.score > threshold)
+                                & where))
 
 
-def write_predictions(records, path) -> None:
+def eval_metrics(cells: Cells, raw_cells: Cells, threshold: float) -> dict:
+    """The ``eval`` report of gated and raw scores of the same cells."""
+    f1 = f1_per_speaker(cells, threshold)
+    metrics = {
+        "n_records": len(cells),
+        "threshold": float(threshold),
+        "ap": average_precision(cells),
+        "ap_nogate": average_precision(raw_cells),
+        "fp_total": false_positive_count(cells, threshold),
+        "fp_total_nogate": false_positive_count(raw_cells, threshold),
+        "fp_distractor": false_positive_count(cells, threshold,
+                                              cells.distractor),
+        "fp_distractor_nogate": false_positive_count(raw_cells, threshold,
+                                                     raw_cells.distractor),
+    }
+    metrics.update({f"f1_speaker_{spk}": value for spk, value in f1.items()})
+    metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
+    return metrics
+
+
+def write_predictions(cells: Cells, path) -> None:
     """CSV with fixed 9-decimal score serialization."""
+    rows = zip(*(getattr(cells, name).tolist() for name in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.scene_id, r.speaker_idx, r.frame_idx,
-                             f"{r.score:.9f}", f"{r.p_voice:.9f}", r.label])
+        writer.writerows((sid, spk, frame, f"{score:.9f}", f"{p:.9f}", label)
+                         for sid, spk, frame, score, p, label in rows)
 
 
 def read_predictions(path) -> list:

@@ -21,6 +21,13 @@ same bytes for every array.
 perturbed pass re-running the whole loss; ``gradcheck`` replays only the
 op calls a perturbed Parameter reaches, and the tests require the two to
 report the same errors.
+
+``average_precision``, ``f1_per_speaker``, ``false_positive_count`` and
+``distractor_cells`` are the ranking metrics in their former record form,
+one Python loop over ``PredictionRecord`` tuples each, and ``eval_metrics``
+is the report ``cmd_eval`` built from them; the package's metrics read the
+arrays of one ``evaluation.Cells``, and the tests require the same values
+bit for bit.
 """
 
 import numpy as np
@@ -29,7 +36,7 @@ from scipy.special import expit
 from dualstream.data import (_DISTRACTOR_STAY, _FACE_SCALE, _LIP_AMPLITUDE,
                              _LIP_RATE, STEPS_PER_FRAME, Scenario, _lip_mask,
                              frame_steps, slot_signature)
-from dualstream.errors import DimensionError
+from dualstream.errors import DimensionError, MetricError
 from dualstream.gradcheck import STEP, relative_error
 from dualstream.tensor import (Tensor, _data, _unbroadcast,
                                attention_backward, attention_forward,
@@ -308,3 +315,90 @@ def full_recompute_audit(build_loss, params, max_coords=16, seed=0,
                                               numeric, floor))
             worst[p.name] = err
     return worst
+
+
+def _ranked(records):
+    return sorted(records, key=lambda r: (-r.score, r.scene_id,
+                                          r.speaker_idx, r.frame_idx))
+
+
+def average_precision(records) -> float:
+    """Mean over positives of precision at that positive's rank.
+
+    Raises MetricError when there are no positive records (the metric is
+    undefined, not zero).
+    """
+    ranked = _ranked(records)
+    positives = sum(r.label for r in ranked)
+    if positives == 0:
+        raise MetricError("average precision undefined: no positive records")
+    hit = 0
+    total = 0.0
+    for rank, rec in enumerate(ranked, start=1):
+        if rec.label:
+            hit += 1
+            total += hit / rank
+    return total / positives
+
+
+def f1_per_speaker(records, threshold: float) -> dict:
+    """F1 of the decision (score > threshold) grouped by speaker index."""
+    counts = {}
+    for r in records:
+        tp, fp, fn = counts.setdefault(r.speaker_idx, [0, 0, 0])
+        predicted = r.score > threshold
+        if predicted and r.label:
+            counts[r.speaker_idx][0] += 1
+        elif predicted and not r.label:
+            counts[r.speaker_idx][1] += 1
+        elif not predicted and r.label:
+            counts[r.speaker_idx][2] += 1
+    out = {}
+    for spk, (tp, fp, fn) in sorted(counts.items()):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        denom = precision + recall
+        out[spk] = 2.0 * precision * recall / denom if denom else 0.0
+    return out
+
+
+def false_positive_count(records, threshold: float, distractor_cells=None) -> int:
+    """Label-0 records scoring above the threshold; optionally restricted to
+    the given set of distractor-annotated (scene_id, speaker, frame) cells."""
+    count = 0
+    for r in records:
+        if r.label or r.score <= threshold:
+            continue
+        if distractor_cells is not None and (
+                (r.scene_id, r.speaker_idx, r.frame_idx) not in distractor_cells):
+            continue
+        count += 1
+    return count
+
+
+def distractor_cells(scenes) -> set:
+    cells = set()
+    for scene in scenes:
+        for spk, frame in zip(*np.nonzero(scene.distractor)):
+            cells.add((scene.scene_id, int(spk), int(frame)))
+    return cells
+
+
+def eval_metrics(records, raw_records, threshold, cells) -> dict:
+    """``cmd_eval``'s report of the gated and raw records; ``cells`` is the
+    ``distractor_cells`` set."""
+    f1 = f1_per_speaker(records, threshold)
+    metrics = {
+        "n_records": len(records),
+        "threshold": float(threshold),
+        "ap": average_precision(records),
+        "ap_nogate": average_precision(raw_records),
+        "fp_total": false_positive_count(records, threshold),
+        "fp_total_nogate": false_positive_count(raw_records, threshold),
+        "fp_distractor": false_positive_count(records, threshold, cells),
+        "fp_distractor_nogate": false_positive_count(raw_records, threshold, cells),
+    }
+    for spk, value in f1.items():
+        metrics[f"f1_speaker_{spk}"] = value
+    metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
+    return metrics

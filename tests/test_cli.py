@@ -599,7 +599,8 @@ def test_out_of_memory_is_usage_error(pipeline, tmp_path, monkeypatch,
 class TestCorpusShapes:
     """train and eval hold every scene to data.check_scene (data.height,
     data.width, data.mel_bins, model.s_max, S and T >= 1, finite values,
-    0/1 flags) and read ids as unique UTF-8, before any work, and exit 2."""
+    0/1 flags, no label on a masked-out cell) and read ids as unique UTF-8,
+    before any work, and exit 2."""
 
     # each malformed scene and the start of the error that names it
     NAMED = {
@@ -615,6 +616,8 @@ class TestCorpusShapes:
         "labels": "scene odd-labels: labels must be 0 or 1, got 2",
         "mask": "scene odd-mask: mask must be 0 or 1, got 7",
         "distractor": "scene odd-distractor: distractor must be 0 or 1, got 5",
+        "masked_label": "scene odd-masked_label: label on masked-out speaker "
+                        "1, frame 1",
         "utf8_id": "corpus scene 3: id at offset",
         "duplicate_id": "corpus scene 4: duplicate id odd-duplicate_id "
                         "(first at scene 3)",
@@ -650,6 +653,7 @@ class TestCorpusShapes:
                "labels": poked("labels", 2),
                "mask": poked("mask", 7),
                "distractor": poked("distractor", 5),
+               "masked_label": poked("labels", 1),  # base masks out slot 1
                "utf8_id": base,
                "duplicate_id": base}
         paths = {}

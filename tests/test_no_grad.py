@@ -16,7 +16,8 @@ from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import (Parameter, add, conv1d_same, getitem, linear,
                                mul, no_grad, op, tanh_birnn, tsum)
 
-from oracles import attention_core, layer_norm
+from oracles import attention_core, distractor_cells, layer_norm
+from test_evaluation import records_of
 from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
 
 
@@ -168,10 +169,28 @@ def test_collect_predictions_matches_taped_loop(monkeypatch):
     monkeypatch.setattr(model, "forward", forward)
     monkeypatch.setattr(gate_net, "logits", logits)
     for apply_gate in (True, False):
-        got = collect_predictions(model, gate_net, scenes, gp, apply_gate)
+        got = tuple(map(records_of, collect_predictions(
+            model, gate_net, scenes, gp, apply_gate)))
         assert got == want[apply_gate]
         assert taping()
     assert taped == [False] * 12
+
+
+def test_collect_predictions_shares_all_but_the_scores():
+    """Both cell sets flag the scenes' distractor cells and share every
+    array but ``score``."""
+    cfg = RunConfig({"data.seed": 4, "data.distractor_rate": 0.5})
+    scenes = generate(cfg.gen_config(), 3)
+    cells, raw_cells = collect_predictions(
+        ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg), scenes,
+        cfg.gate_params(), True)
+    flagged = {r[:3] for r, d in zip(records_of(cells), cells.distractor)
+               if d}
+    assert flagged == distractor_cells(scenes)
+    assert cells.distractor.dtype == bool and cells.scene_id.dtype == object
+    for name in ("scene_id", "speaker_idx", "frame_idx", "p_voice", "label",
+                 "distractor"):
+        assert getattr(raw_cells, name) is getattr(cells, name), name
 
 
 # the full passes that check the first replayed pass of "a", then of "b"

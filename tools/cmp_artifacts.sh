@@ -8,6 +8,11 @@
 # one BLAS thread and in a directory of its own, the script runs
 #   * default sizes: gen-data of 48 training and 16 held-out scenes, train
 #     for 4 model and 4 gate epochs, eval with the gate on and off;
+#   * the same two evals of that model on a tie set, where tie-breaks decide
+#     AP: the first 4 held-out scenes repeated 4 times under the unsorted ids
+#     tie{7i mod 16:02d}, labels zeroed on alternate repeats, so each cell's
+#     score ties with 3 others, positive and negative (written with the
+#     tree's own read_corpus and write_corpus);
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
@@ -19,12 +24,12 @@
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared: 48 files, 13 per train and eval set, the
-# five gradcheck reports and 4 from the gen-data pair.  Last, it prints each
-# tree's line total of src/dualstream/*.py.  Exit 0: every pair is
-# byte-identical.
+# command's stdout are compared: 55 files, 13 per train and eval set, 7 from
+# the tie set, the five gradcheck reports and 4 from the gen-data pair.
+# Last, it prints each tree's line total of src/dualstream/*.py.  Exit 0:
+# every pair is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
-# Exit 2: a command failed.  About 28 s per tree on a 2-core x86 host.
+# Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -70,6 +75,18 @@ run_set() {  # run_set TREE OUT_DIR
             done
         }
         pipeline default 48 4
+        PYTHONPATH="$src" python3 -c '
+from dataclasses import replace
+from dualstream.data import read_corpus, write_corpus
+first = read_corpus("default.held.bin")[:4]
+write_corpus([replace(sc, scene_id=f"tie{7 * i % 16:02d}",
+                      labels=sc.labels * (i // 4 % 2 == 0))
+              for i, sc in enumerate(first * 4)], "tie.held.bin")' || exit 2
+        for gate in on off; do
+            ds eval --corpus tie.held.bin --model default.ckpt --gate "$gate" \
+                --predictions "tie.gate-$gate.csv" \
+                --metrics "tie.gate-$gate.metrics" > "tie.gate-$gate.out"
+        done
         pipeline speaker 48 4 --set model.ablate_speaker=true
         pipeline long 24 2 --set data.frames=48 --set data.speakers=4 \
             --set model.ablate_temporal=true
