@@ -5,30 +5,34 @@ multi-head attention, a residual add, layer normalization, a two-layer
 MLP, another residual add and a second layer normalization; self-attention
 is cross-attention of a sequence with itself.  Normalization is applied
 *after* each residual add (post-norm), and attention logits are scaled by
-1/sqrt(head_dim).
+1/sqrt(head_dim).  The block's numpy kernels below check nothing:
+``AttentionBlock`` checks heads and epsilon once, ``_block`` its tokens.
 
 No dropout and no positional encoding anywhere: determinism matters more
-than regularization at this scale, and order information enters the model
-only through the learnable speaker embedding.
+than regularization at this scale.  The learnable speaker embedding gives
+each slot an identity, but nothing gives frame order: permuting a scene's
+frames permutes the model's scores the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-from .tensor import (Module, Parameter, Tensor, attention_backward,
-                     attention_forward, gelu_backward, gelu_forward,
-                     init_uniform, layer_norm_backward, layer_norm_forward,
-                     linear_backward, linear_forward, op)
+from .errors import ContractError, DimensionError
+from .tensor import (Module, Parameter, Tensor, gelu_backward, gelu_forward,
+                     init_uniform, linear_backward, linear_forward, op)
 
 
 class AttentionBlock(Module):
-    """Projection, MLP and norm parameters of one block of width ``dim``
-    (``ModelConfig`` checks that ``heads`` divides it); it serves as SAL or
-    as CAL, depending only on its key/value input."""
+    """Projection, MLP and norm parameters of one block of width ``dim`` in
+    ``heads`` heads: a SAL or a CAL, depending only on its key/value input."""
 
     def __init__(self, dim, heads, mlp_hidden, rng, name, ln_eps):
+        if heads < 1 or dim % heads != 0:
+            raise DimensionError(
+                f"attention: {dim} channels do not split into {heads} heads")
+        if not ln_eps > 0:
+            raise ContractError(f"layer_norm eps must be > 0, got {ln_eps}")
         d, h = dim, mlp_hidden
         self.heads = heads
         self.ln_eps = float(ln_eps)
@@ -56,6 +60,73 @@ def _check_tokens(x, model_dim, who):
     if x.shape[-1] != model_dim:
         raise DimensionError(
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
+
+
+def layer_norm_forward(x, gamma, beta, eps):
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    Returns the output and the (xhat, 1 / sqrt(var + eps)) its backward
+    reuses.
+    """
+    inv_c = 1.0 / float(x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_c
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
+           + eps) ** -0.5
+    xhat = centered * inv
+    return xhat * gamma + beta, (xhat, inv)
+
+
+def layer_norm_backward(g, gamma, saved):
+    """Gradients for (x, gamma, beta), with the standard closed form (Ba et
+    al., 2016): with gx_hat = g * gamma,
+    dx = (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)) / sqrt(var + eps).
+    """
+    xhat, inv = saved
+    c = gamma.shape[0]
+    gxhat = g * gamma
+    # sum / c is what ndarray.mean computes, without its Python wrapper
+    gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) / c
+                - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / c))
+    g2 = g.reshape(-1, c)
+    return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
+
+
+def _split_heads(t, num_heads):  # [B, L, D] -> [B, heads, L, D / heads]
+    b, length, d = t.shape
+    return t.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(t):  # [B, heads, L, hd] -> [B, L, heads * hd]
+    b, num_heads, length, hd = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(b, length, num_heads * hd)
+
+
+def attention_forward(q, k, v, num_heads):
+    """Multi-head scaled dot-product attention core.
+
+    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
+    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
+    over the keys, and the heads are merged back to [B, Lq, D].  Returns the
+    output and the split q/k/v and softmax weights the backward recomputes
+    from (as in Dao et al., 2022).
+    """
+    qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
+    logits = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(float(qh.shape[3])))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
+
+
+def attention_backward(g, saved):
+    """Gradients for (q, k, v)."""
+    qh, kh, vh, weights = saved
+    scale = 1.0 / np.sqrt(float(qh.shape[3]))
+    gh = _split_heads(g, qh.shape[1])
+    gw = gh @ vh.transpose(0, 1, 3, 2)
+    gv = weights.transpose(0, 1, 3, 2) @ gh
+    gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+    return (_merge_heads(gl @ kh), _merge_heads(gl.transpose(0, 1, 3, 2) @ qh),
+            _merge_heads(gv))
 
 
 @op

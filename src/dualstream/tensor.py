@@ -21,8 +21,8 @@ Design points:
     directions of the gate's recurrence) here, and the whole attention
     block (``attention._block``), ``losses.masked_bce`` and
     ``losses.contrastive_av``.  Their arithmetic lives in plain numpy
-    forward / backward kernels (``linear_forward``, ``layer_norm_forward``,
-    ``attention_forward``, ...) that the ops and the composites share.  Each
+    forward / backward kernels: ``linear_*`` and ``gelu_*`` here, which the
+    ops and the block share, and the block's own in ``attention``.  Each
     composite's forward replays the arithmetic of the op chain it replaced
     in the same order, so its outputs are bit-identical to that chain's.
     The backwards of ``conv1d_same``, ``tanh_birnn``, the block and
@@ -465,8 +465,6 @@ def broadcast_to(a, shape):
 
 def linear_forward(x, w, b):
     """x @ w + b over the last axis, as matmul-then-add computes it."""
-    if x.ndim == 1:
-        return (x.reshape(1, -1) @ w + b).reshape(-1)
     return x @ w + b
 
 
@@ -487,91 +485,6 @@ def gelu_forward(x):
 
 def gelu_backward(g, x, phi):
     return g * (phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI)
-
-
-def layer_norm_forward(x, gamma, beta, eps):
-    """Normalize the last axis to zero mean / unit variance, then scale+shift.
-
-    Returns the output and the (xhat, 1 / sqrt(var + eps)) its backward
-    reuses.
-    """
-    if eps <= 0:
-        raise ContractError(f"layer_norm eps must be > 0, got {eps}")
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
-            f"must match channel axis of {x.shape}")
-    inv_c = 1.0 / float(c)
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_c
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
-           + eps) ** -0.5
-    xhat = centered * inv
-    return xhat * gamma + beta, (xhat, inv)
-
-
-def layer_norm_backward(g, gamma, saved):
-    """Gradients for (x, gamma, beta), with the standard closed form (Ba et
-    al., 2016): with gx_hat = g * gamma,
-    dx = (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)) / sqrt(var + eps).
-    """
-    xhat, inv = saved
-    c = gamma.shape[0]
-    gxhat = g * gamma
-    # sum / c is what ndarray.mean computes, without its Python wrapper
-    gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) / c
-                - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / c))
-    g2 = g.reshape(-1, c)
-    return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
-
-
-def _split_heads(t, num_heads):  # [B, L, D] -> [B, heads, L, D / heads]
-    b, length, d = t.shape
-    return t.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(t):  # [B, heads, L, hd] -> [B, L, heads * hd]
-    b, num_heads, length, hd = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(b, length, num_heads * hd)
-
-
-def attention_forward(q, k, v, num_heads):
-    """Multi-head scaled dot-product attention core.
-
-    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
-    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
-    over the keys, and the heads are merged back to [B, Lq, D].  Returns the
-    output and the split q/k/v and softmax weights the backward recomputes
-    from (as in Dao et al., 2022).
-    """
-    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-        raise DimensionError(
-            f"attention expects q [B, Lq, D] and k, v [B, Lk, D], got "
-            f"{q.shape}, {k.shape}, {v.shape}")
-    if k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]:
-        raise DimensionError(
-            f"attention: keys {k.shape} incompatible with queries {q.shape}")
-    if num_heads < 1 or q.shape[2] % num_heads != 0:
-        raise DimensionError(
-            f"attention: {q.shape[2]} channels do not split into "
-            f"{num_heads} heads")
-    qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
-    logits = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(float(qh.shape[3])))
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
-
-
-def attention_backward(g, saved):
-    """Gradients for (q, k, v)."""
-    qh, kh, vh, weights = saved
-    scale = 1.0 / np.sqrt(float(qh.shape[3]))
-    gh = _split_heads(g, qh.shape[1])
-    gw = gh @ vh.transpose(0, 1, 3, 2)
-    gv = weights.transpose(0, 1, 3, 2) @ gh
-    gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
-    return (_merge_heads(gl @ kh), _merge_heads(gl.transpose(0, 1, 3, 2) @ qh),
-            _merge_heads(gv))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ rebuild those chains from the ops here and require the fused nodes to give
 the chains' values bit for bit and their gradients bit for bit or to
 rounding.  Their arithmetic is the package's former ops', unchanged.  Each
 is a ``tensor.op``, so it honours ``no_grad`` and ``gradcheck`` can replay
-it.  ``layer_norm`` and ``attention_core`` wrap the package's numpy kernels
-as stand-alone tape nodes, so that each kernel is checked on its own, as
-the fused block's former ops were.
+it.  ``layer_norm`` and ``attention_core`` wrap the numpy kernels of
+``dualstream.attention`` as stand-alone tape nodes, so that each kernel is
+checked on its own, as the fused block's former ops were.
 
 ``generate_scene`` is the scene generator in its former loop form: lip
 motion and speech audio built one (slot, frame) cell at a time.
@@ -33,15 +33,15 @@ bit for bit.
 import numpy as np
 from scipy.special import expit
 
+from dualstream.attention import (attention_backward, attention_forward,
+                                  layer_norm_backward, layer_norm_forward)
 from dualstream.data import (_DISTRACTOR_STAY, _FACE_SCALE, _LIP_AMPLITUDE,
                              _LIP_RATE, STEPS_PER_FRAME, Scenario, _lip_mask,
                              frame_steps, slot_signature)
 from dualstream.errors import DimensionError, MetricError
 from dualstream.gradcheck import STEP, relative_error
-from dualstream.tensor import (Tensor, _data, _unbroadcast,
-                               attention_backward, attention_forward,
-                               backward, layer_norm_backward,
-                               layer_norm_forward, no_grad, op, zero_grads)
+from dualstream.tensor import (Tensor, _data, _unbroadcast, backward, no_grad,
+                               op, zero_grads)
 
 
 def _lift(x):
@@ -155,7 +155,7 @@ def take_rows(a, idx):
 
 @op
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """``tensor.layer_norm_forward`` / ``_backward`` as one tape node."""
+    """``attention.layer_norm_forward`` / ``_backward`` as one tape node."""
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     out, saved = layer_norm_forward(x.data, gamma.data, beta.data, eps)
     return (out, (x, gamma, beta),
@@ -164,7 +164,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 @op
 def attention_core(q, k, v, num_heads):
-    """``tensor.attention_forward`` / ``_backward`` as one tape node."""
+    """``attention.attention_forward`` / ``_backward`` as one tape node."""
     q, k, v = _lift(q), _lift(k), _lift(v)
     out, saved = attention_forward(q.data, k.data, v.data, num_heads)
     return out, (q, k, v), lambda g, need: attention_backward(g, saved)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
-from dualstream.errors import DimensionError
+from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, backward, gelu, linear,
                                mul, reshape, transpose, tsum, zero_grads)
@@ -149,10 +149,29 @@ class TestMhsa:
             sal_forward(Tensor(np.zeros((1, 3, 6))), layer)
 
     def test_heads_must_divide_width(self):
-        # ModelConfig refuses such a model; the block's kernel refuses too
-        layer = make_sal(10, 4, np.random.default_rng(18))
+        # ModelConfig refuses such a model; the block refuses it when built
         with pytest.raises(DimensionError, match="do not split into 4 heads"):
-            sal_forward(Tensor(np.zeros((1, 3, 10))), layer)
+            make_sal(10, 4, np.random.default_rng(18))
+
+    def test_heads_must_be_positive(self):
+        with pytest.raises(DimensionError, match="do not split into 0 heads"):
+            make_sal(8, 0, np.random.default_rng(18))
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ContractError, match="layer_norm eps must be > 0"):
+            AttentionBlock(8, 2, 32, np.random.default_rng(19), "sal", eps)
+
+    def test_bad_tokens_rejected(self):
+        # the block's kernels check nothing: _block refuses these per call
+        layer = make_sal(8, 2, np.random.default_rng(20))
+        tokens = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(DimensionError, match="query: expected"):
+            sal_forward(Tensor(np.zeros((3, 8))), layer)
+        with pytest.raises(DimensionError, match="key/value: expected"):
+            cal_forward(tokens, Tensor(np.zeros((3, 8))), layer)
+        with pytest.raises(DimensionError, match="key/value: channel dim 6"):
+            cal_forward(tokens, Tensor(np.zeros((2, 5, 6))), layer)
 
     def test_matches_primitive_composition_bit_for_bit(self):
         rng = np.random.default_rng(15)

@@ -193,13 +193,15 @@ class TestConfidenceNet:
         out = voice_confidence(audio2, net)
         assert abs(out[0] - base[0]) > 0
 
-    def test_learns_speech_detection(self):
+    def held_out_accuracy(self, init):
+        """Frame accuracy on 12 held-out scenes of a net from init ``init``
+        trained on 30 scenes at lr 0.1, momentum 0.9, for 8 epochs."""
         cfg = GenConfig(seed=21, speakers=2, frames=10, noise_std=0.3,
                         p_off_on=0.06)
         train_scenes = generate(cfg, 30)
         held_out = generate(GenConfig(seed=99, speakers=2, frames=10,
                                       noise_std=0.3, p_off_on=0.06), 12)
-        net = self.make_net(seed=1)
+        net = self.make_net(seed=init)
         train_gate(net, train_scenes, epochs=8, lr=0.1, momentum=0.9, seed=0)
         hits = total = 0
         for scene in held_out:
@@ -207,7 +209,17 @@ class TestConfidenceNet:
             truth = scene.labels.sum(axis=0) > 0
             hits += ((p >= 0.5) == truth).sum()
             total += truth.size
-        assert hits / total >= 0.9, f"held-out accuracy {hits / total:.3f}"
+        return hits / total
+
+    def test_learns_speech_detection(self):
+        accuracy = self.held_out_accuracy(1)
+        assert accuracy >= 0.9, f"held-out accuracy {accuracy:.3f}"
+
+    @pytest.mark.xfail(strict=True, reason="train_gate is unstable on a small "
+                       "corpus: inits 4-7 end at held-out accuracy 0.525-0.750")
+    def test_learns_speech_detection_from_every_init(self):
+        accuracies = [self.held_out_accuracy(init) for init in range(8)]
+        assert min(accuracies) >= 0.9, f"held-out accuracies {accuracies}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from dualstream import model as model_module
 from dualstream.cli import _build_gate_net
 from dualstream.config import RunConfig
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
-from dualstream.data import GenConfig, generate_scene
+from dualstream.data import GenConfig, frame_steps, generate_scene
+from dualstream.gate import voice_confidence
 from dualstream.gradcheck import (check_parameter_gradients, reached,
                                   recorded_calls, replay)
 from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
@@ -243,6 +244,31 @@ class TestDualForward:
                     + stack.head_b.data).squeeze(-1)
         npt.assert_allclose(dual_forward(Tensor(f_av), stack).data, expected,
                             atol=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"data.speakers": 4, "data.frames": 48}, {"model.ablate_temporal": True},
+], ids=["default", "s4_t48", "ablate_temporal"])
+def test_frame_order_reaches_the_gate_but_not_the_model(overrides):
+    """Permuting a scene's frames (its crops on axis 1, its audio in whole
+    ``data.frame_steps`` blocks) permutes the model's scores the same way:
+    nothing in the model gives frame order.  The voice gate's convolution
+    and recurrence do read it, so its confidences do not follow."""
+    cfg = RunConfig(overrides)
+    model = ActiveSpeakerModel(cfg.model_config())
+    gate_net = _build_gate_net(cfg)
+    gen = cfg.gen_config()
+    for index in range(5):
+        scene = generate_scene(gen, index)
+        perm = np.random.default_rng([24, index]).permutation(gen.frames)
+        audio = frame_steps(scene.audio)[perm].reshape(scene.audio.shape)
+        with no_grad():
+            base = model.forward(scene.visual, scene.audio).scores.data
+            moved = model.forward(scene.visual[:, perm], audio).scores.data
+        npt.assert_allclose(moved, base[:, perm], atol=1e-12, rtol=0)
+        gate_base = voice_confidence(scene.audio, gate_net)
+        gate_moved = voice_confidence(audio, gate_net)
+        assert np.abs(gate_moved - gate_base[perm]).max() > 1e-6
 
 
 def test_full_model_gradients_match_finite_differences():

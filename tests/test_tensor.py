@@ -119,15 +119,6 @@ class TestLayerNorm:
         npt.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         npt.assert_allclose(out.var(axis=-1), 1.0, atol=1e-6)
 
-    def test_eps_nonpositive_rejected(self):
-        with pytest.raises(ContractError):
-            layer_norm(Tensor([1.0]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
-
-    def test_gamma_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(3)),
-                       Tensor(np.zeros(3)), eps=1e-5)
-
     def test_matches_primitive_composition_bit_for_bit(self):
         rng = np.random.default_rng(9)
         for shape in [(7,), (3, 8), (2, 5, 16)]:
@@ -283,18 +274,6 @@ class TestAttentionCore:
             one = attention_core(Tensor(q[..., sl]), Tensor(k[..., sl]),
                                  Tensor(v[..., sl]), 1).data
             npt.assert_allclose(both[..., sl], one, atol=1e-12, rtol=0)
-
-    @pytest.mark.parametrize("q_shape,k_shape,v_shape,heads", [
-        ((2, 3, 4), (2, 5, 6), (2, 5, 6), 2),   # channel mismatch
-        ((2, 3, 4), (3, 5, 4), (3, 5, 4), 2),   # batch mismatch
-        ((2, 3, 4), (2, 5, 4), (2, 4, 4), 2),   # keys vs values
-        ((2, 3, 6), (2, 5, 6), (2, 5, 6), 4),   # heads do not divide
-        ((3, 4), (3, 4), (3, 4), 1),            # rank
-    ])
-    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, heads):
-        with pytest.raises(DimensionError):
-            attention_core(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
-                           Tensor(np.zeros(v_shape)), heads)
 
 
 class TestBackward:

@@ -26,8 +26,10 @@
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
 # command's stdout are compared: 55 files, 13 per train and eval set, 7 from
 # the tie set, the five gradcheck reports and 4 from the gen-data pair.
-# Last, it prints each tree's line total of src/dualstream/*.py.  Exit 0:
-# every pair is byte-identical.
+# Last, it prints each tree's line total of src/dualstream/*.py, raw and in
+# code lines: blank, comment-only and docstring lines are not counted, so
+# deleting comments does not read as a smaller program.  Exit 0: every
+# pair is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
 # Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
 set -euo pipefail
@@ -122,6 +124,17 @@ else
     echo "runs kept in $work"
 fi
 for tree in "$1" "$2"; do
-    echo "$(cat "$tree"/src/dualstream/*.py | wc -l) lines in $tree/src/dualstream/*.py"
+    code=$(python3 -c '
+import ast, sys
+code = 0
+for path in sys.argv[1:]:
+    text = open(path).read()
+    docs = {i for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Expr)
+            and isinstance(n.value, ast.Constant) and isinstance(n.value.value, str)
+            for i in range(n.lineno, n.end_lineno + 1)}
+    code += sum(1 for i, line in enumerate(text.splitlines(), 1) if i not in docs
+                and line.strip() and not line.lstrip().startswith("#"))
+print(code)' "$tree"/src/dualstream/*.py)
+    echo "$(cat "$tree"/src/dualstream/*.py | wc -l) lines ($code code lines) in $tree/src/dualstream/*.py"
 done
 exit "$status"
