@@ -21,7 +21,7 @@ from .errors import (ConfigError, ContractError, DimensionError, FormatError,
 from .evaluation import Cells, eval_metrics, metrics_report, write_predictions
 from .gate import ConfidenceNet, gate_batch, voice_confidence
 from .gradcheck import check_parameter_gradients, worst_by_group
-from .losses import total_loss
+from .losses import LOSS_PARTS, total_loss
 from .model import ActiveSpeakerModel
 from .tensor import add, no_grad
 from .train import (apply_checkpoint, gate_loss, load_checkpoint,
@@ -92,31 +92,41 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def build_detector(cfg: RunConfig):
+    """The untrained detector ``cfg`` names: (model, voice gate)."""
+    return ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg)
+
+
+def train_detector(cfg: RunConfig, model, gate_net, scenes, log_fn=None):
+    """Train the model on ``scenes``, passing ``log_fn`` its per-epoch loss
+    rows, then its voice gate."""
+    train_model(model, scenes, cfg.loss_weights(), cfg["train.epochs"],
+                cfg["train.lr"], cfg["train.momentum"], cfg["train.seed"],
+                log_fn)
+    train_gate(gate_net, scenes, cfg["gate.epochs"], cfg["gate.lr"],
+               cfg["train.momentum"], cfg["train.seed"])
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     if args.epochs is not None:
         cfg.set("train.epochs", args.epochs)
     _echo_config(cfg)
     scenes = _read_corpus(args.corpus, cfg)
-    model = ActiveSpeakerModel(cfg.model_config())
+    model, gate_net = build_detector(cfg)
 
     log_path = args.out + ".log"
     with open(log_path, "w", encoding="utf-8") as log:
-        log.write("epoch,total,l_av,l_v,l_a,l_con\n")
+        columns = ("total", *LOSS_PARTS)
+        log.write(",".join(("epoch", *columns)) + "\n")
 
         def log_fn(row):
-            line = (f"{row['epoch']},{row['total']:.9f},{row['l_av']:.9f},"
-                    f"{row['l_v']:.9f},{row['l_a']:.9f},{row['l_con']:.9f}")
+            line = ",".join([str(row["epoch"]),
+                             *(f"{row[k]:.9f}" for k in columns)])
             log.write(line + "\n")
             print(line)
 
-        train_model(model, scenes, cfg.loss_weights(), cfg["train.epochs"],
-                    cfg["train.lr"], cfg["train.momentum"],
-                    cfg["train.seed"], log_fn)
-
-    gate_net = _build_gate_net(cfg)
-    train_gate(gate_net, scenes, cfg["gate.epochs"], cfg["gate.lr"],
-               cfg["train.momentum"], cfg["train.seed"])
+        train_detector(cfg, model, gate_net, scenes, log_fn)
 
     tensors = {p.name: p.data for p in model.parameters() + gate_net.parameters()}
     save_checkpoint(tensors, args.out)
@@ -148,19 +158,25 @@ def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
     return cells, dataclasses.replace(cells, score=raw)
 
 
+def score_detector(cfg: RunConfig, model, gate_net, scenes, apply_gate=True):
+    """(cells, metrics): the ``Cells`` of ``scenes``, gated if
+    ``apply_gate``, and the eval report's metrics at ``eval.threshold``."""
+    cells, raw_cells = collect_predictions(model, gate_net, scenes,
+                                           cfg.gate_params(), apply_gate)
+    return cells, eval_metrics(cells, raw_cells, cfg["eval.threshold"])
+
+
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _echo_config(cfg)
     scenes = _read_corpus(args.corpus, cfg)
-    model = ActiveSpeakerModel(cfg.model_config())
-    gate_net = _build_gate_net(cfg)
-    tensors = load_checkpoint(args.model)
-    apply_checkpoint(model.parameters() + gate_net.parameters(), tensors)
+    model, gate_net = build_detector(cfg)
+    apply_checkpoint(model.parameters() + gate_net.parameters(),
+                     load_checkpoint(args.model))
 
-    cells, raw_cells = collect_predictions(
-        model, gate_net, scenes, cfg.gate_params(), args.gate == "on")
-    report = metrics_report(eval_metrics(cells, raw_cells,
-                                         cfg["eval.threshold"]))
+    cells, metrics = score_detector(cfg, model, gate_net, scenes,
+                                    args.gate == "on")
+    report = metrics_report(metrics)
     # written once every metric is computed: a metric that cannot be
     # computed leaves neither file behind
     write_predictions(cells, args.predictions)
@@ -185,8 +201,7 @@ def gradcheck_inputs(cfg: RunConfig):
     """The scene, model and voice gate that ``gradcheck`` audits: those of
     ``cfg`` with ``TINY`` set over it."""
     tiny = RunConfig({**cfg.values, **TINY})
-    scene = generate_scene(tiny.gen_config(), 0)
-    return scene, ActiveSpeakerModel(tiny.model_config()), _build_gate_net(tiny)
+    return generate_scene(tiny.gen_config(), 0), *build_detector(tiny)
 
 
 def gradcheck_loss(scene, model, gate_net, weights):

@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import FormatError, MetricError
 
-CSV_COLUMNS = ("scene_id", "speaker_idx", "frame_idx", "score", "p_voice", "label")
-
-
 @dataclass(frozen=True, eq=False)
 class Cells:
     """Scored cells as parallel arrays in the CSV's order; each
@@ -52,6 +49,9 @@ class PredictionRecord(NamedTuple):
     score: float
     p_voice: float
     label: int
+
+
+CSV_COLUMNS = PredictionRecord._fields
 
 
 def average_precision(cells: Cells) -> float:
@@ -93,19 +93,17 @@ def false_positive_count(cells: Cells, threshold: float, where=True) -> int:
 
 def eval_metrics(cells: Cells, raw_cells: Cells, threshold: float) -> dict:
     """The ``eval`` report of gated and raw scores of the same cells."""
+    # each metric of one score set, reported as ``key`` for the gated cells
+    # and ``key_nogate`` for the raw ones
+    per_score_set = (("ap", average_precision),
+                     ("fp_total", lambda c: false_positive_count(c, threshold)),
+                     ("fp_distractor", lambda c: false_positive_count(
+                         c, threshold, c.distractor)))
+    metrics = {"n_records": len(cells), "threshold": float(threshold)}
+    for key, metric in per_score_set:
+        metrics[key] = metric(cells)
+        metrics[f"{key}_nogate"] = metric(raw_cells)
     f1 = f1_per_speaker(cells, threshold)
-    metrics = {
-        "n_records": len(cells),
-        "threshold": float(threshold),
-        "ap": average_precision(cells),
-        "ap_nogate": average_precision(raw_cells),
-        "fp_total": false_positive_count(cells, threshold),
-        "fp_total_nogate": false_positive_count(raw_cells, threshold),
-        "fp_distractor": false_positive_count(cells, threshold,
-                                              cells.distractor),
-        "fp_distractor_nogate": false_positive_count(raw_cells, threshold,
-                                                     raw_cells.distractor),
-    }
     metrics.update({f"f1_speaker_{spk}": value for spk, value in f1.items()})
     metrics["f1_macro"] = sum(f1.values()) / len(f1) if f1 else 0.0
     return metrics

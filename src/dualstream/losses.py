@@ -152,10 +152,14 @@ def active_visual_frames(visual_emb: Tensor, labels) -> Tensor:
     return tsum(mul(visual_emb, weights[:, :, None]), axis=0)
 
 
+# the names of ``total_loss``'s parts, in the train log's column order
+LOSS_PARTS = ("l_av", "l_v", "l_a", "l_con")
+
+
 def total_loss(out, labels, mask, w: LossWeights):
     """Weighted sum of the branch losses of one forward's ``ModelOutput``
     against a scene's {0,1} [S, T] ``labels`` and ``mask``; returns (total,
-    parts dict of each term's value).
+    dict of each term's value keyed by ``LOSS_PARTS``).
 
     ``labels`` are read where ``mask`` is 1 by the per-cell terms; padded
     speaker slots carry all-zero mask rows.  The contrastive term pairs the
@@ -173,6 +177,6 @@ def total_loss(out, labels, mask, w: LossWeights):
 
     total = add(add(mul(l_av, w.w_av), mul(l_v, w.w_v)),
                 add(mul(l_a, w.w_a), mul(l_con, w.w_con)))
-    parts = {"l_av": l_av.item(), "l_v": l_v.item(),
-             "l_a": l_a.item(), "l_con": l_con.item()}
+    parts = dict(zip(LOSS_PARTS, (l_av.item(), l_v.item(), l_a.item(),
+                                  l_con.item())))
     return total, parts

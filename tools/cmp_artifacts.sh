@@ -13,6 +13,10 @@
 #     tie{7i mod 16:02d}, labels zeroed on alternate repeats, so each cell's
 #     score ties with 3 others, positive and negative (written with the
 #     tree's own read_corpus and write_corpus);
+#   * one more eval of that model, gate on, at gate.t_veto=0.6 and
+#     eval.threshold=1.0, where the gate changes a false-positive count
+#     (fp_total 19 against fp_total_nogate 20); at the default threshold
+#     (= gate.t_main = 0) no such count can differ;
 #   * the same default-size set with model.ablate_speaker=true;
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
@@ -24,8 +28,9 @@
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
 # Corpora, checkpoints, train logs, prediction CSVs, metrics and every
-# command's stdout are compared: 55 files, 13 per train and eval set, 7 from
-# the tie set, the five gradcheck reports and 4 from the gen-data pair.
+# command's stdout are compared: 58 files, 13 per train and eval set, 7 from
+# the tie set, 3 from the veto operating point, the five gradcheck reports
+# and 4 from the gen-data pair.
 # Last, it prints each tree's line total of src/dualstream/*.py, raw and in
 # code lines: blank, comment-only and docstring lines are not counted, so
 # deleting comments does not read as a smaller program.  Exit 0: every
@@ -89,6 +94,10 @@ write_corpus([replace(sc, scene_id=f"tie{7 * i % 16:02d}",
                 --predictions "tie.gate-$gate.csv" \
                 --metrics "tie.gate-$gate.metrics" > "tie.gate-$gate.out"
         done
+        ds --set gate.t_veto=0.6 --set eval.threshold=1.0 eval \
+            --corpus default.held.bin --model default.ckpt --gate on \
+            --predictions veto.gate-on.csv --metrics veto.gate-on.metrics \
+            > veto.gate-on.out
         pipeline speaker 48 4 --set model.ablate_speaker=true
         pipeline long 24 2 --set data.frames=48 --set data.speakers=4 \
             --set model.ablate_temporal=true
