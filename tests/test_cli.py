@@ -307,9 +307,9 @@ class TestEval:
                    "--metrics", str(tmp_path / "m.txt")) == 2
 
     @pytest.mark.xfail(strict=True, reason="a checkpoint does not name the "
-                       "model it holds (ROADMAP item 7): an ablated model "
-                       "holds every Parameter of the full one, so its "
-                       "checkpoint passes the name and shape check")
+                       "model it holds: an ablated model holds every "
+                       "Parameter of the full one, so its checkpoint passes "
+                       "the name and shape check")
     def test_checkpoint_of_an_ablated_model_is_refused(self, pipeline,
                                                        tmp_path):
         root, corpus, held, ckpt = pipeline

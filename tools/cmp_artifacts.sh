@@ -36,7 +36,7 @@
 # deleting comments does not read as a smaller program.  Exit 0: every
 # pair is byte-identical.
 # Exit 1: each differing file is named, and both runs are kept for a look.
-# Exit 2: a command failed.  About 22 s per tree on a 2-core x86 host.
+# Exit 2: a command failed.  About 26 s per tree on a 2-core x86 host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
