@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Module, Parameter, Tensor, gelu_backward, gelu_forward,
-                     init_uniform, linear_backward, linear_forward, op)
+from .tensor import (Module, Parameter, Tensor, aligned, gelu_backward,
+                     gelu_forward, init_uniform, linear_backward, linear_forward,
+                     op)
 
 
 class AttentionBlock(Module):
@@ -91,27 +92,28 @@ def layer_norm_backward(g, gamma, saved):
     return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
 
 
-def _split_heads(t, num_heads):  # [B, L, D] -> [B, heads, L, D / heads]
-    b, length, d = t.shape
-    return t.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _split_heads(t, num_heads):  # [..., L, D] -> [..., heads, L, D / heads]
+    *lead, length, d = t.shape
+    return t.reshape(*lead, length, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
-def _merge_heads(t):  # [B, heads, L, hd] -> [B, L, heads * hd]
-    b, num_heads, length, hd = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(b, length, num_heads * hd)
+def _merge_heads(t):  # [..., heads, L, hd] -> [..., L, heads * hd]
+    *lead, num_heads, length, hd = t.shape
+    return t.swapaxes(-3, -2).reshape(*lead, length, num_heads * hd)
 
 
 def attention_forward(q, k, v, num_heads):
     """Multi-head scaled dot-product attention core.
 
-    q [B, Lq, D] and k, v [B, Lk, D] are split into ``num_heads`` heads of
-    D / num_heads channels; each head computes softmax(q k^T / sqrt(hd)) v
-    over the keys, and the heads are merged back to [B, Lq, D].  Returns the
-    output and the split q/k/v and softmax weights the backward recomputes
-    from (as in Dao et al., 2022).
+    q [..., B, Lq, D] and k, v [..., B, Lk, D], whose leading dims
+    broadcast, are split into ``num_heads`` heads of D / num_heads channels;
+    each head computes softmax(q k^T / sqrt(hd)) v over the keys, and the
+    heads are merged back to [..., B, Lq, D].  Returns the output and the
+    split q/k/v and softmax weights the backward recomputes from (as in Dao
+    et al., 2022).
     """
     qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
-    logits = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(float(qh.shape[3])))
+    logits = (qh @ kh.swapaxes(-1, -2)) * (1.0 / np.sqrt(float(qh.shape[-1])))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     return _merge_heads(weights @ vh), (qh, kh, vh, weights)
@@ -120,34 +122,24 @@ def attention_forward(q, k, v, num_heads):
 def attention_backward(g, saved):
     """Gradients for (q, k, v)."""
     qh, kh, vh, weights = saved
-    scale = 1.0 / np.sqrt(float(qh.shape[3]))
-    gh = _split_heads(g, qh.shape[1])
-    gw = gh @ vh.transpose(0, 1, 3, 2)
-    gv = weights.transpose(0, 1, 3, 2) @ gh
+    scale = 1.0 / np.sqrt(float(qh.shape[-1]))
+    gh = _split_heads(g, qh.shape[-3])
+    gw = gh @ vh.swapaxes(-1, -2)
+    gv = weights.swapaxes(-1, -2) @ gh
     gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
-    return (_merge_heads(gl @ kh), _merge_heads(gl.transpose(0, 1, 3, 2) @ qh),
+    return (_merge_heads(gl @ kh), _merge_heads(gl.swapaxes(-1, -2) @ qh),
             _merge_heads(gv))
 
 
-@op
-def _block(x: Tensor, y: Tensor, params, heads, eps):
-    """The post-norm residual block as one tape node.
-
-    The forward replays, on arrays and in the same order, the op chain
-    q/k/v projections, attention core, output projection, x + attention,
-    layer norm, MLP, z + MLP(z), layer norm; so its output is bit-identical
-    to that chain's.  The parents are x, y (once when ``x is y``) and the 16
-    block parameters ``params``, in ``AttentionBlock.parameters`` order.
-    """
-    d = params[0].shape[0]
-    _check_tokens(x, d, "attention query")
-    _check_tokens(y, d, "attention key/value")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(
-            f"attention batch dims disagree: {x.shape} vs {y.shape}")
-    wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, be1, g2, be2 = (
-        p.data for p in params)
-    xd, yd = x.data, y.data
+def block_forward(xd, yd, weights, heads, eps):
+    """The block's forward on arrays: query tokens ``xd`` [..., B, Lq, D]
+    attend to ``yd`` [..., B, Lk, D] with the 16 ``weights``, in
+    ``AttentionBlock.parameters`` order, each [..., *shape]; the leading
+    dims broadcast.  It replays, in the same order, the op chain q/k/v
+    projections, attention core, output projection, x + attention, layer
+    norm, MLP, z + MLP(z), layer norm; so its output is bit-identical to
+    that chain's.  Returns the output and what the backward reads."""
+    wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, be1, g2, be2 = weights
     core, att = attention_forward(linear_forward(xd, wq, bq),
                                   linear_forward(yd, wk, bk),
                                   linear_forward(yd, wv, bv), heads)
@@ -155,6 +147,36 @@ def _block(x: Tensor, y: Tensor, params, heads, eps):
     h = linear_forward(z, w1, b1)
     u, phi = gelu_forward(h)
     out, ln2 = layer_norm_forward(z + linear_forward(u, w2, b2), g2, be2, eps)
+    return out, (core, att, z, ln1, h, u, phi, ln2)
+
+
+def _block_probes(fn, moved, x, y, params, heads, eps):
+    """``_block``'s batch rule: one ``block_forward`` for all probes, moved
+    tokens [P, B, L, D] as they are and a moved weight aligned to [P, 1,
+    ..., *shape] against them."""
+    return block_forward(x.data, y.data, [aligned(p, moved, 3) for p in params],
+                         heads, eps)[0]
+
+
+@op(batch=_block_probes)
+def _block(x: Tensor, y: Tensor, params, heads, eps):
+    """The post-norm residual block (``block_forward``) as one tape node.
+
+    The parents are x, y (once when ``x is y``) and the 16 block parameters
+    ``params``, in ``AttentionBlock.parameters`` order.
+    """
+    d = params[0].shape[0]
+    _check_tokens(x, d, "attention query")
+    _check_tokens(y, d, "attention key/value")
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(
+            f"attention batch dims disagree: {x.shape} vs {y.shape}")
+    xd, yd = x.data, y.data
+    weights = [p.data for p in params]
+    out, (core, att, z, ln1, h, u, phi, ln2) = block_forward(xd, yd, weights,
+                                                             heads, eps)
+    # the weight matrices and layer-norm gains, the arrays the backward reads
+    wq, wk, wv, wo, w1, w2, g1, g2 = weights[0::2]
     self_attention = x is y
 
     def vjp(g, need):

@@ -44,8 +44,9 @@ _NAMESPACES = ("data", "model", "train", "gate", "loss", "eval")
 
 # the float64 arrays the config alone sizes, as (factor, keys): each holds
 # factor times the product of the keys' values.  A scene's crops and audio,
-# then the weights of the encoders, the stack's MLP and slot table, and the
-# voice gate's convolutions and recurrence
+# then the weights of the encoders, the stack's MLP and slot table, the
+# voice gate's convolutions and recurrence, and last the temporal stream's
+# [S * heads, T, T] attention logits at one head, their lower bound
 _ARRAYS = (
     (1, ("data.speakers", "data.frames", "data.height", "data.width")),
     (STEPS_PER_FRAME, ("data.frames", "data.mel_bins")),
@@ -59,6 +60,7 @@ _ARRAYS = (
     (3, ("gate.conv_hidden", "gate.conv_hidden")),
     (1, ("gate.conv_hidden", "gate.rnn_hidden")),
     (1, ("gate.rnn_hidden", "gate.rnn_hidden")),
+    (1, ("data.speakers", "data.frames", "data.frames")),
 )
 
 

@@ -1,13 +1,18 @@
 """Central finite-difference verification of the analytic gradients.
 
-Used by the test suite and by the ``gradcheck`` CLI command.  A perturbed
-pass moves one parameter coordinate by ``+-STEP`` and re-runs, with
-warnings off, only the op calls (``Tensor.call``) the Parameter reaches
-through their arguments, not the tape's ``parents``; each runs as its op's
-body, which makes no tape node, and the other calls keep their recorded
-values.  The first perturbed pass of each Parameter also runs the whole
-loss under ``no_grad``, which must agree bit for bit.  A perturbed
-coordinate is put back even when the loss raises.
+Used by the test suite and by the ``gradcheck`` CLI command.  Each
+Parameter is probed at up to ``max_coords`` coordinates, each moved by
+``+STEP`` and by ``-STEP``.  Its probes run in lockstep: their values are
+stacked on a leading axis, and one replay re-runs, with warnings off, only
+the op calls (``Tensor.call``) the Parameter reaches through their
+arguments, not the tape's ``parents``.  Each reached call runs once for
+all probes, through its op's batch rule (``tensor.op``): one call on the
+stacked values for the broadcasting ops, the shape ops and the attention
+block, one call per probe for the others.  No tape node is made, and the
+other calls keep their recorded values.  The first probe of each Parameter
+is also run as the whole loss under ``no_grad``, which must agree bit for
+bit.  Every swapped value and perturbed coordinate is put back even when
+an op or the loss raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -22,20 +27,13 @@ import warnings
 import numpy as np
 
 from .errors import NumericalError
-from .tensor import Tensor, backward, no_grad, zero_grads
+from .tensor import backward, no_grad, tensors_in, zero_grads
 
 STEP = 1e-4
 
 
 def relative_error(a, b, floor=1e-4):
     return abs(a - b) / max(abs(a), abs(b), floor)
-
-
-def _tensors(arg):
-    """The Tensors in an op argument: itself, or those in a list or tuple."""
-    if isinstance(arg, (list, tuple)):
-        return [x for item in arg for x in _tensors(item)]
-    return [arg] if isinstance(arg, Tensor) else []
 
 
 def recorded_calls(loss):
@@ -48,7 +46,7 @@ def recorded_calls(loss):
             order.append((t, ids))
         elif t.call is not None and id(t) not in seen:
             seen.add(id(t))
-            inputs = _tensors([*t.call[1], *t.call[2].values()])
+            inputs = tensors_in([*t.call[1], *t.call[2].values()])
             stack.append((t, {id(x) for x in inputs}))
             stack.extend((x, None) for x in inputs)
     return order
@@ -64,18 +62,26 @@ def reached(calls, p):
     return plan
 
 
-def replay(plan, out):
-    """Run a ``reached`` plan again, each call through the op's own body, so
-    no tape node is made; returns ``out``'s new value.  Until it ends, each
-    new value stands in its recorded Tensor's ``data``."""
-    recorded = [t.data for t in plan]
+def replay(plan, out, p, probes):
+    """Run a ``reached(calls, p)`` plan once for all ``probes``, values of
+    ``p`` stacked on a leading axis: each call through its op's batch rule,
+    which makes no tape node.  Returns ``out``'s value under each probe,
+    stacked the same way.  Until it ends, ``p``'s and each replayed
+    Tensor's ``data`` hold their stacked values."""
+    swapped = [p, *plan]
+    recorded = [t.data for t in swapped]
+    moved = {id(p)}
     try:
+        p.data = probes
         for t in plan:
             fn, args, kwargs = t.call
-            t.data = np.asarray(fn(*args, **kwargs)[0], dtype=np.float64)
-        return out.data
+            t.data = fn.lockstep(moved, *args, **kwargs)
+            moved.add(id(t))
+        if id(out) in moved:
+            return out.data
+        return np.broadcast_to(out.data, (len(probes), *out.shape))
     finally:
-        for t, data in zip(plan, recorded):
+        for t, data in zip(swapped, recorded):
             t.data = data
 
 
@@ -111,24 +117,28 @@ def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
                 rng = np.random.default_rng([seed, k])
                 coords = np.sort(rng.choice(n, size=max_coords, replace=False))
             flat = p.data.reshape(-1)
+            # coordinate i + STEP, then i - STEP, for each probed i
+            probes = np.repeat(p.data[None], 2 * len(coords), axis=0)
+            rows = np.arange(len(coords))
+            steps = probes.reshape(len(coords), 2, n)
+            steps[rows, 0, coords] = flat[coords] + STEP
+            steps[rows, 1, coords] = flat[coords] - STEP
+            values = replay(rerun, loss, p, probes).reshape(-1).tolist()
+            orig = flat[coords[0]]
+            try:
+                flat[coords[0]] = orig + STEP
+                full = build_loss().item()
+            finally:
+                flat[coords[0]] = orig
+            if full.hex() != values[0].hex():
+                raise NumericalError(
+                    f"gradcheck: {p.name} reaches the loss outside the op "
+                    f"calls: replayed {values[0]!r}, full {full!r}")
+            grad = analytic[p.name].reshape(-1)
             err = 0.0
-            for i in coords:
-                orig = flat[i]
-                try:
-                    flat[i] = orig + STEP
-                    up = replay(rerun, loss).item()
-                    full = build_loss().item() if i == coords[0] else up
-                    if full.hex() != up.hex():
-                        raise NumericalError(
-                            f"gradcheck: {p.name} reaches the loss outside "
-                            f"the op calls: replayed {up!r}, full {full!r}")
-                    flat[i] = orig - STEP
-                    down = replay(rerun, loss).item()
-                finally:
-                    flat[i] = orig
+            for i, up, down in zip(coords, values[0::2], values[1::2]):
                 numeric = (up - down) / (2.0 * STEP)
-                err = max(err, relative_error(analytic[p.name].reshape(-1)[i],
-                                              numeric, floor))
+                err = max(err, relative_error(grad[i], numeric, floor))
             worst[p.name] = err
     return worst
 

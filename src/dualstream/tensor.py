@@ -36,6 +36,10 @@ Design points:
     reads the ``no_grad`` switch.  ``gradcheck`` re-runs the calls a
     perturbed Parameter reaches through their arguments, so an op reads a
     Parameter only as an argument, never through an object or ``.data``.
+    It re-runs them for all of a Parameter's probes at once, through the
+    batch rule each op declares with ``op``: the broadcasting and shape
+    ops and the attention block make one call on the stacked probe values,
+    the others one call per probe.
     Constants (Python scalars, numpy arrays) never become tape nodes: every
     op, ``concat`` included, takes only its Tensor operands as parents, and
     ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute no gradient for
@@ -164,7 +168,30 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def op(fn):
+def tensors_in(arg):
+    """The Tensors in an op argument: itself, or those in a list or tuple."""
+    if isinstance(arg, (list, tuple)):
+        return [x for item in arg for x in tensors_in(item)]
+    return [arg] if isinstance(arg, Tensor) else []
+
+
+def per_probe(fn, moved, *args, **kwargs):
+    """The default batch rule: ``fn`` once per probe, each time with every
+    moved Tensor's ``data`` set to that probe's value.  If ``fn`` raises,
+    ``gradcheck.replay`` puts back every moved Tensor's recorded value."""
+    held = [t for t in tensors_in([*args, *kwargs.values()]) if id(t) in moved]
+    stacks = [t.data for t in held]
+    outs = []
+    for j in range(len(stacks[0])):
+        for t, stack in zip(held, stacks):
+            t.data = stack[j]
+        outs.append(np.asarray(fn(*args, **kwargs)[0], dtype=np.float64))
+    for t, stack in zip(held, stacks):
+        t.data = stack
+    return np.stack(outs)
+
+
+def op(fn=None, *, batch=per_probe):
     """``fn`` as a tape op, the only maker of a tape node.
 
     ``fn`` computes its forward on plain arrays and returns ``(out,
@@ -175,7 +202,19 @@ def op(fn):
     tape node and, where ``fn`` skips it, no gradient.  Under ``no_grad``,
     or when no operand is a Tensor, the Tensor has no parents.  A taped
     call stays on its output as ``Tensor.call``: ``(fn, args, kwargs)``.
+
+    ``batch`` is the op's batch rule, which ``gradcheck.replay`` runs as
+    ``fn.lockstep(moved, *args, **kwargs)`` for many probes at once: the
+    Tensors whose ids are in ``moved`` hold P probe values stacked on a
+    leading axis in their ``data``, the others their one value, and the
+    rule returns ``out`` for each probe, stacked the same way, equal bit
+    for bit to P calls of ``fn``.  The default, ``per_probe``, is those P
+    calls; ``op(batch=rule)`` declares a rule that makes one call for all.
     """
+    if fn is None:
+        return functools.partial(op, batch=batch)
+    fn.lockstep = functools.partial(batch, fn)
+
     @functools.wraps(fn)
     def taped(*args, **kwargs):
         out, operands, vjp = fn(*args, **kwargs)
@@ -190,6 +229,23 @@ def op(fn):
             t.call = (fn, args, kwargs)
         return t
     return taped
+
+
+def aligned(x, moved, rank):
+    """Operand ``x``'s array in a batch rule whose operands broadcast at
+    ``rank`` dims: a moved Tensor's [P, *shape] data as [P, 1, ..., 1,
+    *shape] of 1 + ``rank`` dims, any other operand as it is."""
+    d = _data(x)
+    if id(x) not in moved:
+        return d
+    return d.reshape(d.shape[:1] + (1,) * (rank + 1 - d.ndim) + d.shape[1:])
+
+
+def _broadcasting(fn, moved, *operands):
+    """Batch rule of an elementwise op: one call on the operands aligned at
+    the highest rank among them."""
+    rank = max(_data(x).ndim - (id(x) in moved) for x in operands)
+    return fn(*(aligned(x, moved, rank) for x in operands))[0]
 
 
 def _unbroadcast(g, shape):
@@ -209,7 +265,7 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 
-@op
+@op(batch=_broadcasting)
 def add(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -220,7 +276,7 @@ def add(a, b):
     return ad + bd, (a, b), vjp
 
 
-@op
+@op(batch=_broadcasting)
 def mul(a, b):
     ad, bd = _data(a), _data(b)
 
@@ -231,7 +287,7 @@ def mul(a, b):
     return ad * bd, (a, b), vjp
 
 
-@op
+@op(batch=_broadcasting)
 def gelu(a):
     """Gaussian-error-linear activation, exact erf form (smooth everywhere)."""
     ad = _data(a)
@@ -243,7 +299,16 @@ def gelu(a):
 # linear algebra
 
 
-@op
+def _linear_probes(fn, moved, x, w, b):
+    rank = _data(x).ndim - (id(x) in moved)
+    if rank == 1:
+        # a probe axis on [n] would turn numpy's vector-matrix product into
+        # a matrix product, which rounds differently
+        return per_probe(fn, moved, x, w, b)
+    return linear_forward(*(aligned(v, moved, rank) for v in (x, w, b)))
+
+
+@op(batch=_linear_probes)
 def linear(x, w, b):
     """Affine map over the last axis: x @ w + b, one tape node.
 
@@ -390,7 +455,13 @@ def tanh_birnn(x, fwd, bwd):
 # reductions
 
 
-@op
+def _tsum_probes(fn, moved, a, axis=None, keepdims=False):
+    if axis is None:  # a full sum's pairwise order spans the whole array
+        return per_probe(fn, moved, a, axis, keepdims)
+    return a.data.sum(axis=_past_probes(axis), keepdims=keepdims)
+
+
+@op(batch=_tsum_probes)
 def tsum(a, axis=None, keepdims=False):
     ad = _data(a)
 
@@ -412,19 +483,47 @@ def tmean(a, axis=None, keepdims=False):
 # shape surgery
 
 
-@op
+def _past_probes(axis):
+    """An axis, or a tuple of axes, of a probe's value as an axis of the
+    stacked probes."""
+    if isinstance(axis, tuple):
+        return tuple(_past_probes(i) for i in axis)
+    return axis + 1 if axis >= 0 else axis
+
+
+# the shape ops' batch rules: their one Tensor operand is moved, so it holds
+# the stacked probes
+
+
+def _reshape_probes(fn, moved, a, shape):
+    return a.data.reshape(len(a.data), *np.atleast_1d(shape))
+
+
+@op(batch=_reshape_probes)
 def reshape(a, shape):
     ad = _data(a)
     return ad.reshape(shape), (a,), lambda g, need: (g.reshape(ad.shape),)
 
 
-@op
+def _transpose_probes(fn, moved, a, axes):
+    return a.data.transpose(0, *(i % (a.ndim - 1) + 1 for i in axes))
+
+
+@op(batch=_transpose_probes)
 def transpose(a, axes):
     inv = tuple(np.argsort(axes))
     return _data(a).transpose(axes), (a,), lambda g, need: (g.transpose(inv),)
 
 
-@op
+def _concat_probes(fn, moved, parts, axis):
+    n = next(len(p.data) for p in parts if id(p) in moved)
+    datas = [_data(p) for p in parts]
+    return np.concatenate(
+        [d if id(p) in moved else np.broadcast_to(d, (n, *d.shape))
+         for p, d in zip(parts, datas)], axis=_past_probes(axis))
+
+
+@op(batch=_concat_probes)
 def concat(parts, axis):
     """Join along ``axis``; each Tensor part gets its slice of the gradient."""
     datas = [_data(p) for p in parts]
@@ -436,7 +535,12 @@ def concat(parts, axis):
     return np.concatenate(datas, axis=axis), parts, vjp
 
 
-@op
+def _getitem_probes(fn, moved, a, key):
+    return np.array(a.data[(slice(None),
+                            *(key if isinstance(key, tuple) else (key,)))])
+
+
+@op(batch=_getitem_probes)
 def getitem(a, key):
     """Basic (int/slice) indexing; the gradient scatters into zeros."""
     ad = _data(a)
@@ -450,7 +554,12 @@ def getitem(a, key):
     return np.array(ad[key]), (a,), vjp
 
 
-@op
+def _broadcast_to_probes(fn, moved, a, shape):
+    return np.ascontiguousarray(np.broadcast_to(
+        aligned(a, moved, len(shape)), (len(a.data), *shape)))
+
+
+@op(batch=_broadcast_to_probes)
 def broadcast_to(a, shape):
     ad = _data(a)
     out = np.ascontiguousarray(np.broadcast_to(ad, shape))

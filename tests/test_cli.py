@@ -206,18 +206,23 @@ class TestEval:
         assert sha(tmp_path / "a.txt") == sha(tmp_path / "b.txt")
 
     def test_gamma_zero_gate_equals_gate_off(self, pipeline, tmp_path):
+        # at the default gate.t_veto no p_voice of this corpus falls below
+        # it (the least is 0.571), so the gate could touch no cell
         root, corpus, held, ckpt = pipeline
-        assert run(*TINY, "--set", "gate.gamma=0.0", "eval",
-                   "--corpus", str(held), "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "on.csv"),
-                   "--metrics", str(tmp_path / "on.txt"),
-                   "--gate", "on") == 0
-        assert run(*TINY, "eval", "--corpus", str(held),
-                   "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "off.csv"),
-                   "--metrics", str(tmp_path / "off.txt"),
-                   "--gate", "off") == 0
-        assert sha(tmp_path / "on.csv") == sha(tmp_path / "off.csv")
+
+        def scores(name, *keys, gate="on"):
+            assert run(*TINY, "--set", "gate.t_veto=0.9", *keys, "eval",
+                       "--corpus", str(held), "--model", str(ckpt),
+                       "--predictions", str(tmp_path / f"{name}.csv"),
+                       "--metrics", str(tmp_path / f"{name}.txt"),
+                       "--gate", gate) == 0
+            return [r.score for r in read_predictions(tmp_path / f"{name}.csv")]
+
+        off = scores("off", gate="off")
+        gated = scores("gated")
+        assert sum(a != b for a, b in zip(gated, off)) > 0
+        assert scores("gamma_zero", "--set", "gate.gamma=0.0") == off
+        assert sha(tmp_path / "gamma_zero.csv") == sha(tmp_path / "off.csv")
 
     def test_predictions_cover_masked_cells_once(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
@@ -404,11 +409,19 @@ def audit(scene, model, gate_net, replayed, max_coords=8):
 
 
 def counted(calls, key, fn):
-    """``fn``, an op, as an op that counts its runs, replayed ones too."""
+    """``fn``, an op, as an op that counts its calls: taped, untaped, and
+    lockstep ones through its batch rule, which each count once."""
+    body = fn.__wrapped__
+
     def counting(*args, **kwargs):
         calls[key] += 1
-        return fn.__wrapped__(*args, **kwargs)
-    return op(counting)
+        return body(*args, **kwargs)
+
+    def lockstep(_fn, moved, *args, **kwargs):
+        calls[key] += 1
+        return body.lockstep(moved, *args, **kwargs)
+
+    return op(counting, batch=lockstep)
 
 
 class TestResumedGradcheck:
@@ -470,14 +483,13 @@ class TestResumedGradcheck:
     def test_runs_only_the_blocks_a_parameter_feeds(self, monkeypatch, capsys):
         """``dualstream gradcheck`` runs one model forward per Parameter
         besides the analytic one, and as many attention blocks and
-        contrastive terms as the dataflow needs, and no more."""
+        contrastive terms as the dataflow needs, and no more: one lockstep
+        replay per Parameter runs each block and term it reaches once for
+        all of its probes."""
         _scene, model, gate_net = gradcheck_inputs(RunConfig())
         stack, n = model.stack, len(model.stack.rounds)
         params = model.parameters() + gate_net.parameters()
         encoders = model.visual_enc.parameters() + model.audio_enc.parameters()
-
-        def passes(p):  # a +step and a -step pass per probed coordinate
-            return 2 * min(p.data.size, 8)
 
         # a forward runs the two fusion CALs and every round's four blocks
         per_forward = 2 + 4 * n
@@ -488,14 +500,14 @@ class TestResumedGradcheck:
                                                        model.cal_va)
                       for p in block.parameters())
         reruns.update((id(p), per_forward) for p in encoders)
-        # the analytic pass, then one full pass per Parameter beside the
-        # replays: its first perturbed pass's check
+        # the analytic pass, then one full pass per Parameter beside its
+        # replay: the check of its first probe
         forwards = 1 + len(params)
-        blocks = forwards * per_forward + sum(
-            passes(p) * reruns.get(id(p), 0) for p in params)
+        blocks = forwards * per_forward + sum(reruns.get(id(p), 0)
+                                              for p in params)
         # only the encoders feed the contrastive term's inputs
-        contrastive = forwards + sum(passes(p) for p in encoders)
-        assert (forwards, blocks, contrastive) == (188, 15_560, 316)
+        contrastive = forwards + len(encoders)
+        assert (forwards, blocks, contrastive) == (188, 2_735, 196)
 
         calls = {"block": 0, "contrastive": 0}
         monkeypatch.setattr(attention, "_block",
@@ -525,12 +537,8 @@ class TestResumedGradcheck:
         with no_grad():
             for p in stack.parameters():
                 calls["block"] = 0
-                flat, orig = p.data.reshape(-1), p.data.flat[0]
-                flat[0] = orig + 1e-4
-                try:
-                    replay(reached(recorded, p), loss)
-                finally:
-                    flat[0] = orig
+                probes = np.stack([p.data, p.data + 1e-4])
+                replay(reached(recorded, p), loss, p, probes)
                 runs.append(calls["block"])
         # every Parameter of both SALs and both CALs of each round, the
         # speaker table and the head, each against its own count
@@ -617,6 +625,18 @@ def test_array_numpy_refuses_is_usage_error(tmp_path, capsys):
             "error: data.speakers 4294967295, data.frames 4294967295, "
             "data.height 8, data.width 8 size an array of more than "
             f"{np.iinfo(np.intp).max} bytes, which numpy refuses\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_attention_logits_past_an_index_are_usage_error(tmp_path, capsys):
+    """Frames whose [S * heads, T, T] attention logits numpy cannot index
+    are refused before any work, naming the keys, though every input array
+    fits."""
+    assert run("--set", "data.frames=4294967295", "gen-data", "--scenes", "1",
+               "--out", str(tmp_path / "c.bin")) == 1
+    assert capsys.readouterr().err == (
+        "error: data.speakers 3, data.frames 4294967295 size an array of "
+        f"more than {np.iinfo(np.intp).max} bytes, which numpy refuses\n")
     assert list(tmp_path.iterdir()) == []
 
 

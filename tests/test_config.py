@@ -136,12 +136,15 @@ class TestSchema:
             RunConfig(values)
 
     def test_array_numpy_can_index_accepted(self):
-        # 2**60 float64s are 2**63 bytes, one more than an index holds
-        sizes = {"data.speakers": 1, "data.frames": 2**30, "data.width": 1}
+        # 2**60 float64s are 2**63 bytes, one more than an index holds; one
+        # frame and one hidden unit keep the attention logits and the
+        # visual encoder's weights below the crops
+        sizes = {"data.speakers": 1, "data.frames": 1, "data.width": 2**30,
+                 "model.vis_hidden": 1}
         RunConfig({**sizes, "data.height": 2**30 - 1})
         with pytest.raises(ConfigError, match=r"^data.speakers 1, "
-                           r"data.frames 1073741824, data.height 1073741824, "
-                           r"data.width 1 size an array of more than "
+                           r"data.frames 1, data.height 1073741824, "
+                           r"data.width 1073741824 size an array of more than "
                            f"{np.iinfo(np.intp).max} bytes"):
             RunConfig({**sizes, "data.height": 2**30})
 

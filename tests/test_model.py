@@ -207,9 +207,10 @@ class TestDualForward:
         assert np.isfinite(out.data).all()
 
     def test_resumed_pass_matches_a_fresh_pass(self):
-        """Replayed from a taped pass's op calls (``gradcheck.replay``) with
-        one block, the speaker table or the head moved, ``dual_forward``
-        gives a fresh pass's logits bit for bit, at 1 to 3 rounds."""
+        """Replayed in lockstep from a taped pass's op calls
+        (``gradcheck.replay``) with one block, the speaker table or the head
+        moved to two probe values, ``dual_forward`` gives each probe's fresh
+        pass's logits bit for bit, at 1 to 3 rounds."""
         for rounds in (1, 2, 3):
             rng = np.random.default_rng([17, rounds])
             stack = make_stack(rounds=rounds, rng=rng)
@@ -220,17 +221,19 @@ class TestDualForward:
                        for b in (rnd.sal_time, rnd.sal_speaker, rnd.cal_time,
                                  rnd.cal_speaker)]
                       + [stack.speaker_emb, stack.head_w]):
-                plan = reached(calls, p)
                 saved = p.data.copy()
-                p.data += 0.1
-                try:
-                    with no_grad():
-                        resumed = replay(plan, taped)
-                        fresh = dual_forward(f_av, stack).data
-                finally:
-                    p.data[...] = saved
-                npt.assert_array_equal(resumed, fresh)
-                assert not np.array_equal(resumed, taped.data)
+                probes = np.stack([saved + 0.1, saved - 0.2])
+                with no_grad():
+                    resumed = replay(reached(calls, p), taped, p, probes)
+                for probe, value in zip(probes, resumed):
+                    p.data[...] = probe
+                    try:
+                        with no_grad():
+                            fresh = dual_forward(f_av, stack).data
+                    finally:
+                        p.data[...] = saved
+                    npt.assert_array_equal(value, fresh)
+                    assert not np.array_equal(value, taped.data)
 
     def test_ablation_flags_are_identity(self):
         rng = np.random.default_rng(16)
