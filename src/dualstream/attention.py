@@ -5,8 +5,9 @@ multi-head attention, a residual add, layer normalization, a two-layer
 MLP, another residual add and a second layer normalization; self-attention
 is cross-attention of a sequence with itself.  Normalization is applied
 *after* each residual add (post-norm), and attention logits are scaled by
-1/sqrt(head_dim).  The block's numpy kernels below check nothing:
-``AttentionBlock`` checks heads and epsilon once, ``_block`` its tokens.
+1/sqrt(head_dim), and every layer normalization adds ``LN_EPS`` to its
+variance.  The block's numpy kernels below check nothing:
+``AttentionBlock`` checks its heads once, ``_block`` its tokens.
 
 No dropout and no positional encoding anywhere: determinism matters more
 than regularization at this scale.  The learnable speaker embedding gives
@@ -18,25 +19,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .tensor import (Module, Parameter, Tensor, aligned, gelu_backward,
                      gelu_forward, init_uniform, linear_backward, linear_forward,
                      op)
+
+LN_EPS = 1e-5
 
 
 class AttentionBlock(Module):
     """Projection, MLP and norm parameters of one block of width ``dim`` in
     ``heads`` heads: a SAL or a CAL, depending only on its key/value input."""
 
-    def __init__(self, dim, heads, mlp_hidden, rng, name, ln_eps):
+    def __init__(self, dim, heads, mlp_hidden, rng, name):
         if heads < 1 or dim % heads != 0:
             raise DimensionError(
                 f"attention: {dim} channels do not split into {heads} heads")
-        if not ln_eps > 0:
-            raise ContractError(f"layer_norm eps must be > 0, got {ln_eps}")
         d, h = dim, mlp_hidden
         self.heads = heads
-        self.ln_eps = float(ln_eps)
 
         def lin(tag, din, dout):
             w = Parameter(init_uniform(rng, din, (din, dout)), f"{name}.{tag}_w")
@@ -63,7 +63,7 @@ def _check_tokens(x, model_dim, who):
             f"{who}: channel dim {x.shape[-1]} != model_dim {model_dim}")
 
 
-def layer_norm_forward(x, gamma, beta, eps):
+def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then scale+shift.
 
     Returns the output and the (xhat, 1 / sqrt(var + eps)) its backward
@@ -131,7 +131,7 @@ def attention_backward(g, saved):
             _merge_heads(gv))
 
 
-def block_forward(xd, yd, weights, heads, eps):
+def block_forward(xd, yd, weights, heads):
     """The block's forward on arrays: query tokens ``xd`` [..., B, Lq, D]
     attend to ``yd`` [..., B, Lk, D] with the 16 ``weights``, in
     ``AttentionBlock.parameters`` order, each [..., *shape]; the leading
@@ -143,23 +143,23 @@ def block_forward(xd, yd, weights, heads, eps):
     core, att = attention_forward(linear_forward(xd, wq, bq),
                                   linear_forward(yd, wk, bk),
                                   linear_forward(yd, wv, bv), heads)
-    z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1, eps)
+    z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1)
     h = linear_forward(z, w1, b1)
     u, phi = gelu_forward(h)
-    out, ln2 = layer_norm_forward(z + linear_forward(u, w2, b2), g2, be2, eps)
+    out, ln2 = layer_norm_forward(z + linear_forward(u, w2, b2), g2, be2)
     return out, (core, att, z, ln1, h, u, phi, ln2)
 
 
-def _block_probes(fn, moved, x, y, params, heads, eps):
+def _block_probes(fn, moved, x, y, params, heads):
     """``_block``'s batch rule: one ``block_forward`` for all probes, moved
     tokens [P, B, L, D] as they are and a moved weight aligned to [P, 1,
     ..., *shape] against them."""
     return block_forward(x.data, y.data, [aligned(p, moved, 3) for p in params],
-                         heads, eps)[0]
+                         heads)[0]
 
 
 @op(batch=_block_probes)
-def _block(x: Tensor, y: Tensor, params, heads, eps):
+def _block(x: Tensor, y: Tensor, params, heads):
     """The post-norm residual block (``block_forward``) as one tape node.
 
     The parents are x, y (once when ``x is y``) and the 16 block parameters
@@ -174,7 +174,7 @@ def _block(x: Tensor, y: Tensor, params, heads, eps):
     xd, yd = x.data, y.data
     weights = [p.data for p in params]
     out, (core, att, z, ln1, h, u, phi, ln2) = block_forward(xd, yd, weights,
-                                                             heads, eps)
+                                                             heads)
     # the weight matrices and layer-norm gains, the arrays the backward reads
     wq, wk, wv, wo, w1, w2, g1, g2 = weights[0::2]
     self_attention = x is y
@@ -204,10 +204,10 @@ def _block(x: Tensor, y: Tensor, params, heads, eps):
 def sal_forward(x, layer: AttentionBlock):
     """Post-norm residual self-attention block:
     z = LN(x + MHSA(x)); out = LN(z + MLP(z))."""
-    return _block(x, x, layer.parameters(), layer.heads, layer.ln_eps)
+    return _block(x, x, layer.parameters(), layer.heads)
 
 
 def cal_forward(x, y, layer: AttentionBlock):
     """Post-norm residual cross-attention block:
     z = LN(x + MHCA(x, y, y)); out = LN(z + MLP(z))."""
-    return _block(x, y, layer.parameters(), layer.heads, layer.ln_eps)
+    return _block(x, y, layer.parameters(), layer.heads)

@@ -20,7 +20,7 @@ from .attention import AttentionBlock, cal_forward, sal_forward
 from .data import GenConfig
 from .encoders import AudioEncoder, VisualEncoder, fuse
 from .errors import ContractError
-from .ranges import NON_NEGATIVE, POSITIVE, SIZE, check_ranges, knob
+from .ranges import NON_NEGATIVE, SIZE, check_ranges, knob
 from .tensor import (Module, Parameter, Tensor, add, broadcast_to, getitem,
                      init_uniform, linear, reshape, tmean, transpose)
 
@@ -37,8 +37,8 @@ def speaker_stream(f_av: Tensor, table: Tensor, sal: AttentionBlock) -> Tensor:
 
 @dataclass
 class InteractionRound(Module):
-    sal_time: AttentionBlock
-    sal_speaker: AttentionBlock
+    sal_time: AttentionBlock | None      # None: the temporal stream ablated
+    sal_speaker: AttentionBlock | None   # None: the speaker stream ablated
     cal_time: AttentionBlock
     cal_speaker: AttentionBlock
 
@@ -50,24 +50,30 @@ class DualStreamStack(Module):
     ``cfg.ablate_speaker`` / ``cfg.ablate_temporal`` replace the
     corresponding stream with the identity (the cross-stream exchange still
     runs), which is how the stream-contribution comparisons are produced.
+    An ablated stream's blocks (and the speaker stream's slot embedding)
+    are drawn, then dropped: every kept Parameter is the full model's at the
+    same ``init_seed``, and the stack holds, trains and saves only what its
+    forward runs.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
-        self.cfg = cfg
         d = 2 * cfg.channels
 
-        def block(r, tag):
-            return AttentionBlock(d, cfg.heads, cfg.mlp_ratio * d, rng,
-                                  f"dual.r{r}.{tag}", cfg.ln_eps)
+        def block(r, tag, ablated=False):
+            made = AttentionBlock(d, cfg.heads, cfg.mlp_ratio * d, rng,
+                                  f"dual.r{r}.{tag}")
+            return None if ablated else made
 
         # keyword arguments run left to right: the parameter draw order
         self.rounds = [InteractionRound(
-            sal_time=block(r, "sal_time"), sal_speaker=block(r, "sal_speaker"),
+            sal_time=block(r, "sal_time", cfg.ablate_temporal),
+            sal_speaker=block(r, "sal_speaker", cfg.ablate_speaker),
             cal_time=block(r, "cal_time"), cal_speaker=block(r, "cal_speaker"))
             for r in range(cfg.rounds)]
         # one learnable row per speaker slot, added before speaker attention
-        self.speaker_emb = Parameter(init_uniform(rng, d, (cfg.s_max, d)),
-                                     "dual.speaker_emb.table")
+        table = Parameter(init_uniform(rng, d, (cfg.s_max, d)),
+                          "dual.speaker_emb.table")
+        self.speaker_emb = None if cfg.ablate_speaker else table
         self.head_w = Parameter(init_uniform(rng, d, (d, 1)), "dual.head_w")
         self.head_b = Parameter(np.zeros(1), "dual.head_b")
 
@@ -79,13 +85,13 @@ def dual_forward(f_av: Tensor, stack: DualStreamStack) -> Tensor:
     batch), the speaker stream over S, then each queries the other over T
     (mutual cross-attention, speakers in the batch).
     """
-    cfg = stack.cfg
     s, t, _ = f_av.shape
     x_time = x_sub = f_av
     for rnd in stack.rounds:
-        f_time = (x_time if cfg.ablate_temporal
+        # an ablated stream (no block) passes its input on
+        f_time = (x_time if rnd.sal_time is None
                   else sal_forward(x_time, rnd.sal_time))
-        f_sub = (x_sub if cfg.ablate_speaker else speaker_stream(
+        f_sub = (x_sub if rnd.sal_speaker is None else speaker_stream(
             x_sub, stack.speaker_emb, rnd.sal_speaker))
         x_time, x_sub = (cal_forward(f_time, f_sub, rnd.cal_time),
                          cal_forward(f_sub, f_time, rnd.cal_speaker))
@@ -115,7 +121,6 @@ class ModelConfig:
     height: int = _input_size("height")
     width: int = _input_size("width")
     mel_bins: int = _input_size("mel_bins")
-    ln_eps: float = knob(1e-5, POSITIVE)
     init_seed: int = knob(0, NON_NEGATIVE)
     ablate_speaker: bool = False
     ablate_temporal: bool = False
@@ -142,16 +147,15 @@ class ActiveSpeakerModel(Module):
     """Encoders, cross-modal fusion, dual-stream stack and output heads."""
 
     def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg
         rng = np.random.default_rng(cfg.init_seed)
         c = cfg.channels
         self.visual_enc = VisualEncoder(cfg.height, cfg.width, c,
                                         cfg.vis_hidden, rng)
         self.audio_enc = AudioEncoder(cfg.mel_bins, c, cfg.audio_hidden, rng)
         self.cal_av = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
-                                     "fusion.cal_av", cfg.ln_eps)
+                                     "fusion.cal_av")
         self.cal_va = AttentionBlock(c, cfg.heads, cfg.mlp_ratio * c, rng,
-                                     "fusion.cal_va", cfg.ln_eps)
+                                     "fusion.cal_va")
         self.stack = DualStreamStack(cfg, rng)
         self.head_v_w = Parameter(init_uniform(rng, c, (c, 1)), "heads.visual_w")
         self.head_v_b = Parameter(np.zeros(1), "heads.visual_b")
@@ -162,10 +166,9 @@ class ActiveSpeakerModel(Module):
         """One scene's [S, T, H, W, 1] crops and [4T, M] audio, which meet
         ``data.check_scene``, to logits and embeddings."""
         s, t = visual.shape[:2]
-        c = self.cfg.channels
-
         f_v = self.visual_enc.forward(visual)
         audio_frames = self.audio_enc.frame_embedding(audio)
+        c = audio_frames.shape[-1]
         # the scene audio repeated over the S speaker slots
         f_a = broadcast_to(audio_frames, (s, t, c))
         f_av = fuse(f_v, f_a, self.cal_av, self.cal_va)

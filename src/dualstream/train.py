@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -168,15 +169,25 @@ def load_checkpoint(path) -> dict:
     return tensors
 
 
+def _by_module(names):
+    """Tensor ``names`` as their modules (the name less its last dotted
+    part), sorted, each with its count; or "none"."""
+    counts = Counter(name.rpartition(".")[0] or name for name in names)
+    return ", ".join(f"{module} ({n} tensor{'s' * (n > 1)})"
+                     for module, n in sorted(counts.items())) or "none"
+
+
 def apply_checkpoint(params, tensors: dict) -> None:
-    """Load saved values into parameters by name; names and shapes must match."""
+    """Load saved values into parameters by name; names and shapes must match.
+    The model builds only the blocks it runs, so this name check also
+    refuses a checkpoint of another ablation."""
     by_name = {p.name: p for p in params}
-    missing = sorted(set(by_name) - set(tensors))
-    extra = sorted(set(tensors) - set(by_name))
+    missing = set(by_name) - set(tensors)
+    extra = set(tensors) - set(by_name)
     if missing or extra:
         raise FormatError(
-            f"checkpoint does not match model: missing {missing or 'none'}, "
-            f"unexpected {extra or 'none'}")
+            f"checkpoint does not match model: missing {_by_module(missing)}; "
+            f"unexpected {_by_module(extra)}")
     for name, p in by_name.items():
         if tensors[name].shape != p.data.shape:
             raise FormatError(

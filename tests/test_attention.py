@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf
 
-from dualstream.attention import AttentionBlock, cal_forward, sal_forward
-from dualstream.errors import ContractError, DimensionError
+from dualstream.attention import LN_EPS, AttentionBlock, cal_forward, sal_forward
+from dualstream.errors import DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Parameter, Tensor, add, backward, gelu, linear,
                                mul, reshape, transpose, tsum, zero_grads)
@@ -15,15 +15,12 @@ from oracles import attention_core, layer_norm, matmul, softmax
 from test_tensor import check_every_parent
 
 
-LN_EPS = 1e-5
-
-
 def make_sal(dim, heads, rng, hidden=None):
-    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "sal", LN_EPS)
+    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "sal")
 
 
 def make_cal(dim, heads, rng, hidden=None):
-    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "cal", LN_EPS)
+    return AttentionBlock(dim, heads, hidden or 4 * dim, rng, "cal")
 
 
 def head_dim(layer):
@@ -98,18 +95,17 @@ def mhca(x, y, layer):
 def block_composed(x, y, layer):
     """The op chain the one-node block replays: residual add, layer norm,
     MLP, residual add, layer norm around ``mhca``."""
-    z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b,
-                   layer.ln_eps)
+    z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b, LN_EPS)
     mlp = linear(gelu(linear(z, layer.w1, layer.b1)), layer.w2, layer.b2)
-    return layer_norm(add(z, mlp), layer.ln2_g, layer.ln2_b, layer.ln_eps)
+    return layer_norm(add(z, mlp), layer.ln2_g, layer.ln2_b, LN_EPS)
 
 
 def block_oracle(q_in, kv_in, layer):
     """Straight-line transcription of the residual block equations."""
     attn = attention_oracle(q_in, kv_in, layer)
-    z = ln_np(q_in + attn, layer.ln1_g.data, layer.ln1_b.data, layer.ln_eps)
+    z = ln_np(q_in + attn, layer.ln1_g.data, layer.ln1_b.data, LN_EPS)
     mlp = gelu_np(z @ layer.w1.data + layer.b1.data) @ layer.w2.data + layer.b2.data
-    return ln_np(z + mlp, layer.ln2_g.data, layer.ln2_b.data, layer.ln_eps)
+    return ln_np(z + mlp, layer.ln2_g.data, layer.ln2_b.data, LN_EPS)
 
 
 class TestMhsa:
@@ -156,11 +152,6 @@ class TestMhsa:
     def test_heads_must_be_positive(self):
         with pytest.raises(DimensionError, match="do not split into 0 heads"):
             make_sal(8, 0, np.random.default_rng(18))
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-5])
-    def test_eps_must_be_positive(self, eps):
-        with pytest.raises(ContractError, match="layer_norm eps must be > 0"):
-            AttentionBlock(8, 2, 32, np.random.default_rng(19), "sal", eps)
 
     def test_bad_tokens_rejected(self):
         # the block's kernels check nothing: _block refuses these per call

@@ -95,6 +95,16 @@ class TestGenData:
         assert run("--set", "bogus.key=1", "gen-data", "--scenes", "2",
                    "--out", str(tmp_path / "x.bin")) == 1
 
+    def test_config_setting_ln_eps_is_usage_error(self, tmp_path, capsys):
+        # model.ln_eps is now the constant attention.LN_EPS: a config that
+        # sets it, as an older tree's echo does, is refused, not ignored
+        path = tmp_path / "old.cfg"
+        path.write_text(RunConfig().dump() + "model.ln_eps = 1e-05\n")
+        assert run("--config", str(path), "gradcheck") == 1
+        assert "unknown key 'model.ln_eps'" in capsys.readouterr().err
+        assert run("--set", "model.ln_eps=1e-05", "gradcheck") == 1
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"model.rounds = 2\n\xff\xfe = 3\n")
@@ -306,25 +316,47 @@ class TestEval:
         # a checkpoint holding the wrong tensor set
         save_checkpoint({"wrong.tensor": np.zeros((2, 2))},
                         tmp_path / "bad.ckpt")
-        assert run(*TINY, "eval", "--corpus", str(held),
-                   "--model", str(tmp_path / "bad.ckpt"),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert self.eval_with(held, tmp_path / "bad.ckpt", tmp_path) == 2
 
-    @pytest.mark.xfail(strict=True, reason="a checkpoint does not name the "
-                       "model it holds: an ablated model holds every "
-                       "Parameter of the full one, so its checkpoint passes "
-                       "the name and shape check")
+    def eval_with(self, held, ckpt, tmp_path, *sets):
+        return run(*TINY, *sets, "eval", "--corpus", str(held),
+                   "--model", str(ckpt),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt"))
+
     def test_checkpoint_of_an_ablated_model_is_refused(self, pipeline,
-                                                       tmp_path):
+                                                       tmp_path, capsys):
+        # an ablated model holds only the blocks it runs, so its checkpoint
+        # lacks the full model's temporal SAL: the name check refuses it
         root, corpus, held, ckpt = pipeline
         ablated = tmp_path / "ablated.ckpt"
         assert run(*TINY, "--set", "model.ablate_temporal=true", "train",
                    "--corpus", str(corpus), "--out", str(ablated)) == 0
-        assert run(*TINY, "eval", "--corpus", str(held),
-                   "--model", str(ablated),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 1
+        capsys.readouterr()
+        assert self.eval_with(held, ablated, tmp_path) == 2
+        assert ("error: checkpoint does not match model: missing "
+                "dual.r0.sal_time (16 tensors); unexpected none"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_full_checkpoint_scored_by_an_ablated_model_is_refused(
+            self, pipeline, tmp_path, capsys):
+        root, corpus, held, ckpt = pipeline
+        assert self.eval_with(held, ckpt, tmp_path,
+                              "--set", "model.ablate_temporal=true") == 2
+        assert ("missing none; unexpected dual.r0.sal_time (16 tensors)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.xfail(strict=True, reason="a checkpoint does not name its "
+                       "head count: model.heads changes no tensor name or "
+                       "shape, so a checkpoint passes the name and shape "
+                       "check at any heads that divide the width")
+    def test_checkpoint_scored_at_other_heads_is_refused(self, pipeline,
+                                                         tmp_path, capsys):
+        root, corpus, held, ckpt = pipeline  # trained at model.heads=2
+        assert self.eval_with(held, ckpt, tmp_path,
+                              "--set", "model.heads=1") == 1
+        assert "model.heads" in capsys.readouterr().err
 
 
 def test_in_process_calls_are_the_commands_path(pipeline, tmp_path):
@@ -371,7 +403,7 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("stream", ["speaker", "temporal"])
     def test_audits_the_ablated_model(self, stream, capsys):
-        # the ablated stream's Parameters feed nothing, so the report moves
+        # the ablated stream's blocks are not built, so the report moves
         def report(*args):
             assert run(*args, "gradcheck") == 0
             return [l for l in capsys.readouterr().out.splitlines()
@@ -437,12 +469,13 @@ class TestResumedGradcheck:
 
     @pytest.mark.parametrize("ablate", ["ablate_speaker", "ablate_temporal"])
     def test_same_worst_errors_with_a_stream_ablated(self, ablate):
-        # the ablated stream's Parameters feed nothing: their passes replay
-        # no call
+        # the model holds no block of the ablated stream
         scene, _model, gate_net = gradcheck_inputs(RunConfig())
         model = ActiveSpeakerModel(
             RunConfig({**cli.TINY, f"model.{ablate}": True}).model_config())
-        assert getattr(model.stack.cfg, ablate)
+        block = {"ablate_speaker": "sal_speaker", "ablate_temporal": "sal_time"}
+        assert all(getattr(rnd, block[ablate]) is None
+                   for rnd in model.stack.rounds)
         replayed = audit(scene, model, gate_net, True, max_coords=2)
         assert list(replayed.items()) == list(
             audit(scene, model, gate_net, False, max_coords=2).items())

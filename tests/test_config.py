@@ -104,7 +104,7 @@ class TestSchema:
 
     def test_keys_are_the_dataclass_fields_plus_own_keys(self):
         held = {field_key(cls, f) for cls in VIEWS for f in fields(cls)}
-        assert len(SCHEMA) == 44
+        assert len(SCHEMA) == 43
         assert set(SCHEMA) == held | OWN_KEYS
         assert not held & OWN_KEYS
 
@@ -163,7 +163,7 @@ class TestSchema:
         ranged = {k for k, (_t, _d, rng) in SCHEMA.items()
                   if rng not in (None, FINITE)}
         assert {key for key, _ in RANGED} == ranged
-        assert len(ranged) == 40  # all but t_main, threshold, ablations
+        assert len(ranged) == 39  # all but t_main, threshold, ablations
 
     @pytest.mark.parametrize("key,text", NON_FINITE)
     def test_non_finite_value_rejected(self, key, text):

@@ -14,7 +14,7 @@ def gelu_np(x):
 
 
 def make_cal(dim, rng):
-    return AttentionBlock(dim, 4, 4 * dim, rng, "cal", 1e-5)
+    return AttentionBlock(dim, 4, 4 * dim, rng, "cal")
 
 
 class TestVisualEncoder:

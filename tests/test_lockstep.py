@@ -136,38 +136,38 @@ def test_concat():
 
 def block(seed, x_shape=(3, 4, 8), y_shape=(3, 6, 8), heads=2):
     rng = np.random.default_rng(seed)
-    layer = AttentionBlock(8, heads, 16, rng, "b", 1e-5)
+    layer = AttentionBlock(8, heads, 16, rng, "b")
     for p in layer.parameters():  # biases and norm shifts non-zero
         p.data[...] = p.data + rng.normal(scale=0.3, size=p.shape)
     x, y = Tensor(rand(rng, *x_shape)), Tensor(rand(rng, *y_shape))
-    return x, y, layer.parameters(), layer.heads, layer.ln_eps
+    return x, y, layer.parameters(), layer.heads
 
 
 def test_block_with_tokens_moved():
-    x, y, params, heads, eps = block(10)
+    x, y, params, heads = block(10)
     for moved in ([x], [y], [x, y]):
-        check(attention._block, moved, x, y, params, heads, eps)
+        check(attention._block, moved, x, y, params, heads)
 
 
 def test_self_attention_block_moved():
-    x, _y, params, heads, eps = block(11)
-    check(attention._block, [x], x, x, params, heads, eps)
-    check(attention._block, [x, params[0]], x, x, params, heads, eps)
+    x, _y, params, heads = block(11)
+    check(attention._block, [x], x, x, params, heads)
+    check(attention._block, [x, params[0]], x, x, params, heads)
 
 
 @pytest.mark.parametrize("k", range(16))
 def test_block_with_one_weight_moved(k):
-    x, y, params, heads, eps = block(12)
-    check(attention._block, [params[k]], x, y, params, heads, eps)
-    check(attention._block, [params[k]], x, x, params, heads, eps)
-    check(attention._block, [x, params[k]], x, y, params, heads, eps)
+    x, y, params, heads = block(12)
+    check(attention._block, [params[k]], x, y, params, heads)
+    check(attention._block, [params[k]], x, x, params, heads)
+    check(attention._block, [x, params[k]], x, y, params, heads)
 
 
 def test_block_with_one_head_and_a_single_query():
-    x, y, params, heads, eps = block(13, x_shape=(2, 1, 8), y_shape=(2, 6, 8),
-                                     heads=1)
-    check(attention._block, [x], x, y, params, heads, eps)
-    check(attention._block, [params[6]], x, y, params, heads, eps)
+    x, y, params, heads = block(13, x_shape=(2, 1, 8), y_shape=(2, 6, 8),
+                                heads=1)
+    check(attention._block, [x], x, y, params, heads)
+    check(attention._block, [params[6]], x, y, params, heads)
 
 
 def test_per_probe_ops():

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from dualstream import model as model_module
-from dualstream.cli import _build_gate_net
+from dualstream.cli import _build_gate_net, gradcheck_loss
 from dualstream.config import RunConfig
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
 from dualstream.data import GenConfig, frame_steps, generate_scene
@@ -18,20 +18,20 @@ from dualstream.tensor import (Parameter, Tensor, init_uniform, mul, no_grad,
                                tsum)
 
 from test_attention import block_oracle
+from test_train import tape
 
 DIM = 16
-LN_EPS = 1e-5
 
 
 def make_stack(rounds=2, s_max=4, rng=None, **kwargs):
     """A stack of width DIM = 2C, with an MLP of 2 * DIM."""
     cfg = ModelConfig(channels=DIM // 2, heads=2, mlp_ratio=2, rounds=rounds,
-                      s_max=s_max, ln_eps=LN_EPS, **kwargs)
+                      s_max=s_max, **kwargs)
     return DualStreamStack(cfg, rng or np.random.default_rng(0))
 
 
 def make_sal(rng):
-    return AttentionBlock(DIM, 2, 2 * DIM, rng, "sal", LN_EPS)
+    return AttentionBlock(DIM, 2, 2 * DIM, rng, "sal")
 
 
 def make_table(s_max, rng):
@@ -293,14 +293,27 @@ def test_full_model_gradients_match_finite_differences():
     assert max(worst.values()) <= 1e-4, max(worst.items(), key=lambda kv: kv[1])
 
 
-@pytest.mark.parametrize("overrides", [
-    {"model.rounds": 1}, {}, {"model.rounds": 3},
-    {"model.ablate_speaker": True}, {"model.ablate_temporal": True},
-], ids=["rounds1", "rounds2", "rounds3", "ablate_speaker", "ablate_temporal"])
+# the Parameters an ablation draws but does not keep, by name part
+DROPPED = {"model.ablate_speaker": (".sal_speaker.", "dual.speaker_emb."),
+           "model.ablate_temporal": (".sal_time.",)}
+MODELS = [{"model.rounds": 1}, {}, {"model.rounds": 3},
+          {"model.ablate_speaker": True}, {"model.ablate_temporal": True},
+          {"model.ablate_speaker": True, "model.ablate_temporal": True}]
+MODEL_IDS = ["rounds1", "rounds2", "rounds3", "ablate_speaker",
+             "ablate_temporal", "ablate_both"]
+
+
+def dropped(overrides, name):
+    return any(part in name for key, parts in DROPPED.items()
+               if overrides.get(key) for part in parts)
+
+
+@pytest.mark.parametrize("overrides", MODELS, ids=MODEL_IDS)
 def test_parameters_are_every_parameter_the_constructors_make(overrides,
                                                               monkeypatch):
     """Each Parameter the model's and the gate's constructors create is
-    listed once, in creation order: none is left untrained, unsaved or
+    listed once, in creation order, but for those of an ablated stream,
+    which are drawn and dropped: none is left untrained, unsaved or
     unaudited, and the checkpoint order is the draw order."""
     made = []
     init = Parameter.__init__
@@ -319,5 +332,43 @@ def test_parameters_are_every_parameter_the_constructors_make(overrides,
     def ids(params):
         return [id(p) for p in params]
 
-    assert ids(model.parameters()) == ids(made[:n_model])
+    kept = [p for p in made[:n_model] if not dropped(overrides, p.name)]
+    speaker = overrides.get("model.ablate_speaker", False)
+    temporal = overrides.get("model.ablate_temporal", False)
+    # 16 Parameters per block of each of 2 rounds, and the speaker table
+    assert n_model - len(kept) == 32 * (speaker + temporal) + speaker
+    assert ids(model.parameters()) == ids(kept)
     assert ids(gate_net.parameters()) == ids(made[n_model:])
+
+
+@pytest.mark.parametrize("overrides", MODELS, ids=MODEL_IDS)
+def test_every_held_parameter_reaches_the_loss(overrides):
+    """The Parameters the model and the gate hold are exactly those one
+    taped audit loss reaches: an ablated stream leaves none behind that its
+    forward never reads, to be trained, saved or audited for nothing."""
+    cfg = RunConfig(overrides)
+    model, gate_net = ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg)
+    loss = gradcheck_loss(generate_scene(cfg.gen_config(), 0), model,
+                          gate_net, cfg.loss_weights())()
+    held = model.parameters() + gate_net.parameters()
+    reached = [n for n in tape(loss) if isinstance(n, Parameter)]
+    assert len({id(p) for p in held}) == len(held)
+    assert sorted(p.name for p in held) == sorted(p.name for p in reached)
+    assert {id(p) for p in held} == {id(p) for p in reached}
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("ablate", [["speaker"], ["temporal"],
+                                    ["speaker", "temporal"]])
+def test_an_ablated_model_is_the_full_model_less_its_blocks(ablate, rounds):
+    """Every Parameter of an ablated model equals the full model's of that
+    name at the same init seed, bit for bit: the ablation still draws what
+    it drops, so a paired comparison differs only by what is removed."""
+    sets = {"model.rounds": rounds, "model.init_seed": 4}
+    full = ActiveSpeakerModel(RunConfig(sets).model_config()).parameters()
+    overrides = {**sets, **{f"model.ablate_{s}": True for s in ablate}}
+    ablated = ActiveSpeakerModel(RunConfig(overrides).model_config())
+    want = {p.name: p for p in full if not dropped(overrides, p.name)}
+    assert [p.name for p in ablated.parameters()] == list(want)
+    for p in ablated.parameters():
+        assert p.data.tobytes() == want[p.name].data.tobytes(), p.name

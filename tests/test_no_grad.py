@@ -23,7 +23,7 @@ from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
 
 def block():
     """A width-5 single-head attention block."""
-    return AttentionBlock(5, 1, 5, np.random.default_rng(0), "block", 1e-5)
+    return AttentionBlock(5, 1, 5, np.random.default_rng(0), "block")
 
 
 def taping():

@@ -4,14 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
-from dualstream.config import load_config
+from dualstream.config import RunConfig, load_config
 from dualstream.data import generate_scene
+from dualstream.errors import FormatError
 from dualstream.gate import ConfidenceNet
 from dualstream.losses import total_loss
 from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter
-from dualstream.train import MomentumSGD, gate_loss, train_model
+from dualstream.train import (MomentumSGD, apply_checkpoint, gate_loss,
+                              train_model)
 
 # distinct nodes on one default-config training step's tape: 175 Parameters
 # and 50 ops.  The unfused graph had 875 and the per-op attention blocks and
@@ -121,3 +124,39 @@ def test_all_masked_scene_trains_with_zero_gradients():
     assert history[0]["total"] == 0.0
     for p, old in zip(model.parameters(), before):
         npt.assert_array_equal(p.data, old, err_msg=p.name)
+
+
+def model_tensors(**overrides):
+    model = ActiveSpeakerModel(RunConfig(overrides).model_config())
+    return model.parameters(), {p.name: p.data for p in model.parameters()}
+
+
+@pytest.mark.parametrize("ckpt,model,message", [
+    ({"model.ablate_temporal": True}, {},
+     "missing dual.r0.sal_time (16 tensors), dual.r1.sal_time (16 tensors); "
+     "unexpected none"),
+    ({}, {"model.ablate_speaker": True},
+     "missing none; unexpected dual.r0.sal_speaker (16 tensors), "
+     "dual.r1.sal_speaker (16 tensors), dual.speaker_emb (1 tensor)"),
+    ({"model.rounds": 1}, {"model.ablate_speaker": True},
+     "missing dual.r1.cal_speaker (16 tensors), dual.r1.cal_time (16 tensors), "
+     "dual.r1.sal_time (16 tensors); unexpected dual.r0.sal_speaker "
+     "(16 tensors), dual.speaker_emb (1 tensor)"),
+], ids=["ablated_ckpt", "full_ckpt", "both_differ"])
+def test_checkpoint_mismatch_names_modules_with_counts(ckpt, model, message):
+    """A checkpoint of another model is refused with its missing and
+    unexpected tensors grouped by module, one count each, not name by name."""
+    params, _ = model_tensors(**model)
+    _, tensors = model_tensors(**ckpt)
+    with pytest.raises(FormatError) as err:
+        apply_checkpoint(params, tensors)
+    assert str(err.value) == f"checkpoint does not match model: {message}"
+
+
+def test_checkpoint_shape_mismatch_names_the_tensor():
+    params, _ = model_tensors()
+    _, tensors = model_tensors(**{"model.mlp_ratio": 2})
+    with pytest.raises(FormatError, match=r"checkpoint tensor fusion\.cal_av"
+                       r"\.mlp1_w has shape \(16, 32\), model expects "
+                       r"\(16, 64\)"):
+        apply_checkpoint(params, tensors)

@@ -21,9 +21,9 @@
 #   * [4, 48] scenes with model.ablate_temporal=true: 24 + 16 scenes, 2 + 2
 #     epochs, the same train and evals;
 #   * gradcheck at model.init_seed 0 and 3, of the model ablated by
-#     model.ablate_speaker=true and by model.ablate_temporal=true, whose
-#     ablated stream's Parameters feed nothing, and at model.mlp_ratio=2, a
-#     model key the audit's fixed sizes (cli.TINY) leave to the user;
+#     model.ablate_speaker=true and by model.ablate_temporal=true, which
+#     holds only the blocks it runs, and at model.mlp_ratio=2, a model key
+#     the audit's fixed sizes (cli.TINY) leave to the user;
 #   * gen-data only, of the same two corpora at 4 speakers with every
 #     multi-speaker frame kept up to a cap of 3 and no noise, where the
 #     generator's overlap branch runs on most frames, not on a few.
@@ -35,7 +35,8 @@
 # code lines: blank, comment-only and docstring lines are not counted, so
 # deleting comments does not read as a smaller program.  Exit 0: every
 # pair is byte-identical.
-# Exit 1: each differing file is named, and both runs are kept for a look.
+# Exit 1: each differing file is named, a text file with the first
+# lines of its diff (parent <, change >), and both runs are kept for a look.
 # Exit 2: a command failed.  About 26 s per tree on a 2-core x86 host.
 set -euo pipefail
 
@@ -117,11 +118,22 @@ write_corpus([replace(sc, scene_id=f"tie{7 * i % 16:02d}",
 run_set "$1" "$work/parent"
 run_set "$2" "$work/change"
 
+is_text() {  # present on this side, and not binary to grep -I
+    [ -f "$1" ] && LC_ALL=C grep -qI . "$1"
+}
+
 status=0
 while IFS= read -r name; do
-    if ! cmp -s "$work/parent/$name" "$work/change/$name"; then
+    a=$work/parent/$name b=$work/change/$name
+    if ! cmp -s "$a" "$b"; then
         echo "differs: $name"
         status=1
+        if is_text "$a" && is_text "$b"; then
+            lines=$(diff "$a" "$b" || true)
+            sed -n '1,20s/^/    /p' <<< "$lines"
+            total=$(wc -l <<< "$lines")
+            [ "$total" -le 20 ] || echo "    ... ($total diff lines in all)"
+        fi
     fi
 done < <({ (cd "$work/parent" && find . -type f)
            (cd "$work/change" && find . -type f); } | sort -u)
