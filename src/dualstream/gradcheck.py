@@ -7,12 +7,20 @@ stacked on a leading axis, and one replay re-runs, with warnings off, only
 the op calls (``Tensor.call``) the Parameter reaches through their
 arguments, not the tape's ``parents``.  Each reached call runs once for
 all probes, through its op's batch rule (``tensor.op``): one call on the
-stacked values for the broadcasting ops, the shape ops and the attention
-block, one call per probe for the others.  No tape node is made, and the
-other calls keep their recorded values.  The first probe of each Parameter
-is also run as the whole loss under ``no_grad``, which must agree bit for
-bit.  Every swapped value and perturbed coordinate is put back even when
-an op or the loss raises.
+stacked values for the broadcasting ops, the shape ops, the attention
+block and ``masked_bce``, one call per probe for the others.  No tape node
+is made, and the other calls keep their recorded values.
+
+Parameters that reach the same calls and are read by the first of them
+only, such as the 16 of one attention block, share their replay of what
+follows that call (``shared_tails``): each runs its probes through the
+first call alone, and the rest runs once for all of their outputs, stacked,
+in chunks of at most ``CHUNK`` probes.  A batch rule returns, row by row,
+what one call per probe returns, so each Parameter's values are those its
+own replay gives, bit for bit.  The first probe of each Parameter is also
+run as the whole loss under ``no_grad``, which must agree bit for bit.
+Every swapped value and perturbed coordinate is put back even when an op
+or the loss raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
 floor)``: relative above the floor, absolute (scaled by the floor) below
@@ -30,6 +38,10 @@ from .errors import NumericalError
 from .tensor import backward, no_grad, tensors_in, zero_grads
 
 STEP = 1e-4
+# most probes one shared replay carries past its first call: a whole
+# attention block's (256 at 8 coordinates) would hold that many copies of
+# every activation downstream of it at once
+CHUNK = 64
 
 
 def relative_error(a, b, floor=1e-4):
@@ -85,6 +97,66 @@ def replay(plan, out, p, probes):
             t.data = data
 
 
+def shared_tails(calls, params):
+    """``params`` by replay, as ``(plan, members)`` pairs: ``members`` are
+    indices into ``params``, in order, and each index is in one pair.  The
+    Parameters whose ``reached`` plans are the same calls and which no call
+    after the first of them reads make one pair; every other Parameter
+    makes one of its own."""
+    reads = {id(t): ids for t, ids in calls}
+    groups = {}
+    for k, p in enumerate(params):
+        plan = reached(calls, p)
+        shares = plan and all(id(p) not in reads[id(t)] for t in plan[1:])
+        key = tuple(map(id, plan)) if shares else k
+        groups.setdefault(key, (plan, []))[1].append(k)
+    return list(groups.values())
+
+
+def probed(p, k, max_coords, seed):
+    """The coordinates of ``p``, ``params[k]``, that the audit probes: all
+    of them, or ``max_coords`` seeded by ``[seed, k]``, in order."""
+    n = p.data.size
+    if n <= max_coords:
+        return np.arange(n)
+    rng = np.random.default_rng([seed, k])
+    return np.sort(rng.choice(n, size=max_coords, replace=False))
+
+
+def probes_at(p, coords):
+    """``p``'s value with coordinate i moved by ``+STEP``, then by
+    ``-STEP``, for each i of ``coords``, stacked on a leading axis."""
+    flat = p.data.reshape(-1)
+    probes = np.repeat(p.data[None], 2 * len(coords), axis=0)
+    rows = np.arange(len(coords))
+    steps = probes.reshape(len(coords), 2, p.data.size)
+    steps[rows, 0, coords] = flat[coords] + STEP
+    steps[rows, 1, coords] = flat[coords] - STEP
+    return probes
+
+
+def replay_group(plan, members, out, params, coords):
+    """``out``'s values under the probes of each of ``members``, indices
+    into ``params`` probed at ``coords``, as ``{index: list}``.  A lone
+    Parameter replays ``plan`` on its own.  A ``shared_tails`` group runs
+    each member's probes through the plan's first call, then the rest of
+    the plan once per ``CHUNK`` of their outputs, stacked."""
+    if len(members) == 1:
+        k, = members
+        p = params[k]
+        probes = probes_at(p, coords[k])
+        return {k: replay(plan, out, p, probes).reshape(-1).tolist()}
+    first = plan[0]
+    stacked = np.concatenate([
+        replay([first], first, params[k], probes_at(params[k], coords[k]))
+        for k in members])
+    values = np.concatenate([
+        replay(plan[1:], out, first, stacked[i:i + CHUNK])
+        for i in range(0, len(stacked), CHUNK)]).reshape(-1).tolist()
+    cuts = np.cumsum([0, *(2 * len(coords[k]) for k in members)])
+    return {k: values[a:b] for k, a, b in zip(members, cuts, cuts[1:])}
+
+
 def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
                               floor=1e-4):
     """Compare analytic vs central-difference gradients for every parameter.
@@ -103,40 +175,33 @@ def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
     backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
     calls = recorded_calls(loss)
+    coords = [probed(p, k, max_coords, seed) for k, p in enumerate(params)]
+    group_of = {k: group for group in shared_tails(calls, params)
+                for k in group[1]}
 
-    worst = {}
+    worst, values = {}, {}
     # only loss values count here: the analytic pass gave every warning
     with no_grad(), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for k, p in enumerate(params):
-            rerun = reached(calls, p)
-            n = p.data.size
-            if n <= max_coords:
-                coords = np.arange(n)
-            else:
-                rng = np.random.default_rng([seed, k])
-                coords = np.sort(rng.choice(n, size=max_coords, replace=False))
-            flat = p.data.reshape(-1)
-            # coordinate i + STEP, then i - STEP, for each probed i
-            probes = np.repeat(p.data[None], 2 * len(coords), axis=0)
-            rows = np.arange(len(coords))
-            steps = probes.reshape(len(coords), 2, n)
-            steps[rows, 0, coords] = flat[coords] + STEP
-            steps[rows, 1, coords] = flat[coords] - STEP
-            values = replay(rerun, loss, p, probes).reshape(-1).tolist()
-            orig = flat[coords[0]]
+            if k not in values:  # the first of its group: replay them all
+                values.update(replay_group(*group_of[k], loss, params, coords))
+            probed_values = values.pop(k)
+            flat, i0 = p.data.reshape(-1), coords[k][0]
+            orig = flat[i0]
             try:
-                flat[coords[0]] = orig + STEP
+                flat[i0] = orig + STEP
                 full = build_loss().item()
             finally:
-                flat[coords[0]] = orig
-            if full.hex() != values[0].hex():
+                flat[i0] = orig
+            if full.hex() != probed_values[0].hex():
                 raise NumericalError(
                     f"gradcheck: {p.name} reaches the loss outside the op "
-                    f"calls: replayed {values[0]!r}, full {full!r}")
+                    f"calls: replayed {probed_values[0]!r}, full {full!r}")
             grad = analytic[p.name].reshape(-1)
             err = 0.0
-            for i, up, down in zip(coords, values[0::2], values[1::2]):
+            for i, up, down in zip(coords[k], probed_values[0::2],
+                                   probed_values[1::2]):
                 numeric = (up - down) / (2.0 * STEP)
                 err = max(err, relative_error(grad[i], numeric, floor))
             worst[p.name] = err

@@ -49,7 +49,27 @@ def any_speech(labels) -> np.ndarray:
     return (np.asarray(labels).sum(axis=0) > 0).astype(np.float64)
 
 
-@op
+def _bce_terms(x, labels, mask):
+    """Each cell's masked loss term, softplus(x) - x*y times its mask, in
+    the stable form; ``x`` may hold probes on a leading axis."""
+    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return (softplus - x * labels) * mask
+
+
+def _masked_bce_probes(fn, moved, logits, labels, mask):
+    """``masked_bce``'s batch rule: one call on the [P, ...] logits.  Each
+    probe's full sum is a row sum of the [P, -1] stack, which numpy adds in
+    the order it adds the probe's own array; an empty mask gives zeros."""
+    x = logits.data
+    mask = np.asarray(mask, dtype=np.float64)
+    total = mask.sum()
+    if total == 0:
+        return np.zeros(len(x))
+    terms = _bce_terms(x, np.asarray(labels, dtype=np.float64), mask)
+    return terms.reshape(len(x), -1).sum(axis=1) * (1.0 / float(total))
+
+
+@op(batch=_masked_bce_probes)
 def masked_bce(logits: Tensor, labels, mask) -> Tensor:
     """Mean binary cross-entropy (with logits) over mask=1 positions, as one
     tape node.
@@ -70,8 +90,7 @@ def masked_bce(logits: Tensor, labels, mask) -> Tensor:
     if total == 0:
         return _zero(logits)
     x, scale = logits.data, 1.0 / float(total)
-    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    out = ((softplus - x * labels) * mask).sum() * scale
+    out = _bce_terms(x, labels, mask).sum() * scale
 
     def vjp(g, need):
         gm = np.broadcast_to(g * scale, x.shape) * mask
@@ -92,6 +111,11 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
     degenerate, so it returns 0.  The forward replays the arithmetic of the
     row-gather / normalize / matmul / log-sum-exp op chain in its order, so
     the loss is bit-identical to that chain's.
+
+    Its batch rule stays one call per probe: only the replays of the
+    encoders' Parameters reach it, and in ``dualstream gradcheck`` those
+    calls take about 5 ms of 0.37 s (2-core x86 host), too little for a
+    rule of its own to pin bit for bit.
     """
     if temperature <= 0:
         raise ContractError(f"temperature must be > 0, got {temperature}")

@@ -38,8 +38,10 @@ Design points:
     Parameter only as an argument, never through an object or ``.data``.
     It re-runs them for all of a Parameter's probes at once, through the
     batch rule each op declares with ``op``: the broadcasting and shape
-    ops and the attention block make one call on the stacked probe values,
-    the others one call per probe.
+    ops, the attention block and ``losses.masked_bce`` make one call on
+    the stacked probe values, the others one call per probe.  Parameters
+    read only by the same first call, such as one block's, stack their
+    outputs of that call and share the re-run of the calls after it.
     Constants (Python scalars, numpy arrays) never become tape nodes: every
     op, ``concat`` included, takes only its Tensor operands as parents, and
     ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute no gradient for

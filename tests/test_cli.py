@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualstream import attention, cli, losses, tensor
+from dualstream import attention, cli, gradcheck, losses, tensor
 from dualstream import data as data_module
 from dualstream import model as model_module
 from dualstream.cli import _build_gate_net, gradcheck_inputs, main
@@ -516,31 +516,46 @@ class TestResumedGradcheck:
     def test_runs_only_the_blocks_a_parameter_feeds(self, monkeypatch, capsys):
         """``dualstream gradcheck`` runs one model forward per Parameter
         besides the analytic one, and as many attention blocks and
-        contrastive terms as the dataflow needs, and no more: one lockstep
-        replay per Parameter runs each block and term it reaches once for
-        all of its probes."""
+        contrastive terms as the dataflow needs, and no more.  The
+        Parameters of one block or one linear layer share a replay
+        (``gradcheck.shared_tails``): the layer runs once per member for
+        all of its probes, and what follows it once per ``CHUNK`` of the
+        members' probes.  The speaker table, which every round's speaker
+        stream reads, replays on its own."""
         _scene, model, gate_net = gradcheck_inputs(RunConfig())
         stack, n = model.stack, len(model.stack.rounds)
         params = model.parameters() + gate_net.parameters()
-        encoders = model.visual_enc.parameters() + model.audio_enc.parameters()
+        layers = [layer for enc in (model.visual_enc, model.audio_enc)
+                  for layer in ((enc.w1, enc.b1), (enc.w2, enc.b2))]
+
+        def chunks(group):  # a shared replay's passes past its first call
+            probes = sum(2 * min(p.size, 8) for p in group)
+            return -(-probes // gradcheck.CHUNK)
 
         # a forward runs the two fusion CALs and every round's four blocks
         per_forward = 2 + 4 * n
         reruns = self.reruns(stack)
-        # a fusion CAL's Parameters re-run it and the whole stack; both
+        # a block's Parameters: the block once per member, then per chunk
+        # the blocks its own replay runs after it; a fusion CAL's feed the
+        # whole stack
+        after = [(block, reruns[id(block.wq)] - 1) for rnd in stack.rounds
+                 for block in (rnd.sal_time, rnd.sal_speaker, rnd.cal_time,
+                               rnd.cal_speaker)]
+        after += [(cal, 4 * n) for cal in (model.cal_av, model.cal_va)]
+        replayed = sum(len(block.parameters())
+                       + chunks(block.parameters()) * later
+                       for block, later in after)
+        # an encoder layer's weight and bias: every block, per chunk; both
         # fusion CALs read both encoders; the heads and the gate run none
-        reruns.update((id(p), 1 + 4 * n) for block in (model.cal_av,
-                                                       model.cal_va)
-                      for p in block.parameters())
-        reruns.update((id(p), per_forward) for p in encoders)
+        replayed += sum(chunks(layer) * per_forward for layer in layers)
+        replayed += reruns[id(stack.speaker_emb)]
         # the analytic pass, then one full pass per Parameter beside its
         # replay: the check of its first probe
         forwards = 1 + len(params)
-        blocks = forwards * per_forward + sum(reruns.get(id(p), 0)
-                                              for p in params)
+        blocks = forwards * per_forward + replayed
         # only the encoders feed the contrastive term's inputs
-        contrastive = forwards + len(encoders)
-        assert (forwards, blocks, contrastive) == (188, 2_735, 196)
+        contrastive = forwards + sum(chunks(layer) for layer in layers)
+        assert (forwards, blocks, contrastive) == (188, 2_239, 192)
 
         calls = {"block": 0, "contrastive": 0}
         monkeypatch.setattr(attention, "_block",

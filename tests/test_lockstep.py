@@ -1,17 +1,23 @@
 """Batch rules: one lockstep call for P probes equals P single-probe calls
-bit for bit, and ``gradcheck.replay`` puts back every value it swaps."""
+bit for bit, ``gradcheck.replay`` puts back every value it swaps, and a
+shared replay (``gradcheck.shared_tails``) gives each Parameter the values
+of its own."""
 
 import numpy as np
 import pytest
 
-from dualstream import attention, losses
+from dualstream import attention, cli, gradcheck, losses
 from dualstream.attention import AttentionBlock
+from dualstream.config import RunConfig
 from dualstream.errors import NumericalError
-from dualstream.gradcheck import (check_parameter_gradients, reached,
-                                  recorded_calls, replay)
+from dualstream.gradcheck import (check_parameter_gradients, probed,
+                                  probes_at, reached, recorded_calls, replay,
+                                  replay_group, shared_tails)
+from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import (Parameter, Tensor, add, broadcast_to, concat,
-                               conv1d_same, gelu, getitem, linear, mul, op,
-                               per_probe, reshape, tanh_birnn, transpose, tsum)
+                               conv1d_same, gelu, getitem, linear, mul,
+                               no_grad, op, per_probe, reshape, tanh_birnn,
+                               transpose, tsum)
 
 P = 5
 
@@ -178,22 +184,38 @@ def test_per_probe_ops():
     bwd = [Tensor(0.5 * rand(rng, *s)) for s in ((4, 2), (2, 2), (2,))]
     h, = tensors(15, (5, 4))
     check(tanh_birnn, [h, fwd[1], bwd[0]], h, fwd, bwd)
-    logits = Tensor(rand(rng, 3, 4))
-    labels, mask = rng.random((3, 4)) < 0.5, rng.random((3, 4)) < 0.7
-    check(losses.masked_bce, [logits], logits, labels, mask)
     fa, fv = Tensor(rand(rng, 6, 4)), Tensor(rand(rng, 6, 4))
     active = np.array([1, 0, 1, 1, 0, 1])
     check(losses.contrastive_av, [fa], fa, fv, active, 0.07)
     check(losses.contrastive_av, [fa, fv], fa, fv, active, 0.07)
 
 
+@pytest.mark.parametrize("shape", [(1, 12), (3, 4), (12,)],
+                         ids=["one_speaker", "three_speakers", "gate_logits"])
+def test_masked_bce(shape):
+    # [S, T] logits, and the gate's [T] ones
+    rng = np.random.default_rng(17)
+    logits = Tensor(rand(rng, *shape))
+    labels, mask = rng.random(shape) < 0.5, rng.random(shape) < 0.7
+    check(losses.masked_bce, [logits], logits, labels, mask)
+    check(losses.masked_bce, [logits], logits, labels.astype(float),
+          np.ones(shape))
+
+
+def test_masked_bce_of_an_empty_mask():
+    logits, = tensors(18, (3, 4))
+    check(losses.masked_bce, [logits], logits, np.ones((3, 4)),
+          np.zeros((3, 4)))
+
+
 def test_which_ops_batch():
-    """The broadcasting ops, the shape ops, an axis sum and the attention
-    block run once for all probes; the other ops once per probe."""
+    """The broadcasting ops, the shape ops, an axis sum, the attention block
+    and the masked cross-entropy run once for all probes; the other ops
+    once per probe."""
     one_call = [add, mul, gelu, linear, reshape, transpose, getitem,
-                broadcast_to, concat, tsum, attention._block]
-    per_call = [conv1d_same, tanh_birnn, losses.masked_bce,
-                losses.contrastive_av]
+                broadcast_to, concat, tsum, attention._block,
+                losses.masked_bce]
+    per_call = [conv1d_same, tanh_birnn, losses.contrastive_av]
     for fn in one_call:
         assert fn.__wrapped__.lockstep.func is not per_probe, fn.__name__
     for fn in per_call:
@@ -259,3 +281,78 @@ def test_a_parameter_read_past_its_op_calls_fails():
     with pytest.raises(NumericalError, match="a reaches the loss outside"):
         check_parameter_gradients(build_loss, [a])
     assert a.data.tolist() == [0.5, 1.5]
+
+
+def audited(sets):
+    """The audit's loss, recorded calls and Parameters for the model of
+    ``cli.TINY`` with ``sets`` over it, and one Parameter it does not read."""
+    scene, _model, gate_net = cli.gradcheck_inputs(RunConfig())
+    model = ActiveSpeakerModel(RunConfig({**cli.TINY, **sets}).model_config())
+    loss = cli.gradcheck_loss(scene, model, gate_net,
+                              RunConfig(cli.TINY).loss_weights())()
+    unread = Parameter(np.ones(3), "unread")
+    return loss, recorded_calls(loss), [*model.parameters(),
+                                        *gate_net.parameters(), unread]
+
+
+def assert_own_replays(loss, calls, params, coords):
+    """Each group's ``replay_group`` gives every member the values of its
+    own ``replay``, bit for bit."""
+    with no_grad():
+        for plan, members in shared_tails(calls, params):
+            values = replay_group(plan, members, loss, params, coords)
+            for k in members:
+                p = params[k]
+                own = replay(reached(calls, p), loss, p,
+                             probes_at(p, coords[k]))
+                assert np.array(values[k]).tobytes() == own.tobytes(), p.name
+
+
+def test_default_audit_shares_all_but_the_speaker_table():
+    # 16 Parameters per attention block, 2 per linear or conv layer and 6
+    # for the gate recurrence; the table is read in both rounds
+    _loss, calls, params = audited({})
+    groups = shared_tails(calls, params)
+    assert sorted(i for _plan, members in groups for i in members) == \
+        list(range(len(params)))
+    alone = [params[m[0]].name for _plan, m in groups if len(m) == 1]
+    assert alone == ["dual.speaker_emb.table", "unread"]
+    sizes = sorted(len(m) for _plan, m in groups if len(m) > 1)
+    assert sizes == [2] * 10 + [6] + [16] * 10
+
+
+def test_a_parameter_read_again_later_replays_alone():
+    # a and b reach the same calls, but mul reads a beside add's output: a
+    # replay past add alone would give mul a's recorded value
+    a = Parameter(np.array([0.5, -1.0]), "a")
+    b = Parameter(np.array([2.0, 0.25]), "b")
+    loss = tsum(mul(add(a, b), a))
+    calls, params = recorded_calls(loss), [a, b]
+    assert reached(calls, a) == reached(calls, b)
+    assert [m for _plan, m in shared_tails(calls, params)] == [[0], [1]]
+    assert_own_replays(loss, calls, params, [np.arange(2)] * 2)
+
+
+@pytest.mark.parametrize("sets", [
+    {"model.rounds": 1}, {"model.rounds": 2}, {"model.rounds": 3},
+    {"model.ablate_speaker": True}, {"model.ablate_temporal": True}],
+    ids=["rounds_1", "rounds_2", "rounds_3", "ablate_speaker",
+         "ablate_temporal"])
+def test_shared_tails_give_each_parameter_its_own_replay(sets):
+    """Every Parameter's values from its group's replay are those of its
+    own ``replay``, bit for bit: the groups of 16 block Parameters run
+    past one ``CHUNK``, and the speaker table (in two rounds or more) and
+    a Parameter the loss does not read replay alone."""
+    loss, calls, params = audited(sets)
+    coords = [probed(p, k, 8, 0) for k, p in enumerate(params)]
+    groups = shared_tails(calls, params)
+    assert max(sum(2 * len(coords[k]) for k in members)
+               for _plan, members in groups) > gradcheck.CHUNK
+    assert_own_replays(loss, calls, params, coords)
+
+
+def test_a_chunk_may_split_a_members_probes(monkeypatch):
+    monkeypatch.setattr(gradcheck, "CHUNK", 7)
+    loss, calls, params = audited({})
+    coords = [probed(p, k, 3, 0) for k, p in enumerate(params)]
+    assert_own_replays(loss, calls, params, coords)
