@@ -15,9 +15,10 @@ Parameters that reach the same calls and are read by the first of them
 only, such as the 16 of one attention block, share their replay of what
 follows that call (``shared_tails``): each runs its probes through the
 first call alone, and the rest runs once for all of their outputs, stacked,
-in chunks of at most ``CHUNK`` probes.  A batch rule returns, row by row,
-what one call per probe returns, so each Parameter's values are those its
-own replay gives, bit for bit.  The first probe of each Parameter is also
+in chunks of at most ``CHUNK`` probes, each chunk's first calls made just
+before its replay.  A batch rule returns, row by row, what one call per
+probe returns, so each Parameter's values are those its own replay gives,
+bit for bit.  The first probe of each Parameter is also
 run as the whole loss under ``no_grad``, which must agree bit for bit.
 Every swapped value and perturbed coordinate is put back even when an op
 or the loss raises.
@@ -135,24 +136,37 @@ def probes_at(p, coords):
     return probes
 
 
+def first_call_chunks(first, members, params, coords):
+    """``first``'s outputs under the probes of each of ``members``, in
+    order, stacked in chunks of ``CHUNK`` (the last may be shorter).  Each
+    member's probes go through ``first`` only once the chunks before them
+    are taken, so at most a chunk and one member's outputs are held."""
+    held = np.empty((0, *first.shape), first.data.dtype)
+    for k in members:
+        outputs = replay([first], first, params[k],
+                         probes_at(params[k], coords[k]))
+        held = np.concatenate([held, outputs])
+        while len(held) >= CHUNK:
+            yield held[:CHUNK]
+            held = held[CHUNK:]
+    if len(held):
+        yield held
+
+
 def replay_group(plan, members, out, params, coords):
     """``out``'s values under the probes of each of ``members``, indices
     into ``params`` probed at ``coords``, as ``{index: list}``.  A lone
-    Parameter replays ``plan`` on its own.  A ``shared_tails`` group runs
-    each member's probes through the plan's first call, then the rest of
-    the plan once per ``CHUNK`` of their outputs, stacked."""
+    Parameter replays ``plan`` on its own.  A ``shared_tails`` group
+    replays the rest of the plan once per ``first_call_chunks`` chunk."""
     if len(members) == 1:
         k, = members
         p = params[k]
         probes = probes_at(p, coords[k])
         return {k: replay(plan, out, p, probes).reshape(-1).tolist()}
-    first = plan[0]
-    stacked = np.concatenate([
-        replay([first], first, params[k], probes_at(params[k], coords[k]))
-        for k in members])
     values = np.concatenate([
-        replay(plan[1:], out, first, stacked[i:i + CHUNK])
-        for i in range(0, len(stacked), CHUNK)]).reshape(-1).tolist()
+        replay(plan[1:], out, plan[0], chunk)
+        for chunk in first_call_chunks(plan[0], members, params, coords)
+    ]).reshape(-1).tolist()
     cuts = np.cumsum([0, *(2 * len(coords[k]) for k in members)])
     return {k: values[a:b] for k, a, b in zip(members, cuts, cuts[1:])}
 

@@ -113,9 +113,9 @@ def contrastive_av(f_a_frames: Tensor, f_v_frames: Tensor, active_mask,
     the loss is bit-identical to that chain's.
 
     Its batch rule stays one call per probe: only the replays of the
-    encoders' Parameters reach it, and in ``dualstream gradcheck`` those
-    calls take about 5 ms of 0.37 s (2-core x86 host), too little for a
-    rule of its own to pin bit for bit.
+    encoders' Parameters reach it, and those calls are a small part of a
+    ``dualstream gradcheck`` audit, too little for a rule of its own to
+    pin bit for bit.
     """
     if temperature <= 0:
         raise ContractError(f"temperature must be > 0, got {temperature}")

@@ -190,10 +190,12 @@ def test_per_probe_ops():
     check(losses.contrastive_av, [fa, fv], fa, fv, active, 0.07)
 
 
-@pytest.mark.parametrize("shape", [(1, 12), (3, 4), (12,)],
-                         ids=["one_speaker", "three_speakers", "gate_logits"])
+@pytest.mark.parametrize("shape", [(1, 12), (3, 4), (12,), (4, 48)],
+                         ids=["one_speaker", "three_speakers", "gate_logits",
+                              "past_one_pairwise_block"])
 def test_masked_bce(shape):
-    # [S, T] logits, and the gate's [T] ones
+    # [S, T] logits, and the gate's [T] ones; numpy adds more than 128
+    # elements as two pairwise halves, which a row sum must split alike
     rng = np.random.default_rng(17)
     logits = Tensor(rand(rng, *shape))
     labels, mask = rng.random(shape) < 0.5, rng.random(shape) < 0.7
@@ -356,3 +358,30 @@ def test_a_chunk_may_split_a_members_probes(monkeypatch):
     loss, calls, params = audited({})
     coords = [probed(p, k, 3, 0) for k, p in enumerate(params)]
     assert_own_replays(loss, calls, params, coords)
+
+
+@pytest.mark.parametrize("chunk", [7, 24, 64])
+def test_first_calls_run_one_chunk_ahead(monkeypatch, chunk):
+    """A block group's first-call outputs come in ``CHUNK`` rows, the last
+    shorter, in member order, and are made only as the chunks are taken:
+    at a yield, at most a chunk and one member's outputs are held."""
+    monkeypatch.setattr(gradcheck, "CHUNK", chunk)
+    _loss, calls, params = audited({})
+    coords = [probed(p, k, 8, 0) for k, p in enumerate(params)]
+    plan, members = next(g for g in shared_tails(calls, params)
+                         if len(g[1]) == 16)
+    built = []
+    monkeypatch.setattr(gradcheck, "probes_at",
+                        lambda p, c: built.append(len(c)) or probes_at(p, c))
+    chunks, taken = [], 0
+    with no_grad():
+        for rows in gradcheck.first_call_chunks(plan[0], members, params,
+                                                coords):
+            assert 2 * sum(built) - taken < chunk + 2 * built[-1]
+            taken += len(rows)
+            chunks.append(rows.copy())
+        own = [replay([plan[0]], plan[0], params[k],
+                      probes_at(params[k], coords[k])) for k in members]
+    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= chunk
+    assert np.concatenate(chunks).tobytes() == np.concatenate(own).tobytes()

@@ -8,8 +8,8 @@ runs ``BENCHMARK.json``'s command (``perfbench/run.py``) in that tree and in
 this checkout, one process at a time with one BLAS thread: for each of N
 fixed seeds from 51, one parent/change pair per workload, cycling through
 the workloads, the change first on odd seeds.  Each run is ``--workload W
---seed S --seconds 30 --trace 0``; ``--seconds`` and ``--workloads``
-shorten a trial run.
+--seed S --seconds SECONDS --trace 0``, SECONDS being ``BENCHMARK.json``'s
+``run_seconds``.
 
 The record holds, for every workload and end-to-end metric, the median and
 quartiles (``statistics.quantiles``, n=4) of each side's runs, the ratio of
@@ -39,9 +39,10 @@ PROTOCOL = (
     "For every workload and end-to-end metric of BENCHMARK.json: median and "
     "quartiles (statistics.quantiles, n=4) of the parent commit's runs and of "
     "the change's runs, each run one `python3 perfbench/run.py --workload W "
-    "--seed S --seconds {seconds:g} --trace 0` in its own checkout with one "
-    "BLAS thread, parent and change alternating which ran first (odd seeds "
-    "change first), one process at a time, written by tools/bench_pairs.py. "
+    f"--seed S --seconds {SPEC['run_seconds']:g} --trace 0` in its own "
+    "checkout with one BLAS thread, parent and change alternating which ran "
+    "first (odd seeds change first), one process at a time, written by "
+    "tools/bench_pairs.py. "
     "Values are copied from the JSON line each run prints; runs lists them "
     "per seed. The parent is the commit named below, exported with git "
     "archive; the change is the checkout the script ran in, identified by "
@@ -73,11 +74,12 @@ def export(ref, into):
     return commit
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """One benchmark run in ``tree``: its env, metrics (None when it printed
     none), operation counts and the artifact hashes of its first pass."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(seconds), "--trace", "0"]
+                             "--seconds", str(SPEC["run_seconds"]),
+                             "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=TIMEOUT, env=one_blas_thread())
     lines = proc.stdout.strip().splitlines()
@@ -147,11 +149,8 @@ def main(argv=None):
     parser.add_argument("pairs", type=int, help="pairs per workload")
     parser.add_argument("--out", required=True, help="the record to write")
     parser.add_argument("--what", default="", help="what the change is")
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(
-        w["name"] for w in SPEC["workloads"]))
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in SPEC["workloads"]]
     seeds = list(range(FIRST_SEED, FIRST_SEED + args.pairs))
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -164,7 +163,7 @@ def main(argv=None):
                 runs = {}
                 for side in order:
                     tree = ROOT if side == "change" else parent_tree
-                    runs[side] = run_once(tree, w, seed, args.seconds)
+                    runs[side] = run_once(tree, w, seed)
                     print(f"  {w:15s} seed {seed:3d} {side:6s} "
                           f"{'ok' if runs[side]['correct'] else 'FAILED'}",
                           flush=True)
@@ -172,8 +171,7 @@ def main(argv=None):
 
     parent_env, change_env = (r["env"] for r in pairs[workloads[0]][0])
     record = {
-        "what": " ".join(filter(None, [args.what, PROTOCOL.format(
-            seconds=args.seconds)])),
+        "what": " ".join(filter(None, [args.what, PROTOCOL])),
         "parent_commit": commit,
         "parent_src_sha256": parent_env.get("src_sha256"),
         "change_src_sha256": change_env.get("src_sha256"),
