@@ -10,8 +10,8 @@ import pytest
 from dualstream import attention, cli, gradcheck, losses, tensor
 from dualstream import data as data_module
 from dualstream import model as model_module
-from dualstream.cli import _build_gate_net, gradcheck_inputs, main
-from dualstream.config import SCHEMA, RunConfig, load_config
+from dualstream.cli import gradcheck_inputs, main
+from dualstream.config import SCHEMA, RunConfig
 from dualstream.data import GenConfig, generate, generate_scene, read_corpus, write_corpus
 from dualstream.errors import ContractError, DimensionError, FormatError
 from dualstream.evaluation import (metrics_report, read_predictions,
@@ -24,6 +24,7 @@ from dualstream.tensor import Parameter, no_grad, op
 from dualstream.train import (CKPT_MAGIC, apply_checkpoint, load_checkpoint,
                               save_checkpoint)
 
+from common import cli_sets, detector, variants
 from oracles import full_recompute_audit
 
 # small-but-real sizes so the whole pipeline runs in well under a minute
@@ -37,6 +38,11 @@ TINY = [
     "--set", "gate.rnn_hidden=4", "--set", "gate.epochs=2",
     "--set", "train.epochs=3",
 ]
+
+
+def config(args):
+    """The ``--set`` values of the command-line arguments ``args``."""
+    return dict(arg.split("=") for arg in args[1::2])
 
 
 def sha(path):
@@ -160,7 +166,7 @@ class TestTrain:
     ], ids=["model", "gate"])
     def test_non_finite_loss_is_numerical_error(self, tmp_path, capsys,
                                                 override, message):
-        sizes = [a for k, v in cli.TINY.items() for a in ("--set", f"{k}={v}")]
+        sizes = cli_sets(cli.TINY)
         corpus, ckpt = tmp_path / "c.bin", tmp_path / "m.ckpt"
         assert run(*sizes, "gen-data", "--scenes", "4",
                    "--out", str(corpus)) == 0
@@ -184,26 +190,29 @@ class TestTrain:
 
     def test_checkpoint_reproduces_forward_scores(self, pipeline):
         root, corpus, held, ckpt = pipeline
-        cfg = RunConfig({"data.speakers": 2, "data.frames": 6,
-                         "data.height": 4, "data.width": 4,
-                         "data.mel_bins": 8, "model.channels": 8,
-                         "model.heads": 2, "model.rounds": 1,
-                         "model.s_max": 2, "model.vis_hidden": 8,
-                         "model.audio_hidden": 8})
         scenes = read_corpus(corpus)
         tensors = load_checkpoint(ckpt)
-        model = ActiveSpeakerModel(cfg.model_config())
+        model = detector(config(TINY))[2]
         model_tensors = {k: v for k, v in tensors.items()
                          if not k.startswith("gate.")}
         apply_checkpoint(model.parameters(), model_tensors)
         out1 = model.forward(scenes[0].visual, scenes[0].audio).scores.data
-        model2 = ActiveSpeakerModel(cfg.model_config())
+        model2 = detector(config(TINY))[2]
         apply_checkpoint(model2.parameters(), model_tensors)
         out2 = model2.forward(scenes[0].visual, scenes[0].audio).scores.data
         assert (out1 == out2).all()
 
 
 class TestEval:
+    @staticmethod
+    def eval_with(corpus, ckpt, tmp_path, *sets):
+        """``eval`` of ``corpus`` by ``ckpt`` into ``tmp_path``, at the
+        pipeline's sizes with ``sets`` over them."""
+        return run(*TINY, *sets, "eval", "--corpus", str(corpus),
+                   "--model", str(ckpt),
+                   "--predictions", str(tmp_path / "p.csv"),
+                   "--metrics", str(tmp_path / "m.txt"))
+
     def test_deterministic_outputs(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
         for tag in ("a", "b"):
@@ -236,9 +245,7 @@ class TestEval:
 
     def test_predictions_cover_masked_cells_once(self, pipeline, tmp_path):
         root, corpus, held, ckpt = pipeline
-        assert run(*TINY, "eval", "--corpus", str(held), "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 0
+        assert self.eval_with(held, ckpt, tmp_path) == 0
         records = read_predictions(tmp_path / "p.csv")
         keys = [(r.scene_id, r.speaker_idx, r.frame_idx) for r in records]
         assert len(keys) == len(set(keys))
@@ -249,9 +256,7 @@ class TestEval:
         root, corpus, held, ckpt = pipeline
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 50)
-        assert run(*TINY, "eval", "--corpus", str(bad), "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert self.eval_with(bad, ckpt, tmp_path) == 2
 
     def test_non_utf8_checkpoint_name_is_data_error(self, pipeline, tmp_path,
                                                     capsys):
@@ -260,9 +265,7 @@ class TestEval:
         blob[len(CKPT_MAGIC) + 8] = 0xFF  # first byte of the first name
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
-        assert run(*TINY, "eval", "--corpus", str(held), "--model", str(bad),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert self.eval_with(held, bad, tmp_path) == 2
         assert "checkpoint tensor 0: name" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
@@ -287,9 +290,7 @@ class TestEval:
             tensors["dual.head_b"][0] = np.nan if fault == "nan" else -np.inf
             save_checkpoint(tensors, bad)
             message = "checkpoint tensor dual.head_b has non-finite values"
-        assert run(*TINY, "eval", "--corpus", str(held), "--model", str(bad),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert self.eval_with(held, bad, tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
         assert not (tmp_path / "m.txt").exists()
@@ -302,10 +303,7 @@ class TestEval:
         silent = tmp_path / "silent.bin"
         assert run(*TINY, "--set", "data.p_on_on=0", "--set", "data.p_off_on=0",
                    "gen-data", "--scenes", "2", "--out", str(silent)) == 0
-        assert run(*TINY, "eval", "--corpus", str(silent),
-                   "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt")) == 2
+        assert self.eval_with(silent, ckpt, tmp_path) == 2
         assert ("average precision undefined: no positive records"
                 in capsys.readouterr().err)
         assert not (tmp_path / "p.csv").exists()
@@ -317,12 +315,6 @@ class TestEval:
         save_checkpoint({"wrong.tensor": np.zeros((2, 2))},
                         tmp_path / "bad.ckpt")
         assert self.eval_with(held, tmp_path / "bad.ckpt", tmp_path) == 2
-
-    def eval_with(self, held, ckpt, tmp_path, *sets):
-        return run(*TINY, *sets, "eval", "--corpus", str(held),
-                   "--model", str(ckpt),
-                   "--predictions", str(tmp_path / "p.csv"),
-                   "--metrics", str(tmp_path / "m.txt"))
 
     def test_checkpoint_of_an_ablated_model_is_refused(self, pipeline,
                                                        tmp_path, capsys):
@@ -367,8 +359,7 @@ def test_in_process_calls_are_the_commands_path(pipeline, tmp_path):
     so the gated path is compared too."""
     root, corpus, held, ckpt = pipeline
     sets = [*TINY, "--set", "gate.t_veto=0.9", "--set", "eval.threshold=0.05"]
-    cfg = load_config(None, dict(item.split("=") for item in sets[1::2]))
-    model, gate_net = cli.build_detector(cfg)
+    cfg, _scene, model, gate_net = detector(config(sets))
     cli.train_detector(cfg, model, gate_net, read_corpus(corpus))
     saved = load_checkpoint(ckpt)
     params = model.parameters() + gate_net.parameters()
@@ -401,40 +392,36 @@ class TestGradcheckCommand:
         assert run("gradcheck") == 0
         assert capsys.readouterr().out.splitlines() == first
 
-    @pytest.mark.parametrize("stream", ["speaker", "temporal"])
-    def test_audits_the_ablated_model(self, stream, capsys):
-        # the ablated stream's blocks are not built, so the report moves
-        def report(*args):
-            assert run(*args, "gradcheck") == 0
-            return [l for l in capsys.readouterr().out.splitlines()
-                    if not l.startswith("#")]
+    @staticmethod
+    def report(capsys, *args):
+        """The ``gradcheck`` report under ``args``, less the config echo."""
+        assert run(*args, "gradcheck") == 0
+        return [l for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")]
 
-        ablated = report("--set", f"model.ablate_{stream}=true")
+    @pytest.mark.parametrize("variant", variants(lambda v: v.drops))
+    def test_audits_the_ablated_model(self, variant, capsys):
+        # the ablated streams' blocks are not built, so the report moves
+        ablated = self.report(capsys, *cli_sets(variant.sets))
         assert ablated[-1] == "PASS"
-        assert ablated != report()
+        assert ablated != self.report(capsys)
 
     def test_audits_every_model_key_tiny_leaves(self, capsys):
         # cli.TINY sets no model.mlp_ratio: the audited MLPs take the user's
         _scene, model, _gate = gradcheck_inputs(
             RunConfig({"model.mlp_ratio": 2}))
         assert model.cal_av.w1.shape == (8, 16)
-
-        def report(*args):
-            assert run(*args, "gradcheck") == 0
-            return [l for l in capsys.readouterr().out.splitlines()
-                    if not l.startswith("#")]
-
-        ratio_2 = report("--set", "model.mlp_ratio=2")
+        ratio_2 = self.report(capsys, "--set", "model.mlp_ratio=2")
         assert ratio_2[-1] == "PASS"
-        assert ratio_2 != report()
+        assert ratio_2 != self.report(capsys)
 
 
-def audit(scene, model, gate_net, replayed, max_coords=8):
-    """``{name: worst}`` of the audit ``cmd_gradcheck`` runs, with its
-    perturbed passes replayed or each re-running the whole loss
-    (``oracles.full_recompute_audit``)."""
-    build_loss = cli.gradcheck_loss(
-        scene, model, gate_net, RunConfig(cli.TINY).loss_weights())
+def audit(inputs, replayed, max_coords=8):
+    """``{name: worst}`` of the audit ``cmd_gradcheck`` runs on the
+    ``detector`` ``inputs``, with its perturbed passes replayed or each
+    re-running the whole loss (``oracles.full_recompute_audit``)."""
+    cfg, scene, model, gate_net = inputs
+    build_loss = cli.gradcheck_loss(scene, model, gate_net, cfg.loss_weights())
     check = check_parameter_gradients if replayed else full_recompute_audit
     return check(build_loss, model.parameters() + gate_net.parameters(),
                  max_coords=max_coords, seed=0)
@@ -462,34 +449,20 @@ class TestResumedGradcheck:
 
     @pytest.mark.parametrize("init_seed", [0, 3])
     def test_same_worst_errors_as_full_recompute(self, init_seed):
-        scene, model, gate_net = gradcheck_inputs(RunConfig({"model.init_seed": init_seed}))
-        replayed = audit(scene, model, gate_net, True)
-        assert list(replayed.items()) == list(
-            audit(scene, model, gate_net, False).items())
+        inputs = detector({"model.init_seed": init_seed}, tiny=True)
+        assert list(audit(inputs, True).items()) == list(
+            audit(inputs, False).items())
 
-    @pytest.mark.parametrize("ablate", ["ablate_speaker", "ablate_temporal"])
-    def test_same_worst_errors_with_a_stream_ablated(self, ablate):
-        # the model holds no block of the ablated stream
-        scene, _model, gate_net = gradcheck_inputs(RunConfig())
-        model = ActiveSpeakerModel(
-            RunConfig({**cli.TINY, f"model.{ablate}": True}).model_config())
-        block = {"ablate_speaker": "sal_speaker", "ablate_temporal": "sal_time"}
-        assert all(getattr(rnd, block[ablate]) is None
-                   for rnd in model.stack.rounds)
-        replayed = audit(scene, model, gate_net, True, max_coords=2)
-        assert list(replayed.items()) == list(
-            audit(scene, model, gate_net, False, max_coords=2).items())
-
-    @pytest.mark.parametrize("rounds", [1, 3])
-    def test_same_worst_errors_at_other_depths(self, rounds):
-        # 3 rounds have a middle round; in 1 no round follows the first
-        scene, _model, gate_net = gradcheck_inputs(RunConfig())
-        model = ActiveSpeakerModel(
-            RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
-        assert len(model.stack.rounds) == rounds
-        replayed = audit(scene, model, gate_net, True, max_coords=2)
-        assert list(replayed.items()) == list(
-            audit(scene, model, gate_net, False, max_coords=2).items())
+    @pytest.mark.parametrize("variant", variants(lambda v: v.sets))
+    def test_same_worst_errors_at_every_other_variant(self, variant):
+        # 3 rounds have a middle round, in 1 no round follows the first, and
+        # an ablated model holds no block of its dropped streams
+        inputs = cfg, _scene, model, _gate = detector(variant.sets, tiny=True)
+        assert len(model.stack.rounds) == cfg["model.rounds"]
+        assert not [p.name for p in model.parameters()
+                    if variant.dropped(p.name)]
+        assert list(audit(inputs, True, max_coords=2).items()) == list(
+            audit(inputs, False, max_coords=2).items())
 
     @staticmethod
     def reruns(stack):
@@ -566,19 +539,16 @@ class TestResumedGradcheck:
         capsys.readouterr()
         assert calls == {"block": blocks, "contrastive": contrastive}
 
-    @pytest.mark.parametrize("rounds", [1, 2, 3])
-    def test_each_stack_parameter_reruns_its_own_blocks(self, rounds,
+    @pytest.mark.parametrize("variant", variants(lambda v: not v.drops))
+    def test_each_stack_parameter_reruns_its_own_blocks(self, variant,
                                                         monkeypatch):
         """One replayed pass per stack Parameter runs the blocks ``reruns``
         gives it, so errors that cancel in the audit's total still show."""
-        scene, _model, gate_net = gradcheck_inputs(RunConfig())
-        model = ActiveSpeakerModel(
-            RunConfig({**cli.TINY, "model.rounds": rounds}).model_config())
+        cfg, scene, model, gate_net = detector(variant.sets, tiny=True)
         calls = {"block": 0}
         monkeypatch.setattr(attention, "_block",
                             counted(calls, "block", attention._block))
-        loss = cli.gradcheck_loss(scene, model, gate_net,
-                                  RunConfig(cli.TINY).loss_weights())()
+        loss = cli.gradcheck_loss(scene, model, gate_net, cfg.loss_weights())()
         recorded = recorded_calls(loss)
         stack, reruns = model.stack, self.reruns(model.stack)
         runs = []
@@ -812,9 +782,8 @@ class TestCorpusShapes:
             argv = ["train", "--corpus", str(corpus),
                     "--out", str(tmp_path / "m.ckpt")]
         else:
-            cfg = load_config(None, dict(kv.split("=") for kv in wrong[1::2]))
-            params = (ActiveSpeakerModel(cfg.model_config()).parameters()
-                      + _build_gate_net(cfg).parameters())
+            _cfg, _scene, model, gate_net = detector(config(wrong))
+            params = model.parameters() + gate_net.parameters()
             fits = tmp_path / "fits.ckpt"
             save_checkpoint({p.name: p.data for p in params}, fits)
             argv = ["eval", "--corpus", str(held), "--model", str(fits),

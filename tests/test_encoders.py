@@ -2,19 +2,11 @@
 
 import numpy as np
 import numpy.testing as npt
-from scipy.special import erf
 
-from dualstream.attention import AttentionBlock
 from dualstream.encoders import AudioEncoder, VisualEncoder, fuse
 from dualstream.tensor import Tensor
 
-
-def gelu_np(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def make_cal(dim, rng):
-    return AttentionBlock(dim, 4, 4 * dim, rng, "cal")
+from test_attention import gelu_np, make_cal
 
 
 class TestVisualEncoder:
@@ -58,8 +50,8 @@ class TestAudioEncoder:
 class TestFuse:
     def setup_method(self):
         rng = np.random.default_rng(6)
-        self.cal_av = make_cal(16, rng)
-        self.cal_va = make_cal(16, rng)
+        self.cal_av = make_cal(16, 4, rng)
+        self.cal_va = make_cal(16, 4, rng)
         self.rng = rng
 
     def test_concat_width(self):

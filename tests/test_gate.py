@@ -18,6 +18,7 @@ from dualstream.tensor import (Tensor, add, backward, concat, gelu, getitem,
                                linear, op, reshape, zero_grads)
 from dualstream.train import train_gate
 
+from common import tape
 from oracles import matmul, tanh
 
 # distinct nodes on one gate loss's tape, at any T: 12 Parameters and 8
@@ -281,16 +282,6 @@ def gate_loss(logits, frames, seed):
     return masked_bce(logits, target, np.ones(frames))
 
 
-def tape_nodes(root):
-    seen, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.parents)
-    return len(seen)
-
-
 def gate_sizes(cfg):
     """(mel bins, conv width, recurrence width) of a config's gate."""
     return cfg["data.mel_bins"], cfg["gate.conv_hidden"], cfg["gate.rnn_hidden"]
@@ -331,8 +322,8 @@ def test_fused_gate_matches_per_op_tape_bit_for_bit(frames, sizes):
 
 def test_gate_tape_size_guard():
     net = ConfidenceNet(13, 8, 8, np.random.default_rng(0))
-    counts = {frames: tape_nodes(gate_loss(net.logits(np.ones((4 * frames, 13))),
-                                           frames, 0))
+    counts = {frames: len(tape(gate_loss(net.logits(np.ones((4 * frames, 13))),
+                                         frames, 0)))
               for frames in (3, 12, 48)}
     assert len(set(counts.values())) == 1, counts
     assert counts[12] <= MAX_GATE_NODES, counts

@@ -8,22 +8,19 @@ import pytest
 
 from dualstream import attention, cli, gradcheck, losses
 from dualstream.attention import AttentionBlock
-from dualstream.config import RunConfig
 from dualstream.errors import NumericalError
 from dualstream.gradcheck import (check_parameter_gradients, probed,
                                   probes_at, reached, recorded_calls, replay,
                                   replay_group, shared_tails)
-from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import (Parameter, Tensor, add, broadcast_to, concat,
                                conv1d_same, gelu, getitem, linear, mul,
                                no_grad, op, per_probe, reshape, tanh_birnn,
                                transpose, tsum)
 
+from common import detector, variants
+from test_tensor import rand
+
 P = 5
-
-
-def rand(rng, *shape):
-    return rng.uniform(-2.0, 2.0, size=shape)
 
 
 def lockstep_and_per_probe(fn, probes, *args, **kwargs):
@@ -286,12 +283,10 @@ def test_a_parameter_read_past_its_op_calls_fails():
 
 
 def audited(sets):
-    """The audit's loss, recorded calls and Parameters for the model of
+    """The audit's loss, recorded calls and Parameters for the detector of
     ``cli.TINY`` with ``sets`` over it, and one Parameter it does not read."""
-    scene, _model, gate_net = cli.gradcheck_inputs(RunConfig())
-    model = ActiveSpeakerModel(RunConfig({**cli.TINY, **sets}).model_config())
-    loss = cli.gradcheck_loss(scene, model, gate_net,
-                              RunConfig(cli.TINY).loss_weights())()
+    cfg, scene, model, gate_net = detector(sets, tiny=True)
+    loss = cli.gradcheck_loss(scene, model, gate_net, cfg.loss_weights())()
     unread = Parameter(np.ones(3), "unread")
     return loss, recorded_calls(loss), [*model.parameters(),
                                         *gate_net.parameters(), unread]
@@ -335,17 +330,13 @@ def test_a_parameter_read_again_later_replays_alone():
     assert_own_replays(loss, calls, params, [np.arange(2)] * 2)
 
 
-@pytest.mark.parametrize("sets", [
-    {"model.rounds": 1}, {"model.rounds": 2}, {"model.rounds": 3},
-    {"model.ablate_speaker": True}, {"model.ablate_temporal": True}],
-    ids=["rounds_1", "rounds_2", "rounds_3", "ablate_speaker",
-         "ablate_temporal"])
-def test_shared_tails_give_each_parameter_its_own_replay(sets):
+@pytest.mark.parametrize("variant", variants())
+def test_shared_tails_give_each_parameter_its_own_replay(variant):
     """Every Parameter's values from its group's replay are those of its
     own ``replay``, bit for bit: the groups of 16 block Parameters run
     past one ``CHUNK``, and the speaker table (in two rounds or more) and
     a Parameter the loss does not read replay alone."""
-    loss, calls, params = audited(sets)
+    loss, calls, params = audited(variant.sets)
     coords = [probed(p, k, 8, 0) for k, p in enumerate(params)]
     groups = shared_tails(calls, params)
     assert max(sum(2 * len(coords[k]) for k in members)

@@ -8,7 +8,7 @@ from dualstream import model as model_module
 from dualstream.cli import _build_gate_net, gradcheck_loss
 from dualstream.config import RunConfig
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
-from dualstream.data import GenConfig, frame_steps, generate_scene
+from dualstream.data import frame_steps, generate_scene
 from dualstream.gate import voice_confidence
 from dualstream.gradcheck import (check_parameter_gradients, reached,
                                   recorded_calls, replay)
@@ -17,8 +17,8 @@ from dualstream.model import (ActiveSpeakerModel, DualStreamStack, ModelConfig,
 from dualstream.tensor import (Parameter, Tensor, init_uniform, mul, no_grad,
                                tsum)
 
+from common import Variant, detector, tape, variants
 from test_attention import block_oracle
-from test_train import tape
 
 DIM = 16
 
@@ -249,17 +249,15 @@ class TestDualForward:
                             atol=1e-12)
 
 
-@pytest.mark.parametrize("overrides", [
-    {}, {"data.speakers": 4, "data.frames": 48}, {"model.ablate_temporal": True},
-], ids=["default", "s4_t48", "ablate_temporal"])
-def test_frame_order_reaches_the_gate_but_not_the_model(overrides):
+@pytest.mark.parametrize("variant", [*variants(), pytest.param(
+    Variant({"data.speakers": 4, "data.frames": 48}), id="s4_t48")])
+def test_frame_order_reaches_the_gate_but_not_the_model(variant):
     """Permuting a scene's frames (its crops on axis 1, its audio in whole
-    ``data.frame_steps`` blocks) permutes the model's scores the same way:
-    nothing in the model gives frame order.  The voice gate's convolution
-    and recurrence do read it, so its confidences do not follow."""
-    cfg = RunConfig(overrides)
-    model = ActiveSpeakerModel(cfg.model_config())
-    gate_net = _build_gate_net(cfg)
+    ``data.frame_steps`` blocks) permutes every variant's scores the same
+    way: nothing in the model gives frame order.  The voice gate's
+    convolution and recurrence do read it, so its confidences do not
+    follow."""
+    cfg, _scene, model, gate_net = detector(variant.sets)
     gen = cfg.gen_config()
     for index in range(5):
         scene = generate_scene(gen, index)
@@ -275,12 +273,8 @@ def test_frame_order_reaches_the_gate_but_not_the_model(overrides):
 
 
 def test_full_model_gradients_match_finite_differences():
-    gen = GenConfig(seed=3, speakers=2, frames=3, height=4, width=4,
-                    mel_bins=8, noise_std=0.2)
-    scene = generate_scene(gen, 0)
-    cfg = ModelConfig(channels=8, heads=2, rounds=1, s_max=2, vis_hidden=8,
-                      audio_hidden=8, height=4, width=4, mel_bins=8)
-    model = ActiveSpeakerModel(cfg)
+    _cfg, scene, model, _gate = detector({"data.seed": 3, "model.rounds": 1},
+                                         tiny=True)
     rng = np.random.default_rng(17)
     proj = Tensor(rng.normal(size=(2, 3)))
 
@@ -293,23 +287,8 @@ def test_full_model_gradients_match_finite_differences():
     assert max(worst.values()) <= 1e-4, max(worst.items(), key=lambda kv: kv[1])
 
 
-# the Parameters an ablation draws but does not keep, by name part
-DROPPED = {"model.ablate_speaker": (".sal_speaker.", "dual.speaker_emb."),
-           "model.ablate_temporal": (".sal_time.",)}
-MODELS = [{"model.rounds": 1}, {}, {"model.rounds": 3},
-          {"model.ablate_speaker": True}, {"model.ablate_temporal": True},
-          {"model.ablate_speaker": True, "model.ablate_temporal": True}]
-MODEL_IDS = ["rounds1", "rounds2", "rounds3", "ablate_speaker",
-             "ablate_temporal", "ablate_both"]
-
-
-def dropped(overrides, name):
-    return any(part in name for key, parts in DROPPED.items()
-               if overrides.get(key) for part in parts)
-
-
-@pytest.mark.parametrize("overrides", MODELS, ids=MODEL_IDS)
-def test_parameters_are_every_parameter_the_constructors_make(overrides,
+@pytest.mark.parametrize("variant", variants())
+def test_parameters_are_every_parameter_the_constructors_make(variant,
                                                               monkeypatch):
     """Each Parameter the model's and the gate's constructors create is
     listed once, in creation order, but for those of an ablated stream,
@@ -323,7 +302,7 @@ def test_parameters_are_every_parameter_the_constructors_make(overrides,
         made.append(self)
 
     monkeypatch.setattr(Parameter, "__init__", recording)
-    cfg = RunConfig(overrides)
+    cfg = RunConfig(variant.sets)
     model = ActiveSpeakerModel(cfg.model_config())
     n_model = len(made)
     gate_net = _build_gate_net(cfg)
@@ -332,24 +311,19 @@ def test_parameters_are_every_parameter_the_constructors_make(overrides,
     def ids(params):
         return [id(p) for p in params]
 
-    kept = [p for p in made[:n_model] if not dropped(overrides, p.name)]
-    speaker = overrides.get("model.ablate_speaker", False)
-    temporal = overrides.get("model.ablate_temporal", False)
-    # 16 Parameters per block of each of 2 rounds, and the speaker table
-    assert n_model - len(kept) == 32 * (speaker + temporal) + speaker
+    kept = [p for p in made[:n_model] if not variant.dropped(p.name)]
+    assert n_model - len(kept) == variant.n_dropped
     assert ids(model.parameters()) == ids(kept)
     assert ids(gate_net.parameters()) == ids(made[n_model:])
 
 
-@pytest.mark.parametrize("overrides", MODELS, ids=MODEL_IDS)
-def test_every_held_parameter_reaches_the_loss(overrides):
+@pytest.mark.parametrize("variant", variants())
+def test_every_held_parameter_reaches_the_loss(variant):
     """The Parameters the model and the gate hold are exactly those one
     taped audit loss reaches: an ablated stream leaves none behind that its
     forward never reads, to be trained, saved or audited for nothing."""
-    cfg = RunConfig(overrides)
-    model, gate_net = ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg)
-    loss = gradcheck_loss(generate_scene(cfg.gen_config(), 0), model,
-                          gate_net, cfg.loss_weights())()
+    cfg, scene, model, gate_net = detector(variant.sets)
+    loss = gradcheck_loss(scene, model, gate_net, cfg.loss_weights())()
     held = model.parameters() + gate_net.parameters()
     reached = [n for n in tape(loss) if isinstance(n, Parameter)]
     assert len({id(p) for p in held}) == len(held)
@@ -358,17 +332,15 @@ def test_every_held_parameter_reaches_the_loss(overrides):
 
 
 @pytest.mark.parametrize("rounds", [1, 2])
-@pytest.mark.parametrize("ablate", [["speaker"], ["temporal"],
-                                    ["speaker", "temporal"]])
-def test_an_ablated_model_is_the_full_model_less_its_blocks(ablate, rounds):
+@pytest.mark.parametrize("variant", variants(lambda v: v.drops))
+def test_an_ablated_model_is_the_full_model_less_its_blocks(variant, rounds):
     """Every Parameter of an ablated model equals the full model's of that
     name at the same init seed, bit for bit: the ablation still draws what
     it drops, so a paired comparison differs only by what is removed."""
     sets = {"model.rounds": rounds, "model.init_seed": 4}
-    full = ActiveSpeakerModel(RunConfig(sets).model_config()).parameters()
-    overrides = {**sets, **{f"model.ablate_{s}": True for s in ablate}}
-    ablated = ActiveSpeakerModel(RunConfig(overrides).model_config())
-    want = {p.name: p for p in full if not dropped(overrides, p.name)}
+    full = detector(sets)[2].parameters()
+    ablated = detector({**variant.sets, **sets})[2]
+    want = {p.name: p for p in full if not variant.dropped(p.name)}
     assert [p.name for p in ablated.parameters()] == list(want)
     for p in ablated.parameters():
         assert p.data.tobytes() == want[p.name].data.tobytes(), p.name

@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from dualstream.attention import AttentionBlock, cal_forward, sal_forward
-from dualstream.cli import _build_gate_net, collect_predictions, gradcheck_inputs
-from dualstream.config import RunConfig
+from dualstream.cli import collect_predictions
 from dualstream.data import generate
 from dualstream.evaluation import PredictionRecord
 from dualstream.gate import ConfidenceNet, gate_batch, voice_confidence
@@ -16,6 +15,7 @@ from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import (Parameter, add, conv1d_same, getitem, linear,
                                mul, no_grad, op, tanh_birnn, tsum)
 
+from common import detector
 from oracles import attention_core, distractor_cells, layer_norm
 from test_evaluation import records_of
 from test_tensor import CONSTANT_PATHS, PRIMITIVES, rand
@@ -71,22 +71,16 @@ def test_every_op_same_values_and_no_parents(name):
     npt.assert_array_equal(free.data, taped.data)
 
 
-def default_inputs(overrides):
-    cfg = RunConfig(overrides)
-    scene = generate(cfg.gen_config(), 1)[0]
-    return scene, ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg)
-
-
 INPUTS = {
-    "default_3x12": lambda: default_inputs({}),
-    "long_4x48": lambda: default_inputs({"data.speakers": 4, "data.frames": 48}),
-    "gradcheck_tiny": lambda: gradcheck_inputs(RunConfig()),
+    "default_3x12": lambda: detector(),
+    "long_4x48": lambda: detector({"data.speakers": 4, "data.frames": 48}),
+    "gradcheck_tiny": lambda: detector(tiny=True),
 }
 
 
 @pytest.mark.parametrize("which", sorted(INPUTS))
 def test_model_and_gate_outputs_bit_identical(which):
-    scene, model, gate_net = INPUTS[which]()
+    _cfg, scene, model, gate_net = INPUTS[which]()
 
     def run():
         out = model.forward(scene.visual, scene.audio)
@@ -146,10 +140,8 @@ def taped_predictions(model, gate_net, scenes, gp, apply_gate):
 
 
 def test_collect_predictions_matches_taped_loop(monkeypatch):
-    cfg = RunConfig({"data.seed": 4})
+    cfg, _scene, model, gate_net = detector({"data.seed": 4})
     scenes = generate(cfg.gen_config(), 3)
-    model = ActiveSpeakerModel(cfg.model_config())
-    gate_net = _build_gate_net(cfg)
     gp = cfg.gate_params()
     want = {gate: taped_predictions(model, gate_net, scenes, gp, gate)
             for gate in (True, False)}
@@ -179,11 +171,11 @@ def test_collect_predictions_matches_taped_loop(monkeypatch):
 def test_collect_predictions_shares_all_but_the_scores():
     """Both cell sets flag the scenes' distractor cells and share every
     array but ``score``."""
-    cfg = RunConfig({"data.seed": 4, "data.distractor_rate": 0.5})
+    cfg, _scene, model, gate_net = detector({"data.seed": 4,
+                                             "data.distractor_rate": 0.5})
     scenes = generate(cfg.gen_config(), 3)
-    cells, raw_cells = collect_predictions(
-        ActiveSpeakerModel(cfg.model_config()), _build_gate_net(cfg), scenes,
-        cfg.gate_params(), True)
+    cells, raw_cells = collect_predictions(model, gate_net, scenes,
+                                           cfg.gate_params(), True)
     flagged = {r[:3] for r, d in zip(records_of(cells), cells.distractor)
                if d}
     assert flagged == distractor_cells(scenes)

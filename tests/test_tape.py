@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from dualstream import cli, losses, tensor
-from dualstream.config import RunConfig
-from dualstream.data import generate
 from dualstream.losses import total_loss
-from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter, Tensor
 from dualstream.train import gate_loss
+
+from common import detector, tape
 
 # the code of every function ``op`` returns
 TAPED = tensor.op(lambda: None).__code__
@@ -26,44 +25,25 @@ def package_op_bodies():
             if getattr(value, "__code__", None) is TAPED}
 
 
-def tape(loss):
-    """The distinct nodes reachable from ``loss`` through ``parents``."""
-    seen, stack, nodes = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.parents)
-    return nodes
-
-
-def default_inputs():
-    cfg = RunConfig()
-    scene = generate(cfg.gen_config(), 1)[0]
-    return cfg, scene, ActiveSpeakerModel(cfg.model_config())
-
-
 def train_step():
-    cfg, scene, model = default_inputs()
+    cfg, scene, model, _gate = detector()
     out = model.forward(scene.visual, scene.audio)
     return total_loss(out, scene.labels, scene.mask, cfg.loss_weights())[0]
 
 
 def gate_step():
-    cfg, scene, _model = default_inputs()
-    return gate_loss(cli._build_gate_net(cfg), scene)
+    _cfg, scene, _model, gate_net = detector()
+    return gate_loss(gate_net, scene)
 
 
 def gradcheck_loss():
-    scene, model, gate_net = cli.gradcheck_inputs(RunConfig())
-    weights = RunConfig(cli.TINY).loss_weights()
-    return cli.gradcheck_loss(scene, model, gate_net, weights)()
+    cfg, scene, model, gate_net = detector(tiny=True)
+    return cli.gradcheck_loss(scene, model, gate_net, cfg.loss_weights())()
 
 
 def degenerate_step():
     # no valid cell and no speech: every term of the loss is degenerate
-    cfg, scene, model = default_inputs()
+    cfg, scene, model, _gate = detector()
     out = model.forward(scene.visual, scene.audio)
     none = np.zeros_like(scene.mask)
     return total_loss(out, none, none, cfg.loss_weights())[0]

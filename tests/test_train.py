@@ -6,15 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dualstream.config import RunConfig, load_config
-from dualstream.data import generate_scene
 from dualstream.errors import FormatError
-from dualstream.gate import ConfidenceNet
 from dualstream.losses import total_loss
-from dualstream.model import ActiveSpeakerModel
 from dualstream.tensor import Parameter
 from dualstream.train import (MomentumSGD, apply_checkpoint, gate_loss,
                               train_model)
+
+from common import VARIANTS, detector, tape
 
 # distinct nodes on one default-config training step's tape: 175 Parameters
 # and 50 ops.  The unfused graph had 875 and the per-op attention blocks and
@@ -65,17 +63,6 @@ def test_zero_grad_clears_the_flat_buffer_in_place():
         assert np.shares_memory(p.grad, opt.grad)
 
 
-def tape(root):
-    """Every distinct node reachable from ``root`` through ``.parents``."""
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node.parents)
-    return list(seen.values())
-
-
 def speechless(scene):
     return replace(scene, labels=np.zeros_like(scene.labels))
 
@@ -88,14 +75,11 @@ def all_masked(scene):
 def default_losses(edit=lambda scene: scene):
     """One default-config training loss and one gate loss on the same scene,
     as ``edit`` returns it."""
-    cfg = load_config(None, {})
-    model = ActiveSpeakerModel(cfg.model_config())
-    scene = edit(generate_scene(cfg.gen_config(), 0))
+    cfg, scene, model, gate_net = detector()
+    scene = edit(scene)
     out = model.forward(scene.visual, scene.audio)
     loss, _ = total_loss(out, scene.labels, scene.mask, cfg.loss_weights())
-    net = ConfidenceNet(cfg["data.mel_bins"], cfg["gate.conv_hidden"],
-                        cfg["gate.rnn_hidden"], np.random.default_rng(0))
-    return loss, gate_loss(net, scene)
+    return loss, gate_loss(gate_net, scene)
 
 
 def test_training_step_tape_size_guard():
@@ -115,9 +99,8 @@ def test_every_leaf_is_a_parameter():
 
 
 def test_all_masked_scene_trains_with_zero_gradients():
-    cfg = load_config(None, {})
-    model = ActiveSpeakerModel(cfg.model_config())
-    scene = all_masked(generate_scene(cfg.gen_config(), 0))
+    cfg, scene, model, _gate = detector()
+    scene = all_masked(scene)
     before = [p.data.copy() for p in model.parameters()]
     history = train_model(model, [scene], cfg.loss_weights(), epochs=1,
                           lr=0.03, momentum=0.9, seed=0)
@@ -126,19 +109,19 @@ def test_all_masked_scene_trains_with_zero_gradients():
         npt.assert_array_equal(p.data, old, err_msg=p.name)
 
 
-def model_tensors(**overrides):
-    model = ActiveSpeakerModel(RunConfig(overrides).model_config())
-    return model.parameters(), {p.name: p.data for p in model.parameters()}
+def model_tensors(sets):
+    params = detector(sets)[2].parameters()
+    return params, {p.name: p.data for p in params}
 
 
 @pytest.mark.parametrize("ckpt,model,message", [
-    ({"model.ablate_temporal": True}, {},
+    ("ablate_temporal", "default",
      "missing dual.r0.sal_time (16 tensors), dual.r1.sal_time (16 tensors); "
      "unexpected none"),
-    ({}, {"model.ablate_speaker": True},
+    ("default", "ablate_speaker",
      "missing none; unexpected dual.r0.sal_speaker (16 tensors), "
      "dual.r1.sal_speaker (16 tensors), dual.speaker_emb (1 tensor)"),
-    ({"model.rounds": 1}, {"model.ablate_speaker": True},
+    ("rounds1", "ablate_speaker",
      "missing dual.r1.cal_speaker (16 tensors), dual.r1.cal_time (16 tensors), "
      "dual.r1.sal_time (16 tensors); unexpected dual.r0.sal_speaker "
      "(16 tensors), dual.speaker_emb (1 tensor)"),
@@ -146,16 +129,16 @@ def model_tensors(**overrides):
 def test_checkpoint_mismatch_names_modules_with_counts(ckpt, model, message):
     """A checkpoint of another model is refused with its missing and
     unexpected tensors grouped by module, one count each, not name by name."""
-    params, _ = model_tensors(**model)
-    _, tensors = model_tensors(**ckpt)
+    params, _ = model_tensors(VARIANTS[model].sets)
+    _, tensors = model_tensors(VARIANTS[ckpt].sets)
     with pytest.raises(FormatError) as err:
         apply_checkpoint(params, tensors)
     assert str(err.value) == f"checkpoint does not match model: {message}"
 
 
 def test_checkpoint_shape_mismatch_names_the_tensor():
-    params, _ = model_tensors()
-    _, tensors = model_tensors(**{"model.mlp_ratio": 2})
+    params, _ = model_tensors({})
+    _, tensors = model_tensors({"model.mlp_ratio": 2})
     with pytest.raises(FormatError, match=r"checkpoint tensor fusion\.cal_av"
                        r"\.mlp1_w has shape \(16, 32\), model expects "
                        r"\(16, 64\)"):

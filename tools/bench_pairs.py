@@ -13,11 +13,12 @@ the workloads, the change first on odd seeds.  Each run is ``--workload W
 
 The record holds, for every workload and end-to-end metric, the median and
 quartiles (``statistics.quantiles``, n=4) of each side's runs, the ratio of
-the medians, the pairs each side won and every run's value, plus the
-operations each side attempted and failed and whether the checkpoint,
-predictions-CSV and gradcheck-report hashes agreed in every pair.  A run
-that prints no metrics counts as failed and its pair is left out of the
-statistics.  Exit 0 when every run was correct, 1 otherwise.
+the medians, the pairs compared, the pairs each side won and every run's
+value, plus the operations each side attempted and failed and whether the
+checkpoint, predictions-CSV and gradcheck-report hashes agreed in every
+pair.  A run that prints no metrics counts as failed and its pair is left
+out of the statistics, so ``pairs_compared`` can be less than the pairs
+run.  Exit 0 when every run was correct, 1 otherwise.
 """
 
 import argparse
@@ -46,8 +47,9 @@ PROTOCOL = (
     "Values are copied from the JSON line each run prints; runs lists them "
     "per seed. The parent is the commit named below, exported with git "
     "archive; the change is the checkout the script ran in, identified by "
-    "the hash of its src/ (perfbench's src_sha256). pairs_change_better "
-    "counts the seeds whose change run beat the same seed's parent run. "
+    "the hash of its src/ (perfbench's src_sha256). pairs_compared counts "
+    "the seeds where both runs printed metrics; pairs_change_better counts "
+    "those whose change run beat the same seed's parent run. "
     "artifact_hashes_equal_in_every_pair compares the checkpoint, "
     "predictions-CSV and gradcheck-report hashes of each pair's first "
     "passes.")
@@ -112,7 +114,8 @@ def compare(metric, pairs):
     kept = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
             if p["metrics"] and c["metrics"]]
     parent, change = [p for p, _ in kept], [c for _, c in kept]
-    entry = {"unit": metric["unit"], "better": better, "bound": metric["bound"]}
+    entry = {"unit": metric["unit"], "better": better, "bound": metric["bound"],
+             "pairs_compared": len(kept)}
     if len(kept) < 2:
         return {**entry, "runs": {"parent": parent, "change": change}}
     sign = -1 if better == "lower" else 1
@@ -185,7 +188,7 @@ def main(argv=None):
                 print(f"{w:15s} {name:24s} parent {m['parent']['median']:.4g} "
                       f"change {m['change']['median']:.4g} "
                       f"({m['change_over_parent_median']:.3f}x, change better "
-                      f"in {m['pairs_change_better']}/{rec['runs_per_side']})")
+                      f"in {m['pairs_change_better']}/{m['pairs_compared']})")
     return 0 if all(all(rec["correct"].values())
                     for rec in record["workloads"].values()) else 1
 
