@@ -7,7 +7,11 @@ is cross-attention of a sequence with itself.  Normalization is applied
 *after* each residual add (post-norm), and attention logits are scaled by
 1/sqrt(head_dim), and every layer normalization adds ``LN_EPS`` to its
 variance.  The block's numpy kernels below check nothing:
-``AttentionBlock`` checks its heads once, ``_block`` its tokens.
+``AttentionBlock`` checks its heads once, ``_block`` its tokens.  Each
+kernel computes into arrays it allocated itself and writes into nothing it
+was given (an argument, a saved forward array, an incoming gradient), with
+the same operations in the same order as their allocating forms, so the
+in-place forms round the same.
 
 No dropout and no positional encoding anywhere: determinism matters more
 than regularization at this scale.  The learnable speaker embedding gives
@@ -70,11 +74,14 @@ def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
     reuses.
     """
     inv_c = 1.0 / float(x.shape[-1])
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_c
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * inv_c
-           + eps) ** -0.5
-    xhat = centered * inv
-    return xhat * gamma + beta, (xhat, inv)
+    xhat = x - x.sum(axis=-1, keepdims=True) * inv_c  # centered, for now
+    inv = ((xhat * xhat).sum(axis=-1, keepdims=True) * inv_c + eps) ** -0.5
+    xhat *= inv
+    out = xhat * gamma
+    if beta.ndim == 1:  # a batch rule's [P, 1, ..., D] shift can be wider
+        out += beta
+        return out, (xhat, inv)
+    return out + beta, (xhat, inv)
 
 
 def layer_norm_backward(g, gamma, saved):
@@ -84,12 +91,16 @@ def layer_norm_backward(g, gamma, saved):
     """
     xhat, inv = saved
     c = gamma.shape[0]
-    gxhat = g * gamma
+    gx = g * gamma  # gx_hat, for now
+    t = gx * xhat
     # sum / c is what ndarray.mean computes, without its Python wrapper
-    gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) / c
-                - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / c))
-    g2 = g.reshape(-1, c)
-    return gx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0)
+    mean_gx_xhat = t.sum(axis=-1, keepdims=True) / c
+    gx -= gx.sum(axis=-1, keepdims=True) / c
+    np.multiply(xhat, mean_gx_xhat, out=t)
+    gx -= t
+    gx *= inv
+    np.multiply(g, xhat, out=t)
+    return gx, t.reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
 
 
 def _split_heads(t, num_heads):  # [..., L, D] -> [..., heads, L, D / heads]
@@ -113,10 +124,12 @@ def attention_forward(q, k, v, num_heads):
     et al., 2022).
     """
     qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
-    logits = (qh @ kh.swapaxes(-1, -2)) * (1.0 / np.sqrt(float(qh.shape[-1])))
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
+    w = qh @ kh.swapaxes(-1, -2)  # the logits, then the softmax weights
+    w *= 1.0 / np.sqrt(float(qh.shape[-1]))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return _merge_heads(w @ vh), (qh, kh, vh, w)
 
 
 def attention_backward(g, saved):
@@ -124,9 +137,11 @@ def attention_backward(g, saved):
     qh, kh, vh, weights = saved
     scale = 1.0 / np.sqrt(float(qh.shape[-1]))
     gh = _split_heads(g, qh.shape[-3])
-    gw = gh @ vh.swapaxes(-1, -2)
+    gl = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, then the logits'
     gv = weights.swapaxes(-1, -2) @ gh
-    gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+    gl -= (gl * weights).sum(axis=-1, keepdims=True)
+    gl *= weights
+    gl *= scale
     return (_merge_heads(gl @ kh), _merge_heads(gl.swapaxes(-1, -2) @ qh),
             _merge_heads(gv))
 
@@ -143,10 +158,16 @@ def block_forward(xd, yd, weights, heads):
     core, att = attention_forward(linear_forward(xd, wq, bq),
                                   linear_forward(yd, wk, bk),
                                   linear_forward(yd, wv, bv), heads)
-    z, ln1 = layer_norm_forward(xd + linear_forward(core, wo, bo), g1, be1)
+    # the residual adds write into the sublayer's output, which the probe
+    # axis of a batch rule reaches whenever it reaches xd or z
+    s1 = linear_forward(core, wo, bo)
+    s1 += xd
+    z, ln1 = layer_norm_forward(s1, g1, be1)
     h = linear_forward(z, w1, b1)
     u, phi = gelu_forward(h)
-    out, ln2 = layer_norm_forward(z + linear_forward(u, w2, b2), g2, be2)
+    s2 = linear_forward(u, w2, b2)
+    s2 += z
+    out, ln2 = layer_norm_forward(s2, g2, be2)
     return out, (core, att, z, ln1, h, u, phi, ln2)
 
 
@@ -183,7 +204,8 @@ def _block(x: Tensor, y: Tensor, params, heads):
         gs2, gg2, gbe2 = layer_norm_backward(g, g2, ln2)
         gu, gw2, gb2 = linear_backward(gs2, u, w2)
         gz, gw1, gb1 = linear_backward(gelu_backward(gu, h, phi), z, w1)
-        gs1, gg1, gbe1 = layer_norm_backward(gs2 + gz, g1, ln1)
+        gz += gs2
+        gs1, gg1, gbe1 = layer_norm_backward(gz, g1, ln1)
         gcore, gwo, gbo = linear_backward(gs1, core, wo)
         gq, gk, gv = attention_backward(gcore, att)
         gyv, gwv, gbv = linear_backward(gv, yd, wv)
@@ -192,9 +214,14 @@ def _block(x: Tensor, y: Tensor, params, heads):
         # x's and y's terms summed in the order the op chain's tape added
         # them: the residual, then v, k and q
         if self_attention:
-            inputs = [gs1 + gyv + gyk + gxq]
+            gs1 += gyv
+            gs1 += gyk
+            gs1 += gxq
+            inputs = [gs1]
         else:
-            inputs = [gs1 + gxq, gyv + gyk]
+            gs1 += gxq
+            gyv += gyk
+            inputs = [gs1, gyv]
         return inputs + [gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo, gw1, gb1,
                          gw2, gb2, gg1, gbe1, gg2, gbe2]
 

@@ -139,11 +139,11 @@ def collect_predictions(model, gate_net, scenes, gate_params, apply_gate):
     parts = []
     for scene in scenes:
         # tape-free: no op keeps its inputs for a backward pass.  Measured on
-        # [4, 48] scenes, a fresh ``dualstream eval`` of 64 takes 24k minor
-        # page faults in all (31k taped) and peaks at 72 MB RSS (98 MB
+        # [4, 48] scenes, a fresh ``dualstream eval`` of 64 takes 18k minor
+        # page faults in all (20k taped) and peaks at 69 MB RSS (78 MB
         # taped).  Right after generating 32 such scenes in one process, a
-        # call takes 54k faults (2k taped), whose system time about cancels
-        # what dropping the tape saves there.
+        # call takes 3k-18k faults and at most 0.05 s of system time (47k-67k
+        # faults taped).
         with no_grad():
             raw = model.forward(scene.visual, scene.audio).scores.data
             p_voice = voice_confidence(scene.audio, gate_net)

@@ -29,6 +29,13 @@ Design points:
     ``masked_bce`` also replay the order in which the chain's tape
     accumulated its gradient terms, so their gradients are bit-identical
     too; ``contrastive_av``'s agree to rounding.
+  * a kernel writes only into arrays it allocated itself, never into what
+    it was given: an argument, a saved forward array or the incoming
+    gradient, which ``add``'s VJP hands to both parents as one array.
+    Its elementwise steps run in place on its own temporaries, in the order
+    of the allocating expression they replace, so the bits are the same.
+    A batch rule's probe axis can make a bias or norm shift wider than the
+    array it is added to; those adds run in place only when it is not.
   * one node maker: every op, glue and fused alike, is a function
     decorated with ``op`` whose body computes on arrays and returns
     ``(out, operands, vjp)``.  ``op`` alone makes the tape node, keeps the
@@ -576,7 +583,11 @@ def broadcast_to(a, shape):
 
 def linear_forward(x, w, b):
     """x @ w + b over the last axis, as matmul-then-add computes it."""
-    return x @ w + b
+    out = x @ w
+    if b.ndim == 1:  # a batch rule's [P, 1, ..., n] bias can be wider
+        out += b
+        return out
+    return out + b
 
 
 def linear_backward(g, x, w, need=(True, True, True)):
@@ -589,13 +600,25 @@ def linear_backward(g, x, w, need=(True, True, True)):
 
 
 def gelu_forward(x):
-    """x * Phi(x) and the Phi(x) its backward reuses."""
-    phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    """x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), and the Phi(x) its
+    backward reuses."""
+    phi = x * _INV_SQRT2
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     return x * phi, phi
 
 
 def gelu_backward(g, x, phi):
-    return g * (phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+    """g * (phi + x * exp(-0.5 * x * x) / sqrt(2 pi))."""
+    t = x * -0.5
+    t *= x
+    np.exp(t, out=t)
+    t *= x
+    t *= _INV_SQRT2PI
+    t += phi
+    t *= g
+    return t
 
 
 # ---------------------------------------------------------------------------

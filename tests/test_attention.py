@@ -5,11 +5,16 @@ import numpy.testing as npt
 import pytest
 from scipy.special import erf
 
-from dualstream.attention import LN_EPS, AttentionBlock, cal_forward, sal_forward
+from dualstream.attention import (LN_EPS, AttentionBlock, attention_backward,
+                                  attention_forward, cal_forward,
+                                  layer_norm_backward, layer_norm_forward,
+                                  sal_forward)
 from dualstream.errors import DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.tensor import (Parameter, Tensor, add, backward, gelu, linear,
-                               mul, reshape, transpose, tsum, zero_grads)
+from dualstream.tensor import (Parameter, Tensor, add, backward, gelu,
+                               gelu_backward, gelu_forward, linear,
+                               linear_backward, linear_forward, mul, reshape,
+                               transpose, tsum, zero_grads)
 
 from oracles import attention_core, layer_norm, matmul, softmax
 from test_tensor import check_every_parent
@@ -290,18 +295,31 @@ def block_of(params):
 BLOCK_SHAPES = [p.shape for p in block_of([]).parameters()]
 
 
+# (query tokens, key/value tokens, heads, MLP width, axes): width 8 at every
+# head count, then the benchmark's [4, 48] scenes at width 32, in the
+# time-stream layout (48 x 48 logits) and in the speaker-stream one, [48, 4]
+# tokens held in time-stream memory order as the model's transpose leaves
+# them.  Tokens and the loss weights are drawn in the shapes given, then
+# transposed by ``axes``
+BLOCK_CASES = [((3, 5, 8), (3, 4, 8), heads, 16, (0, 1, 2))
+               for heads in (1, 2, 4)] + [
+    ((4, 48, 32), (4, 48, 32), 4, 128, (0, 1, 2)),
+    ((4, 48, 32), (4, 48, 32), 4, 128, (1, 0, 2))]
+
+
 @pytest.mark.parametrize("self_attention", [True, False], ids=["sal", "cal"])
 def test_one_node_block_matches_composed_tape_bit_for_bit(self_attention):
     rng = np.random.default_rng(17)
-    for heads in (1, 2, 4):
-        layer = make_sal(8, heads, rng, hidden=16)
+    for x_shape, y_shape, heads, hidden, axes in BLOCK_CASES:
+        layer = make_sal(x_shape[-1], heads, rng, hidden=hidden)
         # non-zero biases and norm shifts, so every gradient term counts
         for p in layer.parameters():
             p.data[...] = p.data + rng.normal(scale=0.3, size=p.shape)
-        x = Parameter(rng.normal(size=(3, 5, 8)), "x")
-        y = x if self_attention else Parameter(rng.normal(size=(3, 4, 8)), "y")
+        x = Parameter(rng.normal(size=x_shape).transpose(axes), "x")
+        y = x if self_attention else Parameter(
+            rng.normal(size=y_shape).transpose(axes), "y")
         inputs = [x] if self_attention else [x, y]
-        proj = rng.normal(size=(3, 5, 8))
+        proj = rng.normal(size=x_shape).transpose(axes)
         params = inputs + layer.parameters()
 
         def fused():
@@ -319,6 +337,53 @@ def test_one_node_block_matches_composed_tape_bit_for_bit(self_attention):
         npt.assert_array_equal(fused.data, composed.data)
         for p, got, want in zip(params, fused_grads, composed_grads):
             npt.assert_array_equal(got, want, err_msg=p.name)
+
+
+def read_only(a):
+    """``a``, made read-only, so that a write into it raises."""
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("self_attention", [True, False], ids=["sal", "cal"])
+def test_the_block_writes_into_nothing_it_was_given(self_attention):
+    # the block's VJP may not write into its incoming g either: ``add``'s VJP
+    # hands one g to both parents.  A second VJP call giving the same bits
+    # shows it wrote into none of the forward arrays it saved
+    rng = np.random.default_rng(23)
+    layer = make_sal(8, 2, rng, hidden=16)
+    x = Parameter(rng.normal(size=(3, 5, 8)), "x")
+    y = x if self_attention else Parameter(rng.normal(size=(3, 4, 8)), "y")
+    for p in [x, y] + layer.parameters():
+        read_only(p.data)
+    out = sal_forward(x, layer) if self_attention else cal_forward(x, y, layer)
+    g = read_only(rng.normal(size=out.shape))
+    first, second = out.vjp(g), out.vjp(g)
+    assert len(first) == len(out.parents)
+    for p, got, want in zip(out.parents, second, first):
+        npt.assert_array_equal(got, want, err_msg=p.name)
+
+
+def test_no_kernel_writes_into_what_it_was_given():
+    rng = np.random.default_rng(29)
+
+    def given(*shape):
+        return read_only(rng.normal(size=shape))
+
+    def frozen(saved):
+        return tuple(read_only(a) for a in saved)
+
+    x, g = given(3, 5, 8), given(3, 5, 8)
+    gamma, beta = given(8), given(8)
+    _, saved = layer_norm_forward(x, gamma, beta)
+    layer_norm_backward(g, gamma, frozen(saved))
+    _, phi = gelu_forward(x)
+    gelu_backward(g, x, read_only(phi))
+    _, saved = attention_forward(x, given(3, 4, 8), given(3, 4, 8), 2)
+    attention_backward(g, frozen(saved))
+    w, b = given(8, 8), given(8)
+    linear_forward(x, w, b)
+    linear_backward(g, x, w)
 
 
 def scaled_block(params):
