@@ -601,9 +601,20 @@ def linear_backward(g, x, w, need=(True, True, True)):
 
 def gelu_forward(x):
     """x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), and the Phi(x) its
-    backward reuses."""
-    phi = x * _INV_SQRT2
+    backward reuses.
+
+    erf runs on |x| / sqrt(2) and x's sign is copied back.  That keeps the
+    bits of erf(x / sqrt(2)) for every non-NaN x: |x| * c == |x * c|
+    exactly, and scipy's (cephes') erf is odd by construction, computing
+    x < 0 as -erf(-x) and erf(-0) as -0.  It is faster (ROADMAP item 9 has
+    the timings) because cephes' x < 0 test, true for about half of the
+    activations in random order, mispredicts; on non-negative inputs it
+    never does.
+    """
+    phi = np.abs(x)
+    phi *= _INV_SQRT2
     _erf(phi, out=phi)
+    np.copysign(phi, x, out=phi)
     phi += 1.0
     phi *= 0.5
     return x * phi, phi

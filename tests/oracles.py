@@ -9,7 +9,10 @@ rounding.  Their arithmetic is the package's former ops', unchanged.  Each
 is a ``tensor.op``, so it honours ``no_grad`` and ``gradcheck`` can replay
 it.  ``layer_norm`` and ``attention_core`` wrap the numpy kernels of
 ``dualstream.attention`` as stand-alone tape nodes, so that each kernel is
-checked on its own, as the fused block's former ops were.
+checked on its own, as the fused block's former ops were.  ``gelu`` is the
+activation in its former allocating form, erf taken on x / sqrt(2) itself,
+so that ``tensor.gelu_forward``, which takes it on |x| / sqrt(2) and copies
+x's sign back, is held to it.
 
 ``generate_scene`` is the scene generator in its former loop form: lip
 motion and speech audio built one (slot, frame) cell at a time.
@@ -31,7 +34,7 @@ bit for bit.
 """
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from dualstream.attention import (attention_backward, attention_forward,
                                   layer_norm_backward, layer_norm_forward)
@@ -40,8 +43,8 @@ from dualstream.data import (_DISTRACTOR_STAY, _FACE_SCALE, _LIP_AMPLITUDE,
                              frame_steps, slot_signature)
 from dualstream.errors import DimensionError, MetricError
 from dualstream.gradcheck import STEP, relative_error
-from dualstream.tensor import (Tensor, _data, _unbroadcast, backward, no_grad,
-                               op, zero_grads)
+from dualstream.tensor import (Tensor, _data, _unbroadcast, backward,
+                               gelu_backward, no_grad, op, zero_grads)
 
 
 def _lift(x):
@@ -137,6 +140,20 @@ def softmax(a, axis):
         return (out * (g - inner),)
 
     return out, (a,), vjp
+
+
+def gelu_phi(x):
+    """Phi(x) = (erf(x / sqrt(2)) + 1) * 0.5, one new array per step."""
+    return (erf(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+
+
+@op
+def gelu(a):
+    """x * Phi(x), with ``tensor.gelu_backward`` as its VJP."""
+    a = _lift(a)
+    x = a.data
+    phi = gelu_phi(x)
+    return x * phi, (a,), lambda g, need: (gelu_backward(g, x, phi),)
 
 
 @op

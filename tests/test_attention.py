@@ -11,12 +11,12 @@ from dualstream.attention import (LN_EPS, AttentionBlock, attention_backward,
                                   sal_forward)
 from dualstream.errors import DimensionError
 from dualstream.gradcheck import check_parameter_gradients
-from dualstream.tensor import (Parameter, Tensor, add, backward, gelu,
+from dualstream.tensor import (Parameter, Tensor, add, backward,
                                gelu_backward, gelu_forward, linear,
                                linear_backward, linear_forward, mul, reshape,
                                transpose, tsum, zero_grads)
 
-from oracles import attention_core, layer_norm, matmul, softmax
+from oracles import attention_core, gelu, layer_norm, matmul, softmax
 from test_tensor import check_every_parent
 
 
@@ -99,10 +99,43 @@ def mhca(x, y, layer):
 
 def block_composed(x, y, layer):
     """The op chain the one-node block replays: residual add, layer norm,
-    MLP, residual add, layer norm around ``mhca``."""
+    MLP, residual add, layer norm around ``mhca``.  Its GELU is the oracle's
+    allocating form, not the package's kernel."""
     z = layer_norm(add(x, mhca(x, y, layer)), layer.ln1_g, layer.ln1_b, LN_EPS)
     mlp = linear(gelu(linear(z, layer.w1, layer.b1)), layer.w2, layer.b2)
     return layer_norm(add(z, mlp), layer.ln2_g, layer.ln2_b, LN_EPS)
+
+
+def core_cases(rng, self_attention, lq, lk):
+    """(layer, x, y) for the attention core's bit-for-bit tests, y being x
+    under self-attention: [3, lq, 8] queries and [3, lk, 8] keys at 1, 2 and
+    4 heads; rows whose softmax max is tied or is 0.0 (zero queries, one
+    key repeated along the key axis, zero keys and values); and the
+    benchmark's [4, 48, 32] time-stream layout and its transposed [48, 4,
+    32] speaker-stream one, at 4 heads."""
+
+    def tokens(q_shape, k_shape, axes=(0, 1, 2)):
+        x = rng.normal(size=q_shape).transpose(axes)
+        return x, x if self_attention else rng.normal(size=k_shape).transpose(axes)
+
+    for heads in (1, 2, 4):
+        yield (make_sal(8, heads, rng),) + tokens((3, lq, 8), (3, lk, 8))
+    for zeroed in (("wq", "bq"), ("wk", "bk", "wv", "bv")):
+        layer = make_sal(8, 2, rng)
+        for name in zeroed:
+            getattr(layer, name).data[...] = 0.0
+        yield (layer,) + tokens((3, lq, 8), (3, lk, 8))
+    x, y = tokens((3, 1, 8), (3, 1, 8))
+    yield make_sal(8, 2, rng), np.repeat(x, lq, axis=1), np.repeat(y, lk, axis=1)
+    for axes in ((0, 1, 2), (1, 0, 2)):
+        yield (make_sal(32, 4, rng),) + tokens((4, 48, 32), (4, 48, 32), axes)
+
+
+def assert_core_matches_composition(rng, self_attention, lq, lk):
+    for layer, x, y in core_cases(rng, self_attention, lq, lk):
+        x, y = Tensor(x), Tensor(y)
+        expected, _ = attend_composed(x, y, layer)
+        npt.assert_array_equal(mhca(x, y, layer).data, expected.data)
 
 
 def block_oracle(q_in, kv_in, layer):
@@ -170,12 +203,7 @@ class TestMhsa:
             cal_forward(tokens, Tensor(np.zeros((2, 5, 6))), layer)
 
     def test_matches_primitive_composition_bit_for_bit(self):
-        rng = np.random.default_rng(15)
-        for heads in (1, 2, 4):
-            layer = make_sal(8, heads, rng)
-            x = Tensor(rng.normal(size=(3, 5, 8)))
-            expected, _ = attend_composed(x, x, layer)
-            npt.assert_array_equal(mhca(x, x, layer).data, expected.data)
+        assert_core_matches_composition(np.random.default_rng(15), True, 5, 5)
 
 
 class TestSalForward:
@@ -246,13 +274,7 @@ class TestCalForward:
                             block_oracle(x, y, layer), atol=1e-10, rtol=0)
 
     def test_matches_primitive_composition_bit_for_bit(self):
-        rng = np.random.default_rng(16)
-        for heads in (1, 2, 4):
-            layer = make_cal(8, heads, rng)
-            x = Tensor(rng.normal(size=(2, 4, 8)))
-            y = Tensor(rng.normal(size=(2, 7, 8)))
-            expected, _ = attend_composed(x, y, layer)
-            npt.assert_array_equal(mhca(x, y, layer).data, expected.data)
+        assert_core_matches_composition(np.random.default_rng(16), False, 4, 7)
 
     def test_batch_mismatch(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,9 @@
 """The pair runner's statistics (``tools/bench_pairs.py``'s ``compare``) on
-made-up runs; the script is loaded from its file and starts no run."""
+made-up runs, and its handling of a run that times out; the script is
+loaded from its file and starts no run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -10,16 +12,26 @@ BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def compare():
-    """``compare`` of a metric ``m`` over ``(parent, change)`` values, None
-    standing for a run that printed no metrics."""
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return lambda better, *pairs: module.compare(
-        {"name": "m", "unit": "s", "better": better, "bound": 0.25},
-        [tuple({"metrics": None if v is None else {"m": v}} for v in pair)
-         for pair in pairs])
+    return module
+
+
+def runs(pairs):
+    """``(parent, change)`` runs of a metric ``m`` from their values, None
+    standing for a run that printed no metrics."""
+    return [tuple({"metrics": None if v is None else {"m": v}} for v in pair)
+            for pair in pairs]
+
+
+@pytest.fixture(scope="module")
+def compare(bench_pairs):
+    """``compare`` of an end-to-end metric ``m`` over ``(parent, change)``
+    values."""
+    return lambda better, *pairs: bench_pairs.compare(
+        {"name": "m", "unit": "s", "better": better, "bound": 0.25}, runs(pairs))
 
 
 @pytest.mark.parametrize("better,wins", [("higher", 2), ("lower", 1)])
@@ -46,3 +58,62 @@ def test_fewer_than_two_kept_pairs_give_only_the_runs(compare, pairs):
         "unit": "s", "better": "higher", "bound": 0.25,
         "pairs_compared": len(kept),
         "runs": {"parent": [p for p, _ in kept], "change": [c for _, c in kept]}}
+
+
+def test_a_per_layer_metric_has_a_null_bound(bench_pairs):
+    entry = bench_pairs.compare({"name": "m", "unit": "ms", "better": "lower"},
+                                runs([(2.0, 1.0), (4.0, 3.0), (2.0, 2.5)]))
+    assert entry["bound"] is None
+    assert (entry["pairs_compared"], entry["pairs_change_better"]) == (3, 2)
+    assert entry["change_over_parent_median"] == 1.25
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1.0, -2.5), (-1.2, -3.0), (-0.8, -2.0)],
+    [(1.0, -2.5), (2.0, -3.0), (3.0, 0.5)],
+    [(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)]],
+    ids=["both_negative", "change_negative", "parent_zero"])
+def test_a_median_that_is_not_positive_gives_no_ratio_and_no_wins(compare,
+                                                                  pairs):
+    entry = compare("lower", *pairs)
+    assert "change_over_parent_median" not in entry
+    assert "pairs_change_better" not in entry
+    assert entry["pairs_compared"] == 3 and entry["pairs_tied"] == 0
+    assert entry["parent"]["median"] == sorted(p for p, _ in pairs)[1]
+
+
+def test_a_timed_out_run_is_a_failed_run_without_metrics(bench_pairs,
+                                                         monkeypatch):
+    def time_out(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", time_out)
+    timed_out = bench_pairs.run_once(Path("."), "eval-long", 51, trace=1)
+    assert timed_out == {"env": {}, "correct": False, "hashes": {},
+                         "attempted": 0, "failed": 1, "metrics": None}
+    ran = {"env": {}, "correct": True, "hashes": {}, "attempted": 3,
+           "failed": 0, "metrics": {m["name"]: 1.0
+                                    for m in bench_pairs.SPEC["end_to_end"]}}
+    record = bench_pairs.workload_record(
+        [51, 52, 53], [(ran, ran), (timed_out, ran), (ran, ran)],
+        traced=[(timed_out, timed_out)])
+    assert all(e["pairs_compared"] == 2 for e in record["metrics"].values())
+    assert record["correct"] == {"parent": False, "change": True}
+    assert record["failed_operations"] == {"parent": 1, "change": 0}
+    assert record["traced_correct"] == {"parent": False, "change": False}
+    assert all(e["pairs_compared"] == 0 for e in record["per_layer"].values())
+
+
+def test_traced_pairs_give_every_per_layer_metric(bench_pairs):
+    names = [m["name"] for m in bench_pairs.SPEC["per_layer"]]
+    run = {"env": {}, "correct": True, "hashes": {}, "attempted": 1,
+           "failed": 0, "metrics": dict.fromkeys(names, 2.0)}
+    untraced = {**run, "metrics": {m["name"]: 1.0
+                                   for m in bench_pairs.SPEC["end_to_end"]}}
+    record = bench_pairs.workload_record([51, 52], [(untraced, untraced)] * 2,
+                                         traced=[(run, run)] * 2)
+    assert record["traced_runs_per_side"] == 2
+    assert record["traced_correct"] == {"parent": True, "change": True}
+    assert list(record["per_layer"]) == names
+    assert all(e["bound"] is None and e["pairs_tied"] == 2
+               for e in record["per_layer"].values())

@@ -11,10 +11,11 @@ from dualstream.errors import ContractError, DimensionError
 from dualstream.gradcheck import check_parameter_gradients
 from dualstream.tensor import (Module, Parameter, Tensor, add, backward,
                                broadcast_to, concat, conv1d_same, gelu,
-                               getitem, linear, mul, no_grad, reshape,
-                               tanh_birnn, tmean, transpose, tsum, zero_grads)
-from oracles import (attention_core, layer_norm, matmul, power, softmax,
-                     softplus, sub, take_rows, tanh, texp, tlog)
+                               gelu_forward, getitem, linear, mul, no_grad,
+                               reshape, tanh_birnn, tmean, transpose, tsum,
+                               zero_grads)
+from oracles import (attention_core, gelu_phi, layer_norm, matmul, power,
+                     softmax, softplus, sub, take_rows, tanh, texp, tlog)
 
 
 def rand(rng, *shape):
@@ -188,6 +189,56 @@ class TestLinear:
         with pytest.raises(DimensionError):
             linear(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))),
                    Tensor(np.zeros(2)))
+
+
+def bits(a):
+    """``a``'s float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def layouts(v):
+    """1-D ``v`` as a C-contiguous [2, n] array, its transpose and reversed."""
+    a = np.concatenate([v, v[::-1]]).reshape(2, -1)
+    return [a, a.T, v[::-1]]
+
+
+def around(x, ulps=8):
+    """The floats within ``ulps`` steps of ``x`` either side."""
+    return (np.array(x).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+class TestGeluKernel:
+    """``gelu_forward`` takes erf on |x| / sqrt(2) and copies x's sign back;
+    it must give the bits of the oracle's allocating form, erf on x / sqrt(2)."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(31)
+        edge = np.sqrt(2.0)  # |x / sqrt(2)| = 1, where cephes' erf branches
+        yield np.linspace(-40.0, 40.0, 80001)
+        yield np.concatenate([around(edge), around(-edge)])
+        yield np.array([s * v for v in (0.0, 5e-324, 1e-300, 1e300, np.inf)
+                        for s in (1.0, -1.0)])
+        for scale in (0.3, 1.0, 3.0, 10.0):
+            yield rng.normal(scale=scale, size=4608)
+
+    def test_matches_the_allocating_form_bit_for_bit(self):
+        # GELU(-inf) is -inf * 0 in both forms
+        with np.errstate(invalid="ignore"):
+            for v in self.inputs():
+                for x in layouts(v):
+                    phi = gelu_phi(x)
+                    got, got_phi = gelu_forward(x)
+                    npt.assert_array_equal(bits(got_phi), bits(phi))
+                    npt.assert_array_equal(bits(got), bits(x * phi))
+
+    def test_nan_stays_where_it_was(self):
+        x = np.random.default_rng(32).normal(size=(6, 7))
+        x[[0, 2, 5], [1, 6, 0]] = np.nan
+        nan = np.isnan(x)
+        for got, want in zip(gelu_forward(x), (x * gelu_phi(x), gelu_phi(x))):
+            npt.assert_array_equal(np.isnan(got), nan)
+            npt.assert_array_equal(bits(got[~nan]), bits(want[~nan]))
 
 
 class TestConv1dSame:

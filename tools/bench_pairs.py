@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark record of this checkout against a parent commit.
 
-    python3 tools/bench_pairs.py PARENT_REF N --out BENCH_25.json --what "..."
+    python3 tools/bench_pairs.py PARENT_REF N --out BENCH_28.json --what "..."
 
 Exports ``PARENT_REF`` with ``git archive`` into a temporary directory and
 runs ``BENCHMARK.json``'s command (``perfbench/run.py``) in that tree and in
@@ -9,16 +9,22 @@ this checkout, one process at a time with one BLAS thread: for each of N
 fixed seeds from 51, one parent/change pair per workload, cycling through
 the workloads, the change first on odd seeds.  Each run is ``--workload W
 --seed S --seconds SECONDS --trace 0``, SECONDS being ``BENCHMARK.json``'s
-``run_seconds``.
+``run_seconds``.  ``TRACED_PAIRS`` more pairs per workload then run the
+same way with ``--trace 1``, on the seeds from 51 again.
 
 The record holds, for every workload and end-to-end metric, the median and
 quartiles (``statistics.quantiles``, n=4) of each side's runs, the ratio of
 the medians, the pairs compared, the pairs each side won and every run's
 value, plus the operations each side attempted and failed and whether the
 checkpoint, predictions-CSV and gradcheck-report hashes agreed in every
-pair.  A run that prints no metrics counts as failed and its pair is left
-out of the statistics, so ``pairs_compared`` can be less than the pairs
-run.  Exit 0 when every run was correct, 1 otherwise.
+pair.  Each workload's ``per_layer`` holds the same entry for every
+per-layer metric over the traced pairs; those metrics have no bound
+(null).  Where a side's median is not positive, the ratio of the medians
+and the pairs each side won mean nothing and are left out.  A run that
+prints no metrics, or is stopped after ``TIMEOUT`` seconds, counts as
+failed and its pair is left out of the statistics, so ``pairs_compared``
+can be less than the pairs run.  Exit 0 when every run, traced or not, was
+correct, 1 otherwise.
 """
 
 import argparse
@@ -36,6 +42,7 @@ HASHES = ("ckpt_sha256", "csv_sha256", "audit_sha256")
 HOST_KEYS = ("blas", "machine", "nproc", "numpy", "python", "scipy", "threads")
 TIMEOUT = 900
 FIRST_SEED = 51  # the seeds of BENCH_23 and later
+TRACED_PAIRS = 3  # --trace 1 pairs per workload, after the untraced ones
 PROTOCOL = (
     "For every workload and end-to-end metric of BENCHMARK.json: median and "
     "quartiles (statistics.quantiles, n=4) of the parent commit's runs and of "
@@ -52,7 +59,11 @@ PROTOCOL = (
     "those whose change run beat the same seed's parent run. "
     "artifact_hashes_equal_in_every_pair compares the checkpoint, "
     "predictions-CSV and gradcheck-report hashes of each pair's first "
-    "passes.")
+    "passes. per_layer holds the per-layer metrics of traced_runs_per_side "
+    "more alternated pairs per workload, each run with --trace 1 in place "
+    f"of --trace 0, on the seeds from {FIRST_SEED}. A metric whose median "
+    "is not positive on either side has no change_over_parent_median or "
+    "pairs_change_better.")
 
 
 def one_blas_thread():
@@ -76,14 +87,21 @@ def export(ref, into):
     return commit
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace=0):
     """One benchmark run in ``tree``: its env, metrics (None when it printed
-    none), operation counts and the artifact hashes of its first pass."""
+    none or timed out), operation counts and the artifact hashes of its
+    first pass."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(SPEC["run_seconds"]),
-                             "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=TIMEOUT, env=one_blas_thread())
+                             "--trace", str(trace)]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=TIMEOUT, env=one_blas_thread())
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"{' '.join(cmd)} in {tree}: timed out after "
+                         f"{TIMEOUT} s\n")
+        return {"env": {}, "correct": False, "hashes": {}, "attempted": 0,
+                "failed": 1, "metrics": None}
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     env = next((json.loads(ln[6:]) for ln in lines if ln.startswith("# env ")), {})
@@ -109,40 +127,54 @@ def summary(values):
 
 
 def compare(metric, pairs):
-    """One end-to-end metric's entry over the ``(parent, change)`` runs."""
+    """One metric's entry over the ``(parent, change)`` runs; a per-layer
+    metric has no bound, and a median that is not positive gives no ratio
+    and no wins."""
     name, better = metric["name"], metric["better"]
     kept = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
             if p["metrics"] and c["metrics"]]
     parent, change = [p for p, _ in kept], [c for _, c in kept]
-    entry = {"unit": metric["unit"], "better": better, "bound": metric["bound"],
+    entry = {"unit": metric["unit"], "better": better,
+             "bound": metric.get("bound"),
              "pairs_compared": len(kept)}
     if len(kept) < 2:
         return {**entry, "runs": {"parent": parent, "change": change}}
     sign = -1 if better == "lower" else 1
     entry.update(parent=summary(parent), change=summary(change))
-    entry["change_over_parent_median"] = \
-        entry["change"]["median"] / entry["parent"]["median"]
-    entry["pairs_change_better"] = sum(sign * (c - p) > 0 for p, c in kept)
+    if entry["parent"]["median"] > 0 and entry["change"]["median"] > 0:
+        entry["change_over_parent_median"] = \
+            entry["change"]["median"] / entry["parent"]["median"]
+        entry["pairs_change_better"] = sum(sign * (c - p) > 0 for p, c in kept)
     entry["pairs_tied"] = sum(c == p for p, c in kept)
     entry["runs"] = {"parent": parent, "change": change}
     return entry
 
 
-def workload_record(seeds, pairs):
-    sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
+def sides(pairs):
+    return {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
+
+
+def all_correct(pairs):
+    return {s: all(r["correct"] for r in runs) for s, runs in sides(pairs).items()}
+
+
+def workload_record(seeds, pairs, traced):
+    """A workload's entry; ``traced`` are its ``--trace 1`` pairs."""
     return {
         "runs_per_side": len(pairs),
         "seeds": seeds,
         "failed_operations": {s: sum(r["failed"] for r in runs)
-                              for s, runs in sides.items()},
+                              for s, runs in sides(pairs).items()},
         "attempted_operations": {s: sum(r["attempted"] for r in runs)
-                                 for s, runs in sides.items()},
-        "correct": {s: all(r["correct"] for r in runs)
-                    for s, runs in sides.items()},
+                                 for s, runs in sides(pairs).items()},
+        "correct": all_correct(pairs),
         "artifact_hashes_equal_in_every_pair": {
             k: all(p["hashes"].get(k) == c["hashes"].get(k) for p, c in pairs)
             for k in HASHES},
         "metrics": {m["name"]: compare(m, pairs) for m in SPEC["end_to_end"]},
+        "traced_runs_per_side": len(traced),
+        "traced_correct": all_correct(traced),
+        "per_layer": {m["name"]: compare(m, traced) for m in SPEC["per_layer"]},
     }
 
 
@@ -160,36 +192,43 @@ def main(argv=None):
         parent_tree = Path(tmp)
         commit = export(args.parent_ref, parent_tree)
         pairs = {w: [] for w in workloads}
-        for seed in seeds:
-            for w in workloads:
-                order = ["change", "parent"] if seed % 2 else ["parent", "change"]
-                runs = {}
-                for side in order:
-                    tree = ROOT if side == "change" else parent_tree
-                    runs[side] = run_once(tree, w, seed)
-                    print(f"  {w:15s} seed {seed:3d} {side:6s} "
-                          f"{'ok' if runs[side]['correct'] else 'FAILED'}",
-                          flush=True)
-                pairs[w].append((runs["parent"], runs["change"]))
+        traced = {w: [] for w in workloads}
+        for trace, into, n in ((0, pairs, args.pairs), (1, traced, TRACED_PAIRS)):
+            for seed in range(FIRST_SEED, FIRST_SEED + n):
+                for w in workloads:
+                    order = ["change", "parent"] if seed % 2 else ["parent", "change"]
+                    runs = {}
+                    for side in order:
+                        tree = ROOT if side == "change" else parent_tree
+                        runs[side] = run_once(tree, w, seed, trace)
+                        print(f"  {w:15s} seed {seed:3d} trace {trace} "
+                              f"{side:6s} "
+                              f"{'ok' if runs[side]['correct'] else 'FAILED'}",
+                              flush=True)
+                    into[w].append((runs["parent"], runs["change"]))
 
-    parent_env, change_env = (r["env"] for r in pairs[workloads[0]][0])
+    parent_env, change_env = (
+        next((r["env"] for r in runs if r["env"]), {})
+        for runs in sides(pairs[workloads[0]]).values())
     record = {
         "what": " ".join(filter(None, [args.what, PROTOCOL])),
         "parent_commit": commit,
         "parent_src_sha256": parent_env.get("src_sha256"),
         "change_src_sha256": change_env.get("src_sha256"),
         "host": {k: change_env.get(k) for k in HOST_KEYS},
-        "workloads": {w: workload_record(seeds, ps) for w, ps in pairs.items()},
+        "workloads": {w: workload_record(seeds, ps, traced[w])
+                      for w, ps in pairs.items()},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for w, rec in record["workloads"].items():
-        for name, m in rec["metrics"].items():
-            if "parent" in m:
+        for name, m in {**rec["metrics"], **rec["per_layer"]}.items():
+            if "change_over_parent_median" in m:
                 print(f"{w:15s} {name:24s} parent {m['parent']['median']:.4g} "
                       f"change {m['change']['median']:.4g} "
                       f"({m['change_over_parent_median']:.3f}x, change better "
                       f"in {m['pairs_change_better']}/{m['pairs_compared']})")
     return 0 if all(all(rec["correct"].values())
+                    and all(rec["traced_correct"].values())
                     for rec in record["workloads"].values()) else 1
 
 
