@@ -2,29 +2,28 @@
 
 Used by the test suite and by the ``gradcheck`` CLI command.  Each
 Parameter is probed at up to ``max_coords`` coordinates, each moved by
-``+STEP`` and by ``-STEP``.  Its probes run in lockstep: their values are
+``+STEP`` and by ``-STEP``.  Probes run in lockstep: their values are
 stacked on a leading axis, and one replay re-runs, with warnings off, only
-the op calls (``Tensor.call``) the Parameter reaches through their
+the op calls (``Tensor.call``) the moved Parameters reach through their
 arguments, not the tape's ``parents``.  Each reached call runs once for
-all probes, through its op's batch rule (``tensor.op``): one call on the
-stacked values for the broadcasting ops, the shape ops, the attention
-block and ``masked_bce``, one call per probe for the others.  No tape node
+all probe rows, through its op's batch rule (``tensor.op``): one call on
+the stacked values for the broadcasting ops, the shape ops, the attention
+block and ``masked_bce``, one call per row for the others.  No tape node
 is made, and the other calls keep their recorded values.
 
-Parameters that reach the same calls and are read by the first of them
-only, such as the 16 of one attention block, share their replay of what
-follows that call (``shared_tails``): each runs its probes through the
-first call alone, and the rest runs once for all of their outputs, stacked,
-in chunks of at most ``CHUNK`` probes, each chunk's first calls made just
-before its replay.  A batch rule returns, row by row, what one call per
-probe returns, so each Parameter's values are those its own replay gives,
-bit for bit.  The first probe of each Parameter is also
-run as the whole loss under ``no_grad``, which must agree bit for bit.
-Every swapped value and perturbed coordinate is put back even when an op
-or the loss raises.
+Parameters that reach the same calls, such as the 16 of one attention
+block, make one group (``replay_groups``).  A group's probe rows, members
+in order, are cut into chunks of at most ``CHUNK`` rows, and each chunk
+replays the whole plan once: every member with rows in the chunk is moved,
+and holds its recorded value on the chunk's other rows.  A batch rule
+returns, row by row, what one call per row returns, so each row is the
+loss with one coordinate of one Parameter moved, bit for bit.  The first
+probe of each Parameter is also run as the whole loss under ``no_grad``,
+which must agree bit for bit.  Every swapped value and perturbed
+coordinate is put back even when an op or the loss raises.
 
 The error measure is ``|analytic - numeric| / max(|analytic|, |numeric|,
-floor)``: relative above the floor, absolute (scaled by the floor) below
+FLOOR)``: relative above the floor, absolute (scaled by the floor) below
 it, which keeps near-zero gradients from drowning the report in
 finite-difference roundoff.
 """
@@ -39,14 +38,16 @@ from .errors import NumericalError
 from .tensor import backward, no_grad, tensors_in, zero_grads
 
 STEP = 1e-4
-# most probes one shared replay carries past its first call: a whole
-# attention block's (256 at 8 coordinates) would hold that many copies of
-# every activation downstream of it at once
-CHUNK = 64
+FLOOR = 1e-4
+# most probe rows one replay carries: each Parameter it moves holds a
+# [CHUNK, *shape] stack and each call it replays CHUNK rows of output, so a
+# larger chunk holds more at once for no less time (ROADMAP item 9 has the
+# figures)
+CHUNK = 32
 
 
-def relative_error(a, b, floor=1e-4):
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def relative_error(a, b):
+    return abs(a - b) / max(abs(a), abs(b), FLOOR)
 
 
 def recorded_calls(loss):
@@ -75,42 +76,40 @@ def reached(calls, p):
     return plan
 
 
-def replay(plan, out, p, probes):
-    """Run a ``reached(calls, p)`` plan once for all ``probes``, values of
-    ``p`` stacked on a leading axis: each call through its op's batch rule,
-    which makes no tape node.  Returns ``out``'s value under each probe,
-    stacked the same way.  Until it ends, ``p``'s and each replayed
-    Tensor's ``data`` hold their stacked values."""
-    swapped = [p, *plan]
+def replay(plan, out, moved):
+    """Run ``plan``, the calls the Parameters of ``moved`` reach, once for
+    R probe rows: ``moved`` maps each Parameter to its [R, *shape] values.
+    Each call runs through its op's batch rule, which makes no tape node.
+    Returns ``out``'s value in each row, stacked the same way.  Until it
+    ends, each moved Parameter's and each replayed Tensor's ``data`` hold
+    their stacked values."""
+    swapped = [*moved, *plan]
     recorded = [t.data for t in swapped]
-    moved = {id(p)}
+    ids = {id(p) for p in moved}
+    n = len(next(iter(moved.values())))
     try:
-        p.data = probes
+        for p, rows in moved.items():
+            p.data = rows
         for t in plan:
             fn, args, kwargs = t.call
-            t.data = fn.lockstep(moved, *args, **kwargs)
-            moved.add(id(t))
-        if id(out) in moved:
+            t.data = fn.lockstep(ids, *args, **kwargs)
+            ids.add(id(t))
+        if id(out) in ids:
             return out.data
-        return np.broadcast_to(out.data, (len(probes), *out.shape))
+        return np.broadcast_to(out.data, (n, *out.shape))
     finally:
         for t, data in zip(swapped, recorded):
             t.data = data
 
 
-def shared_tails(calls, params):
-    """``params`` by replay, as ``(plan, members)`` pairs: ``members`` are
-    indices into ``params``, in order, and each index is in one pair.  The
-    Parameters whose ``reached`` plans are the same calls and which no call
-    after the first of them reads make one pair; every other Parameter
-    makes one of its own."""
-    reads = {id(t): ids for t, ids in calls}
+def replay_groups(calls, params):
+    """``params`` by replay, as ``(plan, members)`` pairs: the Parameters
+    whose ``reached`` plans are the same calls make one pair, ``members``
+    their indices into ``params``, in order."""
     groups = {}
     for k, p in enumerate(params):
         plan = reached(calls, p)
-        shares = plan and all(id(p) not in reads[id(t)] for t in plan[1:])
-        key = tuple(map(id, plan)) if shares else k
-        groups.setdefault(key, (plan, []))[1].append(k)
+        groups.setdefault(tuple(map(id, plan)), (plan, []))[1].append(k)
     return list(groups.values())
 
 
@@ -136,43 +135,29 @@ def probes_at(p, coords):
     return probes
 
 
-def first_call_chunks(first, members, params, coords):
-    """``first``'s outputs under the probes of each of ``members``, in
-    order, stacked in chunks of ``CHUNK`` (the last may be shorter).  Each
-    member's probes go through ``first`` only once the chunks before them
-    are taken, so at most a chunk and one member's outputs are held."""
-    held = np.empty((0, *first.shape), first.data.dtype)
-    for k in members:
-        outputs = replay([first], first, params[k],
-                         probes_at(params[k], coords[k]))
-        held = np.concatenate([held, outputs])
-        while len(held) >= CHUNK:
-            yield held[:CHUNK]
-            held = held[CHUNK:]
-    if len(held):
-        yield held
-
-
 def replay_group(plan, members, out, params, coords):
     """``out``'s values under the probes of each of ``members``, indices
-    into ``params`` probed at ``coords``, as ``{index: list}``.  A lone
-    Parameter replays ``plan`` on its own.  A ``shared_tails`` group
-    replays the rest of the plan once per ``first_call_chunks`` chunk."""
-    if len(members) == 1:
-        k, = members
-        p = params[k]
-        probes = probes_at(p, coords[k])
-        return {k: replay(plan, out, p, probes).reshape(-1).tolist()}
-    values = np.concatenate([
-        replay(plan[1:], out, plan[0], chunk)
-        for chunk in first_call_chunks(plan[0], members, params, coords)
-    ]).reshape(-1).tolist()
-    cuts = np.cumsum([0, *(2 * len(coords[k]) for k in members)])
+    into ``params`` probed at ``coords``, as ``{index: list}``.  The probe
+    rows, members in order, replay ``plan`` in chunks of at most ``CHUNK``:
+    in each, a member moves to its probes on its own rows and holds its
+    recorded value on the others."""
+    cuts = np.cumsum([0, *(2 * len(coords[k]) for k in members)]).tolist()
+    values = []
+    for lo in range(0, cuts[-1], CHUNK):
+        hi = min(lo + CHUNK, cuts[-1])
+        moved = {}
+        for k, a, b in zip(members, cuts, cuts[1:]):
+            if a < hi and lo < b:
+                p = params[k]
+                rows = np.repeat(p.data[None], hi - lo, axis=0)
+                rows[max(a - lo, 0):b - lo] = \
+                    probes_at(p, coords[k])[max(lo - a, 0):hi - a]
+                moved[p] = rows
+        values += replay(plan, out, moved).reshape(-1).tolist()
     return {k: values[a:b] for k, a, b in zip(members, cuts, cuts[1:])}
 
 
-def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
-                              floor=1e-4):
+def check_parameter_gradients(build_loss, params, max_coords=16, seed=0):
     """Compare analytic vs central-difference gradients for every parameter.
 
     ``build_loss`` must run the full forward pass from the current
@@ -182,44 +167,42 @@ def check_parameter_gradients(build_loss, params, max_coords=16, seed=0,
     parameters are probed exhaustively.  A replayed pass that is not the
     full one's bits raises ``NumericalError`` naming the Parameter.
 
-    Returns ``{param_name: worst_relative_error}``.
+    Returns ``{param_name: worst_relative_error}``, in ``params`` order.
     """
     zero_grads(params)
     loss = build_loss()
     backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
     calls = recorded_calls(loss)
     coords = [probed(p, k, max_coords, seed) for k, p in enumerate(params)]
-    group_of = {k: group for group in shared_tails(calls, params)
-                for k in group[1]}
 
-    worst, values = {}, {}
+    worst = {}
     # only loss values count here: the analytic pass gave every warning
     with no_grad(), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for k, p in enumerate(params):
-            if k not in values:  # the first of its group: replay them all
-                values.update(replay_group(*group_of[k], loss, params, coords))
-            probed_values = values.pop(k)
-            flat, i0 = p.data.reshape(-1), coords[k][0]
-            orig = flat[i0]
-            try:
-                flat[i0] = orig + STEP
-                full = build_loss().item()
-            finally:
-                flat[i0] = orig
-            if full.hex() != probed_values[0].hex():
-                raise NumericalError(
-                    f"gradcheck: {p.name} reaches the loss outside the op "
-                    f"calls: replayed {probed_values[0]!r}, full {full!r}")
-            grad = analytic[p.name].reshape(-1)
-            err = 0.0
-            for i, up, down in zip(coords[k], probed_values[0::2],
-                                   probed_values[1::2]):
-                numeric = (up - down) / (2.0 * STEP)
-                err = max(err, relative_error(grad[i], numeric, floor))
-            worst[p.name] = err
-    return worst
+        for plan, members in replay_groups(calls, params):
+            values = replay_group(plan, members, loss, params, coords)
+            for k in members:
+                p, probed_values = params[k], values[k]
+                flat, i0 = p.data.reshape(-1), coords[k][0]
+                orig = flat[i0]
+                try:
+                    flat[i0] = orig + STEP
+                    full = build_loss().item()
+                finally:
+                    flat[i0] = orig
+                if full.hex() != probed_values[0].hex():
+                    raise NumericalError(
+                        f"gradcheck: {p.name} reaches the loss outside the "
+                        f"op calls: replayed {probed_values[0]!r}, full "
+                        f"{full!r}")
+                grad = p.grad.reshape(-1)
+                err = 0.0
+                for i, up, down in zip(coords[k], probed_values[0::2],
+                                       probed_values[1::2]):
+                    numeric = (up - down) / (2.0 * STEP)
+                    err = max(err, relative_error(grad[i], numeric))
+                worst[p.name] = err
+    return {p.name: worst[p.name] for p in params}
 
 
 def worst_by_group(worst):

@@ -43,12 +43,13 @@ Design points:
     reads the ``no_grad`` switch.  ``gradcheck`` re-runs the calls a
     perturbed Parameter reaches through their arguments, so an op reads a
     Parameter only as an argument, never through an object or ``.data``.
-    It re-runs them for all of a Parameter's probes at once, through the
-    batch rule each op declares with ``op``: the broadcasting and shape
-    ops, the attention block and ``losses.masked_bce`` make one call on
-    the stacked probe values, the others one call per probe.  Parameters
-    read only by the same first call, such as one block's, stack their
-    outputs of that call and share the re-run of the calls after it.
+    It re-runs them for up to ``gradcheck.CHUNK`` probe rows at once,
+    through the batch rule each op declares with ``op``: the broadcasting
+    and shape ops, the attention block and ``losses.masked_bce`` make one
+    call on the stacked probe values, the others one call per row.
+    Parameters that reach the same calls, such as one block's, share each
+    re-run, each moved on its own rows, so every row of a batch rule must
+    equal its own call bit for bit.
     Constants (Python scalars, numpy arrays) never become tape nodes: every
     op, ``concat`` included, takes only its Tensor operands as parents, and
     ``add``, ``mul``, ``linear`` and ``conv1d_same`` compute no gradient for

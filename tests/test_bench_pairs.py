@@ -3,6 +3,7 @@ made-up runs, and its handling of a run that times out; the script is
 loaded from its file and starts no run."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -90,10 +91,12 @@ def test_a_timed_out_run_is_a_failed_run_without_metrics(bench_pairs,
     monkeypatch.setattr(bench_pairs.subprocess, "run", time_out)
     timed_out = bench_pairs.run_once(Path("."), "eval-long", 51, trace=1)
     assert timed_out == {"env": {}, "correct": False, "hashes": {},
-                         "attempted": 0, "failed": 1, "metrics": None}
+                         "attempted": 0, "failed": 1, "metrics": None,
+                         "raw_seconds": None}
     ran = {"env": {}, "correct": True, "hashes": {}, "attempted": 3,
            "failed": 0, "metrics": {m["name"]: 1.0
-                                    for m in bench_pairs.SPEC["end_to_end"]}}
+                                    for m in bench_pairs.SPEC["end_to_end"]},
+           "raw_seconds": None}
     record = bench_pairs.workload_record(
         [51, 52, 53], [(ran, ran), (timed_out, ran), (ran, ran)],
         traced=[(timed_out, timed_out)])
@@ -102,12 +105,16 @@ def test_a_timed_out_run_is_a_failed_run_without_metrics(bench_pairs,
     assert record["failed_operations"] == {"parent": 1, "change": 0}
     assert record["traced_correct"] == {"parent": False, "change": False}
     assert all(e["pairs_compared"] == 0 for e in record["per_layer"].values())
+    # no run recorded a hash, so no pair shows the same artifacts
+    assert record["artifact_hashes_equal_in_every_pair"] == dict.fromkeys(
+        bench_pairs.HASHES, False)
 
 
 def test_traced_pairs_give_every_per_layer_metric(bench_pairs):
     names = [m["name"] for m in bench_pairs.SPEC["per_layer"]]
     run = {"env": {}, "correct": True, "hashes": {}, "attempted": 1,
-           "failed": 0, "metrics": dict.fromkeys(names, 2.0)}
+           "failed": 0, "metrics": dict.fromkeys(names, 2.0),
+           "raw_seconds": None}
     untraced = {**run, "metrics": {m["name"]: 1.0
                                    for m in bench_pairs.SPEC["end_to_end"]}}
     record = bench_pairs.workload_record([51, 52], [(untraced, untraced)] * 2,
@@ -117,3 +124,47 @@ def test_traced_pairs_give_every_per_layer_metric(bench_pairs):
     assert list(record["per_layer"]) == names
     assert all(e["bound"] is None and e["pairs_tied"] == 2
                for e in record["per_layer"].values())
+
+
+def test_raw_phase_times_are_each_runs_median_over_its_untraced_passes(
+        bench_pairs, monkeypatch, tmp_path):
+    # perfbench's result file: untraced passes 0 and 2 time every phase,
+    # pass 1 is traced, and only pass 0 audits
+    passes = [{"index": 0, "traced": False, "model_s": 2.0, "gate_s": 1.0,
+               "eval_s": 0.5, "audit_s": 0.25, "ckpt_sha256": "c"},
+              {"index": 1, "traced": True, "model_s": 9.0, "gate_s": 9.0,
+               "eval_s": 9.0, "audit_s": 9.0},
+              {"index": 2, "traced": False, "model_s": 4.0, "gate_s": 3.0,
+               "eval_s": 1.5}]
+    (tmp_path / "r.json").write_text(json.dumps({"passes": passes}))
+    line = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
+    stdout = f"# result file {tmp_path / 'r.json'}\n{json.dumps(line)}\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kw: subprocess.CompletedProcess(
+                            cmd, 0, stdout, ""))
+    run = bench_pairs.run_once(tmp_path, "gradcheck-tiny", 51)
+    assert run["raw_seconds"] == {"model_s": 3.0, "gate_s": 2.0,
+                                  "eval_s": 1.0, "audit_s": 0.25}
+    assert run["hashes"] == {"ckpt_sha256": "c", "csv_sha256": None,
+                             "audit_sha256": None}
+
+    def timed(audit_s):
+        return {**run, "raw_seconds": {**run["raw_seconds"],
+                                       "audit_s": audit_s}}
+
+    record = bench_pairs.workload_record(
+        [51, 52, 53], [(timed(0.4), timed(0.3)), (timed(0.5), timed(0.45)),
+                       (timed(0.3), {**run, "raw_seconds": None})],
+        traced=[])
+    audit = record["raw_seconds"]["audit_s"]
+    assert (audit["bound"], audit["better"], audit["pairs_compared"]) == (
+        None, "lower", 2)
+    assert audit["runs"] == {"parent": [0.4, 0.5], "change": [0.3, 0.45]}
+    assert audit["pairs_change_better"] == 2
+    assert list(record["raw_seconds"]) == list(bench_pairs.RAW_TIMES)
+    # a run whose result file lacks a phase has no raw times
+    passes[2:] = []
+    del passes[0]["audit_s"]
+    (tmp_path / "r.json").write_text(json.dumps({"passes": passes}))
+    assert bench_pairs.run_once(tmp_path, "gradcheck-tiny", 51)[
+        "raw_seconds"] is None

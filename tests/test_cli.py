@@ -491,33 +491,31 @@ class TestResumedGradcheck:
         besides the analytic one, and as many attention blocks and
         contrastive terms as the dataflow needs, and no more.  The
         Parameters of one block or one linear layer share a replay
-        (``gradcheck.shared_tails``): the layer runs once per member for
-        all of its probes, and what follows it once per ``CHUNK`` of the
-        members' probes.  The speaker table, which every round's speaker
-        stream reads, replays on its own."""
+        (``gradcheck.replay_groups``), which runs the layer and what follows
+        it once per ``CHUNK`` of the members' probes: 94 replays of 22
+        groups.  The speaker table, which every round's speaker stream
+        reads, replays on its own."""
         _scene, model, gate_net = gradcheck_inputs(RunConfig())
         stack, n = model.stack, len(model.stack.rounds)
         params = model.parameters() + gate_net.parameters()
         layers = [layer for enc in (model.visual_enc, model.audio_enc)
                   for layer in ((enc.w1, enc.b1), (enc.w2, enc.b2))]
 
-        def chunks(group):  # a shared replay's passes past its first call
+        def chunks(group):  # a group's replays
             probes = sum(2 * min(p.size, 8) for p in group)
             return -(-probes // gradcheck.CHUNK)
 
         # a forward runs the two fusion CALs and every round's four blocks
         per_forward = 2 + 4 * n
         reruns = self.reruns(stack)
-        # a block's Parameters: the block once per member, then per chunk
-        # the blocks its own replay runs after it; a fusion CAL's feed the
-        # whole stack
-        after = [(block, reruns[id(block.wq)] - 1) for rnd in stack.rounds
-                 for block in (rnd.sal_time, rnd.sal_speaker, rnd.cal_time,
-                               rnd.cal_speaker)]
-        after += [(cal, 4 * n) for cal in (model.cal_av, model.cal_va)]
-        replayed = sum(len(block.parameters())
-                       + chunks(block.parameters()) * later
-                       for block, later in after)
+        # a block's Parameters: per chunk, the blocks their replay runs; a
+        # fusion CAL's, the CAL and the whole stack
+        runs = [(block, reruns[id(block.wq)]) for rnd in stack.rounds
+                for block in (rnd.sal_time, rnd.sal_speaker, rnd.cal_time,
+                              rnd.cal_speaker)]
+        runs += [(cal, 1 + 4 * n) for cal in (model.cal_av, model.cal_va)]
+        replayed = sum(chunks(block.parameters()) * blocks_run
+                       for block, blocks_run in runs)
         # an encoder layer's weight and bias: every block, per chunk; both
         # fusion CALs read both encoders; the heads and the gate run none
         replayed += sum(chunks(layer) * per_forward for layer in layers)
@@ -528,16 +526,31 @@ class TestResumedGradcheck:
         blocks = forwards * per_forward + replayed
         # only the encoders feed the contrastive term's inputs
         contrastive = forwards + sum(chunks(layer) for layer in layers)
-        assert (forwards, blocks, contrastive) == (188, 2_239, 192)
+        assert (forwards, blocks, contrastive) == (188, 2_311, 192)
 
         calls = {"block": 0, "contrastive": 0}
         monkeypatch.setattr(attention, "_block",
                             counted(calls, "block", attention._block))
         monkeypatch.setattr(losses, "contrastive_av",
                             counted(calls, "contrastive", losses.contrastive_av))
+        made = {"groups": 0, "replays": 0}
+        replay_groups, replay_chunk = gradcheck.replay_groups, gradcheck.replay
+
+        def grouping(*args):
+            groups = replay_groups(*args)
+            made["groups"] += len(groups)
+            return groups
+
+        def replaying(*args):
+            made["replays"] += 1
+            return replay_chunk(*args)
+
+        monkeypatch.setattr(gradcheck, "replay_groups", grouping)
+        monkeypatch.setattr(gradcheck, "replay", replaying)
         assert run("gradcheck") == 0
         capsys.readouterr()
         assert calls == {"block": blocks, "contrastive": contrastive}
+        assert made == {"groups": 22, "replays": 94}
 
     @pytest.mark.parametrize("variant", variants(lambda v: not v.drops))
     def test_each_stack_parameter_reruns_its_own_blocks(self, variant,
@@ -556,7 +569,7 @@ class TestResumedGradcheck:
             for p in stack.parameters():
                 calls["block"] = 0
                 probes = np.stack([p.data, p.data + 1e-4])
-                replay(reached(recorded, p), loss, p, probes)
+                replay(reached(recorded, p), loss, {p: probes})
                 runs.append(calls["block"])
         # every Parameter of both SALs and both CALs of each round, the
         # speaker table and the head, each against its own count

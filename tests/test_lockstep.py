@@ -1,7 +1,7 @@
 """Batch rules: one lockstep call for P probes equals P single-probe calls
 bit for bit, ``gradcheck.replay`` puts back every value it swaps, and a
-shared replay (``gradcheck.shared_tails``) gives each Parameter the values
-of its own."""
+group's replay (``gradcheck.replay_groups``) gives each Parameter the
+values of its own."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from dualstream.attention import AttentionBlock
 from dualstream.errors import NumericalError
 from dualstream.gradcheck import (check_parameter_gradients, probed,
                                   probes_at, reached, recorded_calls, replay,
-                                  replay_group, shared_tails)
+                                  replay_group, replay_groups)
 from dualstream.tensor import (Parameter, Tensor, add, broadcast_to, concat,
                                conv1d_same, gelu, getitem, linear, mul,
                                no_grad, op, per_probe, reshape, tanh_birnn,
@@ -252,9 +252,9 @@ def test_replay_puts_back_every_value(fail):
     probes = np.stack([table.data + 0.5, table.data - 0.5])
     if fail:
         with pytest.raises(RuntimeError, match="rule failed"):
-            replay(plan, loss, table, probes)
+            replay(plan, loss, {table: probes})
     else:
-        assert replay(plan, loss, table, probes).shape == (2,)
+        assert replay(plan, loss, {table: probes}).shape == (2,)
     for t, data in before:
         assert t.data is data
     assert np.shares_memory(table.data, buffer)
@@ -266,7 +266,7 @@ def test_replay_of_a_parameter_the_loss_does_not_read():
     loss = tsum(mul(a, a))
     plan = reached(recorded_calls(loss), unused)
     assert plan == []
-    values = replay(plan, loss, unused, np.zeros((4, 2)))
+    values = replay(plan, loss, {unused: np.zeros((4, 2))})
     assert values.tolist() == [3.0] * 4
 
 
@@ -296,20 +296,20 @@ def assert_own_replays(loss, calls, params, coords):
     """Each group's ``replay_group`` gives every member the values of its
     own ``replay``, bit for bit."""
     with no_grad():
-        for plan, members in shared_tails(calls, params):
+        for plan, members in replay_groups(calls, params):
             values = replay_group(plan, members, loss, params, coords)
             for k in members:
                 p = params[k]
-                own = replay(reached(calls, p), loss, p,
-                             probes_at(p, coords[k]))
+                own = replay(reached(calls, p), loss,
+                             {p: probes_at(p, coords[k])})
                 assert np.array(values[k]).tobytes() == own.tobytes(), p.name
 
 
 def test_default_audit_shares_all_but_the_speaker_table():
     # 16 Parameters per attention block, 2 per linear or conv layer and 6
-    # for the gate recurrence; the table is read in both rounds
+    # for the gate recurrence; no other Parameter reaches the table's calls
     _loss, calls, params = audited({})
-    groups = shared_tails(calls, params)
+    groups = replay_groups(calls, params)
     assert sorted(i for _plan, members in groups for i in members) == \
         list(range(len(params)))
     alone = [params[m[0]].name for _plan, m in groups if len(m) == 1]
@@ -318,15 +318,15 @@ def test_default_audit_shares_all_but_the_speaker_table():
     assert sizes == [2] * 10 + [6] + [16] * 10
 
 
-def test_a_parameter_read_again_later_replays_alone():
-    # a and b reach the same calls, but mul reads a beside add's output: a
-    # replay past add alone would give mul a's recorded value
+def test_a_parameter_read_again_later_shares_its_group():
+    # a and b reach the same calls, and mul reads a beside add's output: on
+    # b's rows a holds its recorded value in both calls
     a = Parameter(np.array([0.5, -1.0]), "a")
     b = Parameter(np.array([2.0, 0.25]), "b")
     loss = tsum(mul(add(a, b), a))
     calls, params = recorded_calls(loss), [a, b]
     assert reached(calls, a) == reached(calls, b)
-    assert [m for _plan, m in shared_tails(calls, params)] == [[0], [1]]
+    assert [m for _plan, m in replay_groups(calls, params)] == [[0, 1]]
     assert_own_replays(loss, calls, params, [np.arange(2)] * 2)
 
 
@@ -338,7 +338,7 @@ def test_shared_tails_give_each_parameter_its_own_replay(variant):
     a Parameter the loss does not read replay alone."""
     loss, calls, params = audited(variant.sets)
     coords = [probed(p, k, 8, 0) for k, p in enumerate(params)]
-    groups = shared_tails(calls, params)
+    groups = replay_groups(calls, params)
     assert max(sum(2 * len(coords[k]) for k in members)
                for _plan, members in groups) > gradcheck.CHUNK
     assert_own_replays(loss, calls, params, coords)
@@ -351,28 +351,32 @@ def test_a_chunk_may_split_a_members_probes(monkeypatch):
     assert_own_replays(loss, calls, params, coords)
 
 
-@pytest.mark.parametrize("chunk", [7, 24, 64])
-def test_first_calls_run_one_chunk_ahead(monkeypatch, chunk):
-    """A block group's first-call outputs come in ``CHUNK`` rows, the last
-    shorter, in member order, and are made only as the chunks are taken:
-    at a yield, at most a chunk and one member's outputs are held."""
+@pytest.mark.parametrize("chunk", [7, 24, 32])
+def test_every_replayed_call_returns_at_most_chunk_rows(monkeypatch, chunk):
+    """A group's replay runs its whole plan once per chunk of ``CHUNK``
+    probe rows, members in order, the last chunk shorter: every call it
+    makes returns that chunk's rows, never the group's."""
     monkeypatch.setattr(gradcheck, "CHUNK", chunk)
-    _loss, calls, params = audited({})
+    loss, calls, params = audited({})
     coords = [probed(p, k, 8, 0) for k, p in enumerate(params)]
-    plan, members = next(g for g in shared_tails(calls, params)
-                         if len(g[1]) == 16)
-    built = []
-    monkeypatch.setattr(gradcheck, "probes_at",
-                        lambda p, c: built.append(len(c)) or probes_at(p, c))
-    chunks, taken = [], 0
+    rows = []
+
+    def counted(rule):
+        def lockstep(moved, *args, **kwargs):
+            out = rule(moved, *args, **kwargs)
+            rows.append(len(out))
+            return out
+        return lockstep
+
+    for fn in {t.call[0] for t, _ids in calls}:
+        monkeypatch.setattr(fn, "lockstep", counted(fn.lockstep))
+    sizes = []
     with no_grad():
-        for rows in gradcheck.first_call_chunks(plan[0], members, params,
-                                                coords):
-            assert 2 * sum(built) - taken < chunk + 2 * built[-1]
-            taken += len(rows)
-            chunks.append(rows.copy())
-        own = [replay([plan[0]], plan[0], params[k],
-                      probes_at(params[k], coords[k])) for k in members]
-    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-    assert 0 < len(chunks[-1]) <= chunk
-    assert np.concatenate(chunks).tobytes() == np.concatenate(own).tobytes()
+        for plan, members in replay_groups(calls, params):
+            rows.clear()
+            replay_group(plan, members, loss, params, coords)
+            probes = sum(2 * len(coords[k]) for k in members)
+            chunks = [min(chunk, probes - lo) for lo in range(0, probes, chunk)]
+            assert rows == [n for n in chunks for _t in plan]
+            sizes.append(probes)
+    assert max(sizes) > chunk

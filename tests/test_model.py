@@ -224,7 +224,7 @@ class TestDualForward:
                 saved = p.data.copy()
                 probes = np.stack([saved + 0.1, saved - 0.2])
                 with no_grad():
-                    resumed = replay(reached(calls, p), taped, p, probes)
+                    resumed = replay(reached(calls, p), taped, {p: probes})
                 for probe, value in zip(probes, resumed):
                     p.data[...] = probe
                     try:

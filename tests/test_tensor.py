@@ -431,7 +431,7 @@ def test_primitive_gradients_match_finite_differences(name):
             return tsum(mul(op(p, c), proj))
 
         worst = check_parameter_gradients(build, [p], max_coords=6,
-                                          seed=trial, floor=1e-3)
+                                          seed=trial)
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 
 
@@ -447,7 +447,7 @@ def check_every_parent(op, shapes, trials=5):
             return tsum(mul(op(*params), proj))
 
         worst = check_parameter_gradients(build, params, max_coords=8,
-                                          seed=trial, floor=1e-3)
+                                          seed=trial)
         assert max(worst.values()) <= 1e-5, f"trial {trial}: {worst}"
 
 
@@ -532,7 +532,7 @@ def test_constant_operand_paths(name):
             return tsum(mul(op(p, c), proj))
 
         worst = check_parameter_gradients(build, [p], max_coords=8,
-                                          seed=trial, floor=1e-3)
+                                          seed=trial)
         assert worst[name] <= 1e-5, f"{name} trial {trial}: {worst[name]}"
 
 

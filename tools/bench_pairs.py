@@ -16,10 +16,11 @@ The record holds, for every workload and end-to-end metric, the median and
 quartiles (``statistics.quantiles``, n=4) of each side's runs, the ratio of
 the medians, the pairs compared, the pairs each side won and every run's
 value, plus the operations each side attempted and failed and whether the
-checkpoint, predictions-CSV and gradcheck-report hashes agreed in every
-pair.  Each workload's ``per_layer`` holds the same entry for every
-per-layer metric over the traced pairs; those metrics have no bound
-(null).  Where a side's median is not positive, the ratio of the medians
+checkpoint, predictions-CSV and gradcheck-report hashes were recorded and
+agreed in every pair.  Each workload's ``raw_seconds`` holds the same entry
+for each run's median unscaled phase time over its untraced passes
+(``RAW_TIMES``, from perfbench's result file), and its ``per_layer`` for
+every per-layer metric over the traced pairs; neither has a bound (null).  Where a side's median is not positive, the ratio of the medians
 and the pairs each side won mean nothing and are left out.  A run that
 prints no metrics, or is stopped after ``TIMEOUT`` seconds, counts as
 failed and its pair is left out of the statistics, so ``pairs_compared``
@@ -39,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 HASHES = ("ckpt_sha256", "csv_sha256", "audit_sha256")
+RAW_TIMES = ("model_s", "gate_s", "eval_s", "audit_s")  # seconds, unscaled
 HOST_KEYS = ("blas", "machine", "nproc", "numpy", "python", "scipy", "threads")
 TIMEOUT = 900
 FIRST_SEED = 51  # the seeds of BENCH_23 and later
@@ -59,7 +61,10 @@ PROTOCOL = (
     "those whose change run beat the same seed's parent run. "
     "artifact_hashes_equal_in_every_pair compares the checkpoint, "
     "predictions-CSV and gradcheck-report hashes of each pair's first "
-    "passes. per_layer holds the per-layer metrics of traced_runs_per_side "
+    "passes, and is false where a run recorded none. raw_seconds holds the "
+    "same entry for each run's median unscaled model_s, gate_s, eval_s and "
+    "audit_s over its untraced passes, read from perfbench's result file. "
+    "per_layer holds the per-layer metrics of traced_runs_per_side "
     "more alternated pairs per workload, each run with --trace 1 in place "
     f"of --trace 0, on the seeds from {FIRST_SEED}. A metric whose median "
     "is not positive on either side has no change_over_parent_median or "
@@ -89,8 +94,9 @@ def export(ref, into):
 
 def run_once(tree, workload, seed, trace=0):
     """One benchmark run in ``tree``: its env, metrics (None when it printed
-    none or timed out), operation counts and the artifact hashes of its
-    first pass."""
+    none or timed out), operation counts, the artifact hashes of its first
+    pass and its median ``RAW_TIMES`` over its untraced passes (None
+    unless each was timed)."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(SPEC["run_seconds"]),
                              "--trace", str(trace)]
@@ -101,16 +107,20 @@ def run_once(tree, workload, seed, trace=0):
         sys.stderr.write(f"{' '.join(cmd)} in {tree}: timed out after "
                          f"{TIMEOUT} s\n")
         return {"env": {}, "correct": False, "hashes": {}, "attempted": 0,
-                "failed": 1, "metrics": None}
+                "failed": 1, "metrics": None, "raw_seconds": None}
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     env = next((json.loads(ln[6:]) for ln in lines if ln.startswith("# env ")), {})
     record = next((ln.split(" ", 3)[3] for ln in lines
                    if ln.startswith("# result file ")), None)
-    hashes = {}
+    hashes, raw = {}, None
     if record:
         passes = json.loads(Path(record).read_text())["passes"]
         hashes = {k: next((p[k] for p in passes if k in p), None) for k in HASHES}
+        times = {k: [p[k] for p in passes if not p["traced"] and k in p]
+                 for k in RAW_TIMES}
+        if all(times.values()):
+            raw = {k: statistics.median(v) for k, v in times.items()}
     correct = proc.returncode == 0 and result is not None and result["correct"]
     if not correct:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-4000:])
@@ -118,7 +128,8 @@ def run_once(tree, workload, seed, trace=0):
             "attempted": result["attempted"] if result else 0,
             "failed": result["failed"] if result else 1,
             "metrics": ({k: v["value"] for k, v in result["metrics"].items()}
-                        if result and result["metrics"] else None)}
+                        if result and result["metrics"] else None),
+            "raw_seconds": raw}
 
 
 def summary(values):
@@ -126,13 +137,13 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(metric, pairs):
-    """One metric's entry over the ``(parent, change)`` runs; a per-layer
-    metric has no bound, and a median that is not positive gives no ratio
-    and no wins."""
+def compare(metric, pairs, field="metrics"):
+    """One metric's entry over the ``(parent, change)`` runs, read from
+    each run's ``field``; a per-layer metric or a raw time has no bound,
+    and a median that is not positive gives no ratio and no wins."""
     name, better = metric["name"], metric["better"]
-    kept = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
-            if p["metrics"] and c["metrics"]]
+    kept = [(p[field][name], c[field][name]) for p, c in pairs
+            if p[field] and c[field]]
     parent, change = [p for p, _ in kept], [c for _, c in kept]
     entry = {"unit": metric["unit"], "better": better,
              "bound": metric.get("bound"),
@@ -169,9 +180,14 @@ def workload_record(seeds, pairs, traced):
                                  for s, runs in sides(pairs).items()},
         "correct": all_correct(pairs),
         "artifact_hashes_equal_in_every_pair": {
-            k: all(p["hashes"].get(k) == c["hashes"].get(k) for p, c in pairs)
+            k: all(p["hashes"].get(k) is not None
+                   and p["hashes"].get(k) == c["hashes"].get(k)
+                   for p, c in pairs)
             for k in HASHES},
         "metrics": {m["name"]: compare(m, pairs) for m in SPEC["end_to_end"]},
+        "raw_seconds": {k: compare({"name": k, "unit": "s", "better": "lower"},
+                                   pairs, "raw_seconds")
+                        for k in RAW_TIMES},
         "traced_runs_per_side": len(traced),
         "traced_correct": all_correct(traced),
         "per_layer": {m["name"]: compare(m, traced) for m in SPEC["per_layer"]},
@@ -221,7 +237,8 @@ def main(argv=None):
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for w, rec in record["workloads"].items():
-        for name, m in {**rec["metrics"], **rec["per_layer"]}.items():
+        raw = {f"raw {k}": m for k, m in rec["raw_seconds"].items()}
+        for name, m in {**rec["metrics"], **raw, **rec["per_layer"]}.items():
             if "change_over_parent_median" in m:
                 print(f"{w:15s} {name:24s} parent {m['parent']['median']:.4g} "
                       f"change {m['change']['median']:.4g} "
